@@ -303,6 +303,9 @@ def _run_empirical_constant(config: Config, seed: int, threads: int) -> Experime
     grid = _grid_from(config, default_l=20.0, default_m=512)
     radius = config.number("observability.radius", 2.0)
     gaps = config.numbers("observability.gaps", [0.25, 0.5, 1.0, 2.0])
+    if len(gaps) < 2:
+        raise ConfigError("observability.gaps needs at least two gaps for the "
+                          f"log-constant fit, got {len(gaps)}")
     region = ball_complement(0.0, radius, dim=grid.dim)
 
     def one(gap: float) -> Dict[str, object]:
@@ -643,6 +646,9 @@ def _run_cost_scaling(config: Config, seed: int, threads: int) -> ExperimentResu
 def _run_bridge(config: Config, seed: int, threads: int) -> ExperimentResult:
     # registered under verify-identity's family; kept as its own experiment
     grid = _grid_from(config, default_l=20.0, default_m=1024)
+    if grid.dim != 1:
+        raise ConfigError("bridge samples and regions are one-dimensional; "
+                          f"grid.dim must be 1, got {grid.dim}")
     t = config.number("bridge.T", 1.0)
     radius = config.number("bridge.radius", 6.0)
     count = config.integer("bridge.samples", 20)

@@ -36,10 +36,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .field import Field, Grid, Region, Weight, ball_complement, l2_norm
+from .field import (DEFAULT_EXPONENT_CAP, Field, Grid, Region, Weight,
+                    ball_complement, l2_norm)
 from .fitting import FitResult, affine_fit
+from .inequalities import prior_sobolev_order
 from .solvers import CGResult, conjugate_gradient, lanczos_smallest
-from .transform import dft, idft, propagate, propagate_values
+from .transform import fft_symbol, propagate_values, spectral_multiply
 
 IMPULSE_JUMP = -1j
 
@@ -55,7 +57,7 @@ class ErrorNorm:
     kind: str
     amplitude: float = 0.0          # a (dual_weighted, sobolev_dual) or b (shifted)
     center: Tuple[float, ...] = ()  # x' for the shifted weight
-    sobolev_order: Optional[float] = None  # defaults to dim + 3
+    sobolev_order: Optional[float] = None  # defaults to prior_sobolev_order(dim)
 
     def __post_init__(self):
         if self.kind not in ERROR_NORMS:
@@ -113,8 +115,21 @@ def _z_projection(problem: ImpulseProblem) -> Optional[np.ndarray]:
     return None
 
 
-def _sobolev_multiplier(grid: Grid, order: float) -> np.ndarray:
-    return (1.0 + grid.dual().radius_sq()) ** order
+def _sobolev_order(norm: ErrorNorm, dim: int) -> float:
+    return norm.sobolev_order if norm.sobolev_order is not None \
+        else prior_sobolev_order(dim)
+
+
+def _sobolev_symbol(grid: Grid, norm: ErrorNorm, power: float = 1.0) -> np.ndarray:
+    """(1+|xi|^2)^{power * order} in FFT order, for spectral_multiply."""
+    order = _sobolev_order(norm, grid.dim)
+    return fft_symbol(grid, (1.0 + grid.dual().radius_sq()) ** (power * order))
+
+
+def _norm_weight(grid: Grid, norm: ErrorNorm, sign: str = "grow") -> np.ndarray:
+    """The capped density e^{+-a|x - x'|} of the weighted Z geometries."""
+    weight, _ = Weight(norm.amplitude, 1.0, sign, center=norm.center).evaluate(grid)
+    return weight
 
 
 def z_weight_apply(problem: ImpulseProblem) -> Callable[[np.ndarray], np.ndarray]:
@@ -123,24 +138,12 @@ def z_weight_apply(problem: ImpulseProblem) -> Callable[[np.ndarray], np.ndarray
     norm = problem.error_norm
     if norm.kind in ("l2", "restricted"):
         return lambda v: v.copy()
+    diag = _norm_weight(grid, norm)
     if norm.kind in ("dual_weighted", "shifted_dual_weighted"):
-        center = norm.center if norm.center else None
-        rsq = grid.radius_sq(center)
-        diag = np.exp(np.minimum(norm.amplitude * np.sqrt(rsq), 700.0))
         return lambda v: diag * v
-    # sobolev_dual: e^{a|x|} 'plus' the H^{dim+3} spectral multiplier
-    order = norm.sobolev_order if norm.sobolev_order is not None else grid.dim + 3
-    diag = np.exp(np.minimum(norm.amplitude * np.sqrt(grid.radius_sq()), 700.0))
-    mult = _sobolev_multiplier(grid, order)
-    shape = (grid.points_per_dim,) * grid.dim
-    dual = grid.dual()
-
-    def apply_w(v: np.ndarray) -> np.ndarray:
-        spec = dft(Field(grid, v))
-        filtered = idft(Field(dual, mult * spec.values))
-        return diag * v + filtered.values
-
-    return apply_w
+    # sobolev_dual: e^{a|x|} 'plus' the H^{order} spectral multiplier
+    symbol = _sobolev_symbol(grid, norm)
+    return lambda v: diag * v + spectral_multiply(grid, v, symbol)
 
 
 def z_weight_bound(problem: ImpulseProblem) -> float:
@@ -152,11 +155,10 @@ def z_weight_bound(problem: ImpulseProblem) -> float:
     reach = grid.half_extent * np.sqrt(grid.dim)
     if norm.center:
         reach += float(np.linalg.norm(norm.center))
-    diag_max = float(np.exp(min(norm.amplitude * reach, 700.0)))
+    diag_max = float(np.exp(min(norm.amplitude * reach, DEFAULT_EXPONENT_CAP)))
     if norm.kind != "sobolev_dual":
         return diag_max
-    order = norm.sobolev_order if norm.sobolev_order is not None else grid.dim + 3
-    return diag_max + (1.0 + grid.dim * grid.nyquist ** 2) ** order
+    return diag_max + (1.0 + grid.dim * grid.nyquist ** 2) ** _sobolev_order(norm, grid.dim)
 
 
 def _quad(values: np.ndarray, applied: np.ndarray, grid: Grid) -> float:
@@ -239,20 +241,10 @@ def _normal_preconditioner(problem: ImpulseProblem):
     if norm.kind in ("l2", "restricted"):
         return None
     if norm.kind in ("dual_weighted", "shifted_dual_weighted"):
-        center = norm.center if norm.center else None
-        diag = np.exp(np.minimum(norm.amplitude * np.sqrt(grid.radius_sq(center)), 700.0))
-        inv = 1.0 / (c0 + eps0 * diag)
+        inv = 1.0 / (c0 + eps0 * _norm_weight(grid, norm))
         return lambda v: inv * v
-    order = norm.sobolev_order if norm.sobolev_order is not None else grid.dim + 3
-    mult = _sobolev_multiplier(grid, order)
-    inv = 1.0 / (c0 + eps0 * mult)
-    dual = grid.dual()
-
-    def prec(v: np.ndarray) -> np.ndarray:
-        spec = dft(Field(grid, v))
-        return idft(Field(dual, inv * spec.values)).values
-
-    return prec
+    inv = 1.0 / (c0 + eps0 * _sobolev_symbol(grid, norm))
+    return lambda v: spectral_multiply(grid, v, inv)
 
 
 def datum_field(problem: ImpulseProblem) -> Field:
@@ -417,20 +409,13 @@ def _error_diagnostics(problem: ImpulseProblem, error_field: Field) -> Dict[str,
     if norm.kind in ("l2", "restricted"):
         out["simulated_error_dual"] = out["simulated_error_l2"]
         return out
-    center = norm.center if norm.center else None
-    decay = np.exp(-np.minimum(norm.amplitude * np.sqrt(grid.radius_sq(center)), 700.0))
-    if norm.kind in ("dual_weighted", "shifted_dual_weighted"):
-        h = grid.spacing
-        val = float(np.sum(decay * np.abs(error_field.values) ** 2) * h ** grid.dim)
-        out["simulated_error_dual"] = float(np.sqrt(val))
-        return out
-    order = norm.sobolev_order if norm.sobolev_order is not None else grid.dim + 3
-    spec = dft(error_field)
-    mult = (1.0 + spec.grid.radius_sq()) ** (-order / 2.0)
-    filtered = idft(Field(spec.grid, mult * spec.values))
-    h = grid.spacing
-    val = float(np.sum(decay * np.abs(filtered.values) ** 2) * h ** grid.dim)
-    out["simulated_error_dual_approx"] = float(np.sqrt(val))
+    decay = _norm_weight(grid, norm, "decay")
+    values, key = error_field.values, "simulated_error_dual"
+    if norm.kind == "sobolev_dual":
+        values = spectral_multiply(grid, values, _sobolev_symbol(grid, norm, -0.5))
+        key = "simulated_error_dual_approx"
+    val = float(np.sum(decay * np.abs(values) ** 2) * grid.spacing ** grid.dim)
+    out[key] = float(np.sqrt(val))
     return out
 
 

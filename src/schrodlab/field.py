@@ -158,15 +158,6 @@ class Field:
         object.__setattr__(self, "values", values)
 
 
-# dft(f) of a Field is again a Field, living on f.grid.dual(); the alias keeps
-# call sites that deal in spectra readable.
-SpectralField = Field
-
-
-def field_from_values(grid: Grid, values) -> Field:
-    return Field(grid, np.asarray(values, dtype=np.complex128).ravel())
-
-
 def field_from_function(grid: Grid, fn) -> Field:
     """Sample fn(*coords) on the grid nodes."""
     return Field(grid, np.asarray(fn(*grid.coords()), dtype=np.complex128).ravel())
@@ -328,20 +319,3 @@ def box_tail_fraction(f: Field) -> float:
     h = f.grid.spacing
     inner = float(np.sum(np.abs(f.values[inside]) ** 2) * h ** f.grid.dim)
     return max(0.0, 1.0 - inner / total)
-
-
-def scaled(f: Field, c: complex) -> Field:
-    return Field(f.grid, c * f.values)
-
-
-def added(f: Field, g: Field) -> Field:
-    if f.grid != g.grid:
-        raise ValueError("cannot add fields on different grids")
-    return Field(f.grid, f.values + g.values)
-
-
-def normalized(f: Field) -> Field:
-    n = l2_norm(f)
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero field")
-    return scaled(f, 1.0 / n)

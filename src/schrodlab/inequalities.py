@@ -31,7 +31,8 @@ from .field import (
 )
 from .fitting import FitResult, affine_fit  # re-exported: fits live with reports
 from .solvers import LanczosResult, lanczos_smallest
-from .transform import chirp_aliasing_ok, dft, idft, propagate, propagate_values
+from .transform import (chirp_aliasing_ok, dft, fft_symbol, idft, propagate,
+                        propagate_values, spectral_multiply)
 
 
 class AliasingError(ValueError):
@@ -366,6 +367,11 @@ def bandlimited_sample(grid: Grid, band_radius: float, seed: int) -> Field:
     return Field(grid, sample.values / norm)
 
 
+def _band_symbol(grid: Grid, band_radius: float) -> np.ndarray:
+    """Indicator of the frequency ball B_N(0), in FFT order."""
+    return fft_symbol(grid, ball(0.0, band_radius, dim=grid.dim).indicator(grid.dual()))
+
+
 def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float,
                                        seed: int = 0) -> Field:
     """The band-limited field most concentrated on B_r(0) (discrete prolate).
@@ -378,21 +384,17 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float,
         raise ValueError(
             f"band radius {band_radius} is not below the Nyquist frequency "
             f"{grid.nyquist:.6g}")
-    dual = grid.dual()
-    band_mask = ball(0.0, band_radius, dim=grid.dim).indicator(dual)
+    band = _band_symbol(grid, band_radius)
     ball_mask = ball(0.0, r, dim=grid.dim).indicator(grid)
 
     def apply_residual(v: np.ndarray) -> np.ndarray:
         # I - K, so the smallest eigenvalue pairs with the top of K
-        spec = dft(Field(grid, v))
-        banded = idft(Field(dual, band_mask * spec.values)).values
-        spec2 = dft(Field(grid, ball_mask * banded))
-        return v - idft(Field(dual, band_mask * spec2.values)).values
+        banded = spectral_multiply(grid, v, band)
+        return v - spectral_multiply(grid, ball_mask * banded, band)
 
     result = lanczos_smallest(apply_residual, grid.node_count, upper_bound=1.0,
                               seed=seed, tol=1e-12)
-    spec = dft(Field(grid, result.eigenvector))
-    extremizer = idft(Field(dual, band_mask * spec.values))
+    extremizer = Field(grid, spectral_multiply(grid, result.eigenvector, band))
     norm = l2_norm(extremizer)
     if norm == 0.0:
         raise ValueError("band contains no frequency nodes")
@@ -409,9 +411,8 @@ def spectral_inequality_report(f: Field, r: float, band_radius: float) -> Inequa
     if r < 0 or band_radius < 0:
         raise ValueError("r and N must be nonnegative")
     grid = f.grid
-    spectrum = dft(f)
-    mask = ball(0.0, band_radius, dim=grid.dim).indicator(spectrum.grid)
-    projected = idft(Field(spectrum.grid, spectrum.values * mask))
+    projected = Field(grid, spectral_multiply(grid, f.values,
+                                              _band_symbol(grid, band_radius)))
     lhs = l2_norm(projected) ** 2
     outside = masked_energy(projected, ball_complement(0.0, r, dim=grid.dim))
     flags: Dict[str, bool] = {"degenerate_denominator": bool(outside < 1e-300)}
@@ -504,11 +505,6 @@ def euler_bound(a: float, beta: Sequence[int], constant: float) -> float:
     return (2.0 * n / a) ** n * fact ** 2 * (constant * n / a) ** (2 * total)
 
 
-def euler_bound_check(a: float, beta: Sequence[int], constant: float) -> Tuple[float, float]:
-    """(integral, bound) for one (a, beta) pair at the given constant."""
-    return euler_integral(a, beta), euler_bound(a, beta, constant)
-
-
 def smallest_euler_constant(cases: Sequence[Tuple[float, Sequence[int]]]) -> float:
     """Smallest absolute C making the bound hold on every |beta| > 0 case."""
     best = 0.0
@@ -592,6 +588,11 @@ def decay_window_report_15(u0: Field, x0, x_prime, r: float, a: float, b: float,
     return report
 
 
+def prior_sobolev_order(dim: int) -> int:
+    """The Sobolev order n + 3 of the augmented prior in estimate (1.6)."""
+    return dim + 3
+
+
 def sobolev_prior_report_16(u0: Field, x0, r: float, a: float, t: float,
                             eps_values: Sequence[float]) -> EpsilonSweepReport:
     """Full-recovery estimate with Sobolev-augmented prior and the
@@ -605,7 +606,7 @@ def sobolev_prior_report_16(u0: Field, x0, r: float, a: float, t: float,
     lhs = l2_norm(u0) ** 2
     obs = masked_energy(propagate(u0, t), ball(x0, r, dim=grid.dim))
     weighted, capped = weighted_energy_flagged(u0, Weight(a, 1.0, "grow"))
-    sobolev = sobolev_norm_sq(u0, grid.dim + 3)
+    sobolev = sobolev_norm_sq(u0, prior_sobolev_order(grid.dim))
     prior = weighted + sobolev
 
     def log_obs_coeff(eps: float) -> float:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import Field, Grid, ball, masked_energy
+from .field import Field, Grid
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -65,24 +65,38 @@ def _fft_freq_sq(grid: Grid) -> np.ndarray:
     return (a ** 2 + b ** 2).ravel()
 
 
+def fft_symbol(grid: Grid, dual_values: np.ndarray) -> np.ndarray:
+    """Reorder a multiplier sampled on grid.dual() (monotone xi order) into
+    the FFT order that spectral_multiply expects.
+
+    Call it once when an operator is built, not once per application."""
+    shape = (grid.points_per_dim,) * grid.dim
+    return np.fft.ifftshift(dual_values.reshape(shape)).ravel()
+
+
+def spectral_multiply(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+    """idft( symbol * dft(values) ) on raw flat arrays, with symbol in FFT order.
+
+    The sign and scale factors that turn the raw FFT into the
+    continuum-normalized dft are diagonal in frequency, so they commute with
+    any frequency multiplier and cancel against those of idft; the multiplier
+    is therefore applied between plain FFTs.
+    """
+    shape = (grid.points_per_dim,) * grid.dim
+    out = np.fft.ifftn(symbol.reshape(shape) * np.fft.fftn(values.reshape(shape)))
+    return out.ravel()
+
+
 def propagate_values(grid: Grid, values: np.ndarray, t: float) -> np.ndarray:
     """Array-level free flow; the allocation-light worker behind propagate."""
     if t == 0.0:
         return values.astype(np.complex128, copy=True)
-    m = grid.points_per_dim
-    shape = (m,) * grid.dim
-    mult = np.exp(-1j * _fft_freq_sq(grid) * t)
-    out = np.fft.ifftn(mult.reshape(shape) * np.fft.fftn(values.reshape(shape)))
-    return out.ravel()
+    return spectral_multiply(grid, values, np.exp(-1j * _fft_freq_sq(grid) * t))
 
 
 def propagate(f: Field, t: float) -> Field:
-    """idft( e^{-i|xi|^2 t} dft(f) ), computed with plain FFTs.
-
-    The conversion phases between the continuum-normalized transform and the
-    raw FFT are diagonal in frequency, so they commute with the multiplier
-    and cancel; negative t gives the backward flow.
-    """
+    """idft( e^{-i|xi|^2 t} dft(f) ) through spectral_multiply; negative t
+    gives the backward flow."""
     if t == 0.0:
         return f
     return Field(f.grid, propagate_values(f.grid, f.values, t))
@@ -176,8 +190,3 @@ def stencil_laplacian(f: Field) -> Field:
     for axis in range(grid.dim):
         out = out + np.roll(v, 1, axis=axis) + np.roll(v, -1, axis=axis)
     return Field(grid, (out / grid.spacing ** 2).ravel())
-
-
-def spectral_ball_energy(f: Field, radius: float, center=0.0) -> float:
-    """Energy of dft(f) inside the frequency ball B_radius(center)."""
-    return masked_energy(dft(f), ball(center, radius, dim=f.grid.dim))

@@ -18,7 +18,7 @@ from schrodlab.field import (Field, Weight, ball, ball_complement, dot,
                              masked_energy)
 from schrodlab.fitting import affine_fit
 from schrodlab.inequalities import (empirical_constant, equivalence_bridge_check,
-                                    euler_bound_check,
+                                    euler_bound, euler_integral,
                                     extremal_bandlimited_concentration,
                                     bandlimited_sample, gramian_apply,
                                     moment_check_34, smallest_euler_constant,
@@ -289,7 +289,7 @@ def test_criterion_10_moments_and_euler_bound():
         slopes_ok &= fit.slope <= 2 * k + 0.1
 
     # Euler-integral bound
-    integral_exact, _ = euler_bound_check(1.0, (1,), 1.0)
+    integral_exact = euler_integral(1.0, (1,))
     cases = []
     for a in (0.5, 1.0, 2.0):
         cases += [(a, (b,)) for b in range(5)]
@@ -297,8 +297,8 @@ def test_criterion_10_moments_and_euler_bound():
                   if b1 + b2 <= 4]
     constant = smallest_euler_constant(cases)
     bound_holds = all(
-        euler_bound_check(a, beta, constant)[1]
-        >= euler_bound_check(a, beta, constant)[0] * (1.0 - 1e-12)
+        euler_bound(a, beta, constant)
+        >= euler_integral(a, beta) * (1.0 - 1e-12)
         for a, beta in cases)
 
     report(10, "moment propagation and Euler bound",

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from schrodlab import cli
 from schrodlab.cli import (ConfigError, EXPERIMENTS, list_experiments,
                            load_config, main)
 
@@ -72,6 +73,24 @@ class TestExitCodes:
         assert main(["bridge", "--config", cfg,
                      "--out", str(tmp_path / "b.csv")]) == 2
         assert "aliasing" in capsys.readouterr().err
+
+    def test_empirical_constant_needs_two_gaps(self, tmp_path, capsys,
+                                               monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("validation must precede the eigenvalue solves")
+
+        monkeypatch.setattr(cli, "empirical_constant", no_solve)
+        cfg = write(tmp_path, "gap.cfg", "grid.M = 64\nobservability.gaps = 1.0\n")
+        assert main(["empirical-constant", "--config", cfg,
+                     "--out", str(tmp_path / "e.csv")]) == 2
+        assert "at least two gaps" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+    def test_bridge_rejects_dim_2(self, tmp_path, capsys):
+        cfg = write(tmp_path, "b2.cfg", "grid.dim = 2\ngrid.M = 64\n")
+        assert main(["bridge", "--config", cfg,
+                     "--out", str(tmp_path / "b.csv")]) == 2
+        assert "grid.dim must be 1" in capsys.readouterr().err
 
     def test_tail_violation_named(self, tmp_path, capsys):
         cfg = write(tmp_path, "tail.cfg",

@@ -11,7 +11,7 @@ from schrodlab.field import (Field, ball, ball_complement, field_from_function,
 from schrodlab.fitting import affine_fit
 from schrodlab.inequalities import (AliasingError, bandlimited_sample,
                                     decay_window_report_15, empirical_constant,
-                                    equivalence_bridge_check, euler_bound_check,
+                                    equivalence_bridge_check, euler_bound,
                                     euler_integral,
                                     extremal_bandlimited_concentration,
                                     fit_interpolation_12, gramian_apply,
@@ -382,12 +382,10 @@ class TestMoments:
 
 class TestEulerBound:
     def test_1d_base_case(self):
-        integral, _ = euler_bound_check(1.0, (0,), 1.0)
-        assert integral == 2.0
+        assert euler_integral(1.0, (0,)) == 2.0
 
     def test_1d_gamma_reduction(self):
-        integral, _ = euler_bound_check(1.0, (1,), 1.0)
-        assert integral == 4.0  # 2 * Gamma(3)
+        assert euler_integral(1.0, (1,)) == 4.0  # 2 * Gamma(3)
 
     def test_2d_radial_quadrature_base(self):
         assert euler_integral(1.0, (0, 0)) == pytest.approx(2.0 * np.pi, rel=1e-10)
@@ -401,8 +399,8 @@ class TestEulerBound:
         constant = smallest_euler_constant(cases)
         assert np.isfinite(constant) and constant > 0
         for a, beta in cases:
-            integral, bound = euler_bound_check(a, beta, constant)
-            assert bound >= integral * (1.0 - 1e-12)
+            assert euler_bound(a, beta, constant) \
+                >= euler_integral(a, beta) * (1.0 - 1e-12)
 
     def test_rejects_large_multiindex(self):
         with pytest.raises(ValueError):

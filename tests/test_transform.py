@@ -6,8 +6,9 @@ import pytest
 from schrodlab.field import (Field, ball, field_from_function, l2_norm,
                              make_grid, masked_energy)
 from schrodlab.transform import (bandlimited_interpolate, chirp_aliasing_ok,
-                                 dft, dual_solve, fresnel_map, gaussian_oracle,
-                                 idft, propagate, stencil_laplacian)
+                                 dft, dual_solve, fft_symbol, fresnel_map,
+                                 gaussian_oracle, idft, propagate,
+                                 spectral_multiply, stencil_laplacian)
 
 
 def random_field(grid, rng):
@@ -94,6 +95,25 @@ class TestPropagate:
         u_t = propagate(gaussian(grid), 0.3)
         oracle = gaussian_oracle(grid, 0.3)
         assert np.abs(u_t.values - oracle.values).max() <= 1e-10
+
+
+@pytest.mark.parametrize("dim, m", [(1, 62), (2, 30)])  # M = 2 mod 4
+@pytest.mark.parametrize("symbol", ["propagator", "band", "sobolev+", "sobolev-"])
+def test_spectral_multiply_matches_dft_reference(dim, m, symbol):
+    # the raw-FFT primitive must agree with the continuum-normalized
+    # dft -> multiply -> idft composition it replaces
+    grid = make_grid(dim, 5.0, m)
+    dual = grid.dual()
+    xi_sq = dual.radius_sq()
+    s = dim + 3
+    values = {"propagator": np.exp(-1j * 0.7 * xi_sq),
+              "band": ball(0.0, 0.4 * grid.nyquist, dim=dim).indicator(dual),
+              "sobolev+": (1.0 + xi_sq) ** s,
+              "sobolev-": (1.0 + xi_sq) ** -s}[symbol]
+    f = random_field(grid, np.random.default_rng(11))
+    out = spectral_multiply(grid, f.values, fft_symbol(grid, values))
+    reference = idft(Field(dual, values * dft(f).values)).values
+    assert np.linalg.norm(out - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
 class TestDualSolve:
