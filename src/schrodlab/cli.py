@@ -22,11 +22,11 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .field import (Field, Weight, ball, ball_complement, box_tail_fraction,
-                    field_from_function, l2_norm, make_grid, GridError)
+from .field import (Field, ball, ball_complement, box_tail_fraction,
+                    gaussian_state, l2_norm, make_grid, GridError)
 from .fitting import affine_fit
-from .control import (ErrorNorm, ImpulseProblem, calibrate_observation_weight,
-                      cost_scaling_study, solve_control)
+from .control import (VARIANTS, calibrate_observation_weight, cost_scaling_study,
+                      solve_control, variant_problem)
 from .counterexamples import SequenceSpec, decay_study
 from .inequalities import (bandlimited_sample, empirical_constant,
                            equivalence_bridge_check, euler_bound,
@@ -142,6 +142,15 @@ class Config:
             raise ConfigError(f"config key {key!r} must be a number list")
         return [float(v) for v in value]
 
+    def integers(self, key: str, default: Sequence[int]) -> List[int]:
+        value = self.values.get(key, list(default))
+        items = value if isinstance(value, list) else [value]
+        if not items or any(isinstance(v, bool) or not isinstance(v, int)
+                            for v in items):
+            raise ConfigError(f"config key {key!r} must be an integer list, "
+                              f"got {value!r}")
+        return items
+
 
 def _grid_from(config: Config, default_dim=1, default_l=20.0, default_m=512):
     try:
@@ -150,12 +159,6 @@ def _grid_from(config: Config, default_dim=1, default_l=20.0, default_m=512):
                          config.integer("grid.M", default_m))
     except GridError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
-
-
-def _gaussian_state(grid, sigma: float, center: float = 0.0) -> Field:
-    return field_from_function(
-        grid, lambda *axes: np.exp(-sum((ax - center) ** 2 for ax in axes)
-                                   / (2.0 * sigma ** 2)))
 
 
 def _check_tail(config: Config, reference: Field, validity: Dict[str, object]):
@@ -192,7 +195,6 @@ def _map_ordered(fn: Callable, items: Sequence, threads: int) -> List:
 
 @dataclass
 class ExperimentResult:
-    columns: List[str]
     rows: List[Dict[str, object]]
     summary: Dict[str, object]
 
@@ -203,7 +205,7 @@ def _run_propagate(config: Config, seed: int, threads: int) -> ExperimentResult:
     sigma = config.number("propagate.sigma", 1.0)
     times = config.numbers("propagate.times", [0.1, 1.0, 10.0])
     validity: Dict[str, object] = {}
-    u0 = _gaussian_state(grid, sigma)
+    u0 = gaussian_state(grid, sigma)
     _check_tail(config, u0, validity)
 
     def one(t: float) -> Dict[str, object]:
@@ -219,7 +221,7 @@ def _run_propagate(config: Config, seed: int, threads: int) -> ExperimentResult:
     summary = {"validity": validity,
                "max_norm_drift": max(row["norm_drift"] for row in rows),
                "max_oracle_error": max(row["max_err_oracle"] for row in rows)}
-    return ExperimentResult(["t", "norm_drift", "max_err_oracle"], rows, summary)
+    return ExperimentResult(rows, summary)
 
 
 def _run_verify_identity(config: Config, seed: int, threads: int) -> ExperimentResult:
@@ -228,7 +230,7 @@ def _run_verify_identity(config: Config, seed: int, threads: int) -> ExperimentR
     times = config.numbers("fresnel.times", [0.5, 1.0, 2.0])
     compare_within = config.number("fresnel.compare_box_fraction", 0.95)
     validity: Dict[str, object] = {}
-    u0 = _gaussian_state(grid, sigma)
+    u0 = gaussian_state(grid, sigma)
     _check_tail(config, u0, validity)
     for t in times:
         _check_chirp(grid, t)
@@ -249,8 +251,7 @@ def _run_verify_identity(config: Config, seed: int, threads: int) -> ExperimentR
     summary = {"validity": validity,
                "max_err_fresnel": max(r["max_err_fresnel"] for r in rows),
                "max_err_spectral": max(r["max_err_spectral"] for r in rows)}
-    return ExperimentResult(["M", "L", "T", "max_err_fresnel", "max_err_spectral"],
-                            rows, summary)
+    return ExperimentResult(rows, summary)
 
 
 def _run_uncertainty(config: Config, seed: int, threads: int) -> ExperimentResult:
@@ -258,7 +259,7 @@ def _run_uncertainty(config: Config, seed: int, threads: int) -> ExperimentResul
     sigma = config.number("uncertainty.sigma", 1.0)
     radii = config.numbers("uncertainty.radii", [0.5, 1.0, 2.0, 4.0])
     validity: Dict[str, object] = {}
-    f = _gaussian_state(grid, sigma)
+    f = gaussian_state(grid, sigma)
     _check_tail(config, f, validity)
 
     def one(rho: float) -> Dict[str, object]:
@@ -270,9 +271,7 @@ def _run_uncertainty(config: Config, seed: int, threads: int) -> ExperimentResul
                 "quotient": report.quotient}
 
     rows = _map_ordered(one, radii, threads)
-    return ExperimentResult(
-        ["radius", "lhs", "outside_space", "outside_frequency", "quotient"],
-        rows, {"validity": validity})
+    return ExperimentResult(rows, {"validity": validity})
 
 
 def _run_two_time(config: Config, seed: int, threads: int) -> ExperimentResult:
@@ -282,7 +281,7 @@ def _run_two_time(config: Config, seed: int, threads: int) -> ExperimentResult:
     s = config.number("observability.S", 0.0)
     gaps = config.numbers("observability.gaps", [0.25, 0.5, 1.0, 2.0])
     validity: Dict[str, object] = {}
-    u0 = _gaussian_state(grid, sigma)
+    u0 = gaussian_state(grid, sigma)
     _check_tail(config, u0, validity)
     region = ball_complement(0.0, radius, dim=grid.dim)
 
@@ -294,9 +293,7 @@ def _run_two_time(config: Config, seed: int, threads: int) -> ExperimentResult:
                 "quotient": report.quotient}
 
     rows = _map_ordered(one, gaps, threads)
-    return ExperimentResult(
-        ["S", "T", "gap", "lhs", "observation_S", "observation_T", "quotient"],
-        rows, {"validity": validity})
+    return ExperimentResult(rows, {"validity": validity})
 
 
 def _run_empirical_constant(config: Config, seed: int, threads: int) -> ExperimentResult:
@@ -321,9 +318,7 @@ def _run_empirical_constant(config: Config, seed: int, threads: int) -> Experime
                      [np.log(row["constant"]) for row in rows])
     summary = {"fit_log_constant_vs_inverse_gap": {
         "slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}}
-    return ExperimentResult(
-        ["gap", "lambda_min", "constant", "iterations", "residual", "converged"],
-        rows, summary)
+    return ExperimentResult(rows, summary)
 
 
 def _run_interpolation_12(config: Config, seed: int, threads: int) -> ExperimentResult:
@@ -361,8 +356,7 @@ def _run_interpolation_12(config: Config, seed: int, threads: int) -> Experiment
     summary = {"validity": validity,
                "fitted_constant": fit.constant, "fitted_theta": fit.theta,
                "residual_spread": fit.spread}
-    return ExperimentResult(
-        ["scale", "lhs", "observation", "prior", "weight_capped"], rows, summary)
+    return ExperimentResult(rows, summary)
 
 
 def _run_two_ball_13(config: Config, seed: int, threads: int) -> ExperimentResult:
@@ -374,7 +368,7 @@ def _run_two_ball_13(config: Config, seed: int, threads: int) -> ExperimentResul
     t = config.number("two_ball.T", 1.0)
     separations = config.numbers("two_ball.separations", [0.0, 2.0, 4.0, 6.0])
     validity: Dict[str, object] = {}
-    u0 = _gaussian_state(grid, sigma)
+    u0 = gaussian_state(grid, sigma)
     _check_tail(config, u0, validity)
 
     def one(sep: float) -> Dict[str, object]:
@@ -384,8 +378,7 @@ def _run_two_ball_13(config: Config, seed: int, threads: int) -> ExperimentResul
                 "prior": report.terms["prior"], "p": report.params["p"]}
 
     rows = _map_ordered(one, separations, threads)
-    return ExperimentResult(["separation", "lhs", "observation", "prior", "p"],
-                            rows, {"validity": validity})
+    return ExperimentResult(rows, {"validity": validity})
 
 
 def _run_spectral_ineq(config: Config, seed: int, threads: int) -> ExperimentResult:
@@ -425,9 +418,7 @@ def _run_spectral_ineq(config: Config, seed: int, threads: int) -> ExperimentRes
                    "slope": fit.slope, "intercept": fit.intercept,
                    "r_squared": fit.r_squared},
                "samples_per_tuple": samples}
-    return ExperimentResult(
-        ["r", "N", "rN", "min_ratio", "max_random_ratio", "extremal_ratio",
-         "max_log_ratio"], rows, summary)
+    return ExperimentResult(rows, summary)
 
 
 def _run_moment_34(config: Config, seed: int, threads: int) -> ExperimentResult:
@@ -437,7 +428,7 @@ def _run_moment_34(config: Config, seed: int, threads: int) -> ExperimentResult:
     sigma = config.number("moment.sigma", 2.0)
     times = config.numbers("moment.times", [1.0, 2.0, 4.0, 8.0, 16.0])
     validity: Dict[str, object] = {}
-    u0 = _gaussian_state(grid, sigma)
+    u0 = gaussian_state(grid, sigma)
     _check_tail(config, u0, validity)
 
     def one(pair) -> Dict[str, object]:
@@ -455,9 +446,7 @@ def _run_moment_34(config: Config, seed: int, threads: int) -> ExperimentResult:
                          [np.log(row["lhs"]) for row in sub])
         summary[f"growth_slope_k{k}"] = fit.slope
         summary[f"growth_r_squared_k{k}"] = fit.r_squared
-    return ExperimentResult(
-        ["k", "T", "lhs", "energy", "sobolev", "moment", "growth", "ratio"],
-        rows, summary)
+    return ExperimentResult(rows, summary)
 
 
 def _run_euler_21(config: Config, seed: int, threads: int) -> ExperimentResult:
@@ -481,14 +470,13 @@ def _run_euler_21(config: Config, seed: int, threads: int) -> ExperimentResult:
     rows = _map_ordered(one, cases, threads)
     summary = {"fitted_constant": constant,
                "bound_holds": bool(all(row["ratio"] >= 1.0 - 1e-12 for row in rows))}
-    return ExperimentResult(["n", "a", "beta", "integral", "bound", "ratio"],
-                            rows, summary)
+    return ExperimentResult(rows, summary)
 
 
 def _run_counterexample(config: Config, seed: int, threads: int) -> ExperimentResult:
     family = config.text("counterexample.family", "concentrating")
     grid = _grid_from(config, default_l=15.0, default_m=4096)
-    k_values = [int(k) for k in config.numbers("counterexample.k", [1, 2, 4, 8, 16, 32])]
+    k_values = config.integers("counterexample.k", [1, 2, 4, 8, 16, 32])
     defaults = {"concentrating": dict(r1=1.0, r2=1.0),
                 "time_reversed": dict(r1=1.0, r2=2.0),
                 "modulated": dict(r1=1.0, r2=1.0)}
@@ -511,7 +499,6 @@ def _run_counterexample(config: Config, seed: int, threads: int) -> ExperimentRe
                             time_slices=config.integer("counterexample.time_slices", 48))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    columns = list(study.rows[0].keys())
     summary: Dict[str, object] = {"family": family}
     for name, fit in study.fits.items():
         summary[f"slope_{name}"] = fit.slope
@@ -520,63 +507,24 @@ def _run_counterexample(config: Config, seed: int, threads: int) -> ExperimentRe
         # finite-k drift of the spectral prefactor motivates the slack
         summary["expected_terminal_slope"] = -float(grid.dim)
         summary["slope_tolerance"] = 0.3
-    return ExperimentResult(columns, study.rows, summary)
-
-
-def _control_problem_from(config: Config, grid) -> ImpulseProblem:
-    variant = config.text("control.variant", "two_impulse")
-    sigma = config.number("control.sigma", 1.0)
-    target_shift = config.number("control.target_shift", 1.0)
-    eps0 = config.number("control.penalty", 1e-6)
-    u0 = _gaussian_state(grid, sigma)
-    target = _gaussian_state(grid, sigma, center=target_shift)
-    t = config.number("control.T", 1.0)
-    r1 = config.number("control.r1", 2.0)
-    r2 = config.number("control.r2", 2.0)
-    a = config.number("control.a", 1.0)
-    dim = grid.dim
-    if variant == "two_impulse":
-        tau1 = config.number("control.tau1", 0.0)
-        tau2 = config.number("control.tau2", t)
-        return ImpulseProblem(grid, t,
-                              ((tau1, ball_complement(0.0, r1, dim=dim)),
-                               (tau2, ball_complement(0.0, r2, dim=dim))),
-                              u0, target, eps0, 1.0, ErrorNorm("l2"))
-    if variant == "complement_approx":
-        return ImpulseProblem(grid, t, ((0.0, ball_complement(0.0, r1, dim=dim)),),
-                              u0, target, eps0, 1.0,
-                              ErrorNorm("dual_weighted", amplitude=a))
-    if variant == "ball_null":
-        return ImpulseProblem(grid, t, ((0.0, ball(0.0, r1, dim=dim)),),
-                              u0, None, eps0, 1.0,
-                              ErrorNorm("dual_weighted", amplitude=a),
-                              reach="masked_dual",
-                              reach_region=ball(0.0, r2, dim=dim))
-    if variant == "band_restricted":
-        band = config.number("control.N", 3.0)
-        return ImpulseProblem(grid, t, ((0.0, ball_complement(0.0, r1, dim=dim)),),
-                              u0, target, eps0, 1.0, ErrorNorm("restricted"),
-                              reach="restricted",
-                              reach_region=ball(0.0, band, dim=dim))
-    if variant == "shifted_decay_null":
-        b = config.number("control.b", 0.5)
-        return ImpulseProblem(grid, t, ((0.0, ball(0.0, r1, dim=dim)),),
-                              u0, None, eps0, 1.0,
-                              ErrorNorm("dual_weighted", amplitude=a),
-                              reach="dual",
-                              datum_weight=Weight(b, 1.0, "grow",
-                                                  center=(target_shift,) * dim))
-    if variant == "sobolev_dual_approx":
-        tau = config.number("control.tau", t / 2.0)
-        return ImpulseProblem(grid, t, ((tau, ball(0.0, r1, dim=dim)),),
-                              u0, target, eps0, 1.0,
-                              ErrorNorm("sobolev_dual", amplitude=a))
-    raise ConfigError(f"unknown control variant {variant!r}")
+    return ExperimentResult(study.rows, summary)
 
 
 def _run_control_solve(config: Config, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config, default_l=20.0, default_m=256)
-    problem = _control_problem_from(config, grid)
+    variant = config.text("control.variant", "two_impulse")
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown control variant {variant!r}; "
+                          f"expected one of {', '.join(VARIANTS)}")
+    params = dict(VARIANTS[variant])
+    grid = _grid_from(config, default_l=params.pop("L"), default_m=params.pop("M"))
+    # impulse times whose default is None follow control.T unless set
+    params = {key: config.number(f"control.{key}", default)
+              for key, default in params.items()
+              if default is not None or f"control.{key}" in config.values}
+    try:
+        problem = variant_problem(variant, grid, **params)
+    except ValueError as exc:
+        raise ConfigError(f"invalid control problem: {exc}") from exc
     validity: Dict[str, object] = {}
     _check_tail(config, problem.initial_state, validity)
     try:
@@ -592,7 +540,7 @@ def _run_control_solve(config: Config, seed: int, threads: int) -> ExperimentRes
             f"after {solution.cg.iterations} iterations")
     f_norm_sq = solution.datum_norm_sq
     row = {
-        "variant": config.text("control.variant", "two_impulse"),
+        "variant": variant,
         "observation_weight": problem.observation_weight,
         "penalty": problem.penalty,
         "cg_iterations": solution.cg.iterations,
@@ -610,13 +558,13 @@ def _run_control_solve(config: Config, seed: int, threads: int) -> ExperimentRes
                "optimality_residual": solution.optimality_residual,
                "duality_gap": solution.duality_gap,
                "diagnostics": solution.diagnostics}
-    return ExperimentResult(list(row.keys()), [row], summary)
+    return ExperimentResult([row], summary)
 
 
 def _run_cost_scaling(config: Config, seed: int, threads: int) -> ExperimentResult:
     grid = _grid_from(config, default_l=20.0, default_m=256)
     sigma = config.number("control.sigma", 0.8)
-    u0 = _gaussian_state(grid, sigma)
+    u0 = gaussian_state(grid, sigma)
     target = Field(grid, np.zeros(grid.node_count, dtype=complex))
     gaps = config.numbers("cost.gaps", [0.25, 0.5, 1.0, 2.0])
     radius = config.number("cost.radius", 2.0)
@@ -627,7 +575,6 @@ def _run_cost_scaling(config: Config, seed: int, threads: int) -> ExperimentResu
         fixed_gap=config.number("cost.fixed_gap", 0.5),
         tol=config.number("cost.cg_tolerance", 1e-8),
         seed=seed)
-    columns = list(study.rows[0].keys())
     doubling_increase = None
     if len(study.doubling_rows) == 2:
         doubling_increase = bool(study.doubling_rows[1]["normalized_cost"]
@@ -640,7 +587,7 @@ def _run_cost_scaling(config: Config, seed: int, threads: int) -> ExperimentResu
         "doubling_rows": study.doubling_rows,
         "cost_increases_when_radius_doubles": doubling_increase,
     }
-    return ExperimentResult(columns, study.rows, summary)
+    return ExperimentResult(study.rows, summary)
 
 
 def _run_bridge(config: Config, seed: int, threads: int) -> ExperimentResult:
@@ -675,9 +622,7 @@ def _run_bridge(config: Config, seed: int, threads: int) -> ExperimentResult:
     rows = _map_ordered(one, list(range(count)), threads)
     summary = {"max_bridge_residual": max(r["bridge_residual"] for r in rows),
                "max_chirp_residual": max(r["chirp_residual"] for r in rows)}
-    return ExperimentResult(
-        ["sample", "chirp_residual", "bridge_residual", "scaled_ball_in_box"],
-        rows, summary)
+    return ExperimentResult(rows, summary)
 
 
 EXPERIMENTS = {
@@ -736,9 +681,10 @@ def _format_cell(value) -> str:
 
 def write_outputs(result: ExperimentResult, out_path: Path, experiment: str,
                   theorem: str, config: Config, seed: int) -> None:
-    lines = [",".join(result.columns)]
+    columns = list(result.rows[0])
+    lines = [",".join(columns)]
     for row in result.rows:
-        lines.append(",".join(_format_cell(row[c]) for c in result.columns))
+        lines.append(",".join(_format_cell(row[c]) for c in columns))
     out_path.write_text("\n".join(lines) + "\n")
     summary = {
         "experiment": experiment,
@@ -794,6 +740,12 @@ def main(argv: Sequence[str] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    out_path = Path(args.out) if args.out else Path(f"{args.experiment}.csv")
+    if not out_path.parent.is_dir():
+        print(f"error: output directory {str(out_path.parent)!r} does not exist",
+              file=sys.stderr)
+        return 2
+
     description, theorem, runner = EXPERIMENTS[args.experiment]
     try:
         result = runner(config, args.seed, max(1, args.threads))
@@ -804,7 +756,6 @@ def main(argv: Sequence[str] = None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 
-    out_path = Path(args.out) if args.out else Path(f"{args.experiment}.csv")
     write_outputs(result, out_path, args.experiment, theorem, config, args.seed)
     print(f"wrote {out_path} and {out_path.with_suffix('.json')}")
     return 0

@@ -36,8 +36,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .field import (DEFAULT_EXPONENT_CAP, Field, Grid, Region, Weight,
-                    ball_complement, l2_norm)
+from .field import (DEFAULT_EXPONENT_CAP, Field, Grid, Region, Weight, ball,
+                    ball_complement, gaussian_state, l2_norm, make_grid)
 from .fitting import FitResult, affine_fit
 from .inequalities import prior_sobolev_order
 from .solvers import CGResult, conjugate_gradient, lanczos_smallest
@@ -103,6 +103,75 @@ class ImpulseProblem:
             raise ValueError("null-control problems use reach 'masked_dual' or 'dual'")
         if self.target is not None and self.reach in ("masked_dual", "dual"):
             raise ValueError("reach 'masked_dual'/'dual' are null-control variants")
+
+
+# ---------------------------------------------------------------------------
+# the six variants: one table of defaults, one builder
+
+_SHARED_DEFAULTS = {"L": 20.0, "M": 256, "penalty": 1e-6, "sigma": 1.0,
+                    "target_shift": 1.0, "T": 1.0, "r1": 2.0, "r2": 2.0, "a": 1.0}
+
+# Each variant's defaults are values at which calibrate_observation_weight
+# finds an admissible C0: the weighted-norm variants have a penalty floor on a
+# truncated box, so they need a larger penalty or a smaller box `L`.  `L` and
+# `M` size the default 1D grid; impulse times left at None follow `T`
+# (tau2 = T, tau = T/2).
+VARIANTS: Dict[str, Dict[str, Optional[float]]] = {
+    name: {**_SHARED_DEFAULTS, **own} for name, own in (
+        ("two_impulse", {"tau1": 0.0, "tau2": None}),
+        ("complement_approx", {"penalty": 0.3}),
+        ("ball_null", {"L": 12.0, "penalty": 0.1, "r2": 3.0}),
+        ("band_restricted", {"N": 5.0}),
+        ("shifted_decay_null", {"L": 12.0, "penalty": 0.1, "b": 0.5}),
+        ("sobolev_dual_approx", {"L": 12.0, "penalty": 0.01, "tau": None}),
+    )
+}
+
+
+def variant_problem(name: str, grid: Optional[Grid] = None, **params) -> ImpulseProblem:
+    """The control problem of variant `name` at its VARIANTS defaults, each
+    overridden by `params`; C0 is 1 until calibrated.
+
+    Initial state and target are Gaussians of width `sigma`, the target
+    centred at `target_shift`; `grid` defaults to the 1D grid of `L`, `M`."""
+    if name not in VARIANTS:
+        raise ValueError(f"unknown control variant {name!r}")
+    unknown = sorted(set(params) - set(VARIANTS[name]))
+    if unknown:
+        raise ValueError(f"variant {name!r} has no parameters {unknown}")
+    p = {**VARIANTS[name], **params}
+    if grid is None:
+        grid = make_grid(1, p["L"], p["M"])
+    dim, horizon, eps0 = grid.dim, p["T"], p["penalty"]
+    u0 = gaussian_state(grid, p["sigma"])
+    target = gaussian_state(grid, p["sigma"], center=p["target_shift"])
+    inside_r1 = ball(0.0, p["r1"], dim=dim)
+    outside_r1 = ball_complement(0.0, p["r1"], dim=dim)
+    if name == "two_impulse":
+        tau2 = horizon if p["tau2"] is None else p["tau2"]
+        impulses = ((p["tau1"], outside_r1),
+                    (tau2, ball_complement(0.0, p["r2"], dim=dim)))
+        return ImpulseProblem(grid, horizon, impulses, u0, target, eps0, 1.0,
+                              ErrorNorm("l2"))
+    if name == "band_restricted":
+        return ImpulseProblem(grid, horizon, ((0.0, outside_r1),), u0, target,
+                              eps0, 1.0, ErrorNorm("restricted"), reach="restricted",
+                              reach_region=ball(0.0, p["N"], dim=dim))
+    if name == "sobolev_dual_approx":
+        tau = horizon / 2.0 if p["tau"] is None else p["tau"]
+        return ImpulseProblem(grid, horizon, ((tau, inside_r1),), u0, target,
+                              eps0, 1.0, ErrorNorm("sobolev_dual", amplitude=p["a"]))
+    weighted = ErrorNorm("dual_weighted", amplitude=p["a"])
+    if name == "complement_approx":
+        return ImpulseProblem(grid, horizon, ((0.0, outside_r1),), u0, target,
+                              eps0, 1.0, weighted)
+    if name == "ball_null":
+        return ImpulseProblem(grid, horizon, ((0.0, inside_r1),), u0, None, eps0,
+                              1.0, weighted, reach="masked_dual",
+                              reach_region=ball(0.0, p["r2"], dim=dim))
+    decay = Weight(p["b"], 1.0, "grow", center=(p["target_shift"],) * dim)
+    return ImpulseProblem(grid, horizon, ((0.0, inside_r1),), u0, None, eps0, 1.0,
+                          weighted, reach="dual", datum_weight=decay)
 
 
 # ---------------------------------------------------------------------------
@@ -493,22 +562,6 @@ class CostScalingStudy:
     excluded: int
 
 
-def _two_impulse_problem(grid: Grid, u0: Field, target: Field, gap: float,
-                         r1: float, r2: float, eps0: float) -> ImpulseProblem:
-    regions = (ball_complement(0.0, r1, dim=grid.dim),
-               ball_complement(0.0, r2, dim=grid.dim))
-    return ImpulseProblem(
-        grid=grid,
-        horizon=gap,
-        impulses=((0.0, regions[0]), (gap, regions[1])),
-        initial_state=u0,
-        target=target,
-        penalty=eps0,
-        observation_weight=1.0,
-        error_norm=ErrorNorm("l2"),
-    )
-
-
 def cost_scaling_study(grid: Grid, u0: Field, target: Field,
                        gaps: Sequence[float], radii: Sequence[float],
                        eps0: float = 1e-6, error_target: float = 1e-3,
@@ -546,7 +599,9 @@ def cost_scaling_study(grid: Grid, u0: Field, target: Field,
 
 
 def _solve_scaled(grid, u0, target, gap, r1, r2, eps0, error_target, tol, seed):
-    problem = _two_impulse_problem(grid, u0, target, gap, r1, r2, eps0)
+    problem = replace(variant_problem("two_impulse", grid, T=gap, r1=r1, r2=r2,
+                                      penalty=eps0),
+                      initial_state=u0, target=target)
     problem = calibrate_observation_weight(problem, seed=seed)
     solution = solve_control(problem, tol=tol)
     f_norm = np.sqrt(solution.datum_norm_sq)

@@ -163,6 +163,13 @@ def field_from_function(grid: Grid, fn) -> Field:
     return Field(grid, np.asarray(fn(*grid.coords()), dtype=np.complex128).ravel())
 
 
+def gaussian_state(grid: Grid, sigma: float = 1.0, center: float = 0.0) -> Field:
+    """exp(-|x - c|^2 / (2 sigma^2)) with c = (center, ..., center)."""
+    return field_from_function(
+        grid, lambda *axes: np.exp(-sum((ax - center) ** 2 for ax in axes)
+                                   / (2.0 * sigma ** 2)))
+
+
 def zero_field(grid: Grid) -> Field:
     return Field(grid, np.zeros(grid.node_count, dtype=np.complex128))
 

@@ -8,14 +8,12 @@ calibration.
 import numpy as np
 import pytest
 
-from schrodlab.control import (ErrorNorm, ImpulseProblem,
-                               calibrate_observation_weight, control_map,
-                               cost_scaling_study, observation_map,
-                               solve_control)
+from schrodlab.control import (VARIANTS, calibrate_observation_weight,
+                               control_map, cost_scaling_study, observation_map,
+                               solve_control, variant_problem)
 from schrodlab.counterexamples import SequenceSpec, decay_study
-from schrodlab.field import (Field, Weight, ball, ball_complement, dot,
-                             field_from_function, l2_norm, make_grid,
-                             masked_energy)
+from schrodlab.field import (Field, ball, ball_complement, dot, gaussian_state,
+                             l2_norm, make_grid, masked_energy)
 from schrodlab.fitting import affine_fit
 from schrodlab.inequalities import (empirical_constant, equivalence_bridge_check,
                                     euler_bound, euler_integral,
@@ -37,12 +35,6 @@ def report(number: int, name: str, passed: bool, detail: str = ""):
 def random_field(grid, rng):
     return Field(grid, rng.standard_normal(grid.node_count)
                  + 1j * rng.standard_normal(grid.node_count))
-
-
-def gaussian(grid, sigma=1.0, center=0.0):
-    return field_from_function(
-        grid, lambda *axes: np.exp(-sum((a - center) ** 2 for a in axes)
-                                   / (2.0 * sigma ** 2)))
 
 
 def smooth_sample(grid, seed):
@@ -87,7 +79,7 @@ def test_criterion_2_conservation_law():
 
 def test_criterion_3_fresnel_identity():
     grid = make_grid(1, 40.0, 2048)
-    u0 = gaussian(grid)
+    u0 = gaussian_state(grid)
     out = fresnel_map(u0, 1.0)
     oracle_err = float(np.abs(out.values
                               - gaussian_oracle(out.grid, 1.0).values).max())
@@ -169,44 +161,14 @@ def test_criterion_6_counterexample_rates():
            f"monotone {reversed_ok}")
 
 
-def _variant_matrix():
-    g20 = make_grid(1, 20.0, 256)
-    g12 = make_grid(1, 12.0, 256)
-    return {
-        "two_impulse_exact": ImpulseProblem(
-            g20, 1.0, ((0.0, ball_complement(0.0, 2.0)),
-                       (1.0, ball_complement(0.0, 2.0))),
-            gaussian(g20), gaussian(g20, center=1.0), 1e-6, 1.0, ErrorNorm("l2")),
-        "complement_approx": ImpulseProblem(
-            g20, 1.0, ((0.0, ball_complement(0.0, 2.0)),), gaussian(g20),
-            gaussian(g20, center=1.0), 0.3, 1.0,
-            ErrorNorm("dual_weighted", amplitude=1.0)),
-        "ball_null": ImpulseProblem(
-            g12, 1.0, ((0.0, ball(0.0, 2.0)),), gaussian(g12), None,
-            0.1, 1.0, ErrorNorm("dual_weighted", amplitude=1.0),
-            reach="masked_dual", reach_region=ball(0.0, 3.0)),
-        "band_restricted_exact": ImpulseProblem(
-            g20, 1.0, ((0.0, ball_complement(0.0, 2.0)),), gaussian(g20),
-            gaussian(g20, center=1.0), 1e-6, 1.0, ErrorNorm("restricted"),
-            reach="restricted", reach_region=ball(0.0, 5.0)),
-        "shifted_decay_null": ImpulseProblem(
-            g12, 1.0, ((0.0, ball(0.0, 2.0)),), gaussian(g12), None,
-            0.1, 1.0, ErrorNorm("dual_weighted", amplitude=1.0),
-            reach="dual", datum_weight=Weight(0.5, 1.0, "grow", center=(1.0,))),
-        "sobolev_dual_approx": ImpulseProblem(
-            g12, 1.0, ((0.5, ball(0.0, 2.0)),), gaussian(g12),
-            gaussian(g12, center=1.0), 0.01, 1.0,
-            ErrorNorm("sobolev_dual", amplitude=1.0)),
-    }
-
-
 def test_criterion_7_control_duality():
     rng = np.random.default_rng(107)
     failures = []
     adjoint_worst = 0.0
-    for name, problem in _variant_matrix().items():
+    for name in VARIANTS:  # one rng across the variants: keep their order
+        problem = variant_problem(name)
         grid = problem.grid
-        for _ in range(100 if name == "two_impulse_exact" else 10):
+        for _ in range(100 if name == "two_impulse" else 10):
             z = random_field(grid, rng)
             hs = [random_field(grid, rng) for _ in problem.impulses]
             lhs = sum(dot(o, h) for o, h in zip(observation_map(z, problem), hs))
@@ -220,7 +182,7 @@ def test_criterion_7_control_duality():
             failures.append(f"{name}: cg residual {solution.cg.relative_residual:.1e}")
         if solution.bound_lhs > solution.datum_norm_sq * (1.0 + 1e-9):
             failures.append(f"{name}: budget bound violated")
-        if name == "two_impulse_exact":
+        if name == "two_impulse":
             rel_err = solution.terminal_error_l2 / np.sqrt(solution.datum_norm_sq)
             if rel_err > 1e-3:
                 failures.append(f"{name}: terminal error {rel_err:.1e}")
@@ -233,7 +195,7 @@ def test_criterion_7_control_duality():
 
 def test_criterion_8_cost_scaling():
     grid = make_grid(1, 20.0, 256)
-    u0 = gaussian(grid, sigma=0.8)
+    u0 = gaussian_state(grid, sigma=0.8)
     target = Field(grid, np.zeros(grid.node_count, dtype=complex))
     study = cost_scaling_study(grid, u0, target, [0.25, 0.5, 1.0, 2.0], [2.0],
                                eps0=1e-6, error_target=1e-3, fixed_gap=0.5,
@@ -270,7 +232,7 @@ def test_criterion_9_spectral_inequality():
 def test_criterion_10_moments_and_euler_bound():
     # Gaussian closed-form second moment
     grid = make_grid(1, 40.0, 2048)
-    u0 = gaussian(grid)
+    u0 = gaussian_state(grid)
     moment_err = max(
         abs(moment_check_34(u0, t, 1).lhs
             - 0.5 * (1.0 + 4.0 * t * t) * np.sqrt(np.pi))
@@ -278,7 +240,7 @@ def test_criterion_10_moments_and_euler_bound():
 
     # growth slopes within the (1+T)^{2k} budget
     wide_grid = make_grid(1, 80.0, 2048)
-    wide = gaussian(wide_grid, sigma=2.0)
+    wide = gaussian_state(wide_grid, sigma=2.0)
     slopes_ok = True
     slopes = {}
     for k in (1, 2):

@@ -1,12 +1,17 @@
 """Runner contract: config parsing, exit codes, determinism, output format."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from schrodlab import cli
 from schrodlab.cli import (ConfigError, EXPERIMENTS, list_experiments,
                            load_config, main)
+from schrodlab.control import VARIANTS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 FAST_UNCERTAINTY = """
@@ -86,6 +91,22 @@ class TestExitCodes:
         assert "at least two gaps" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
 
+    def test_missing_output_directory(self, tmp_path, capsys, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("the output path must be checked before the run")
+
+        description, theorem, _ = EXPERIMENTS["propagate"]
+        monkeypatch.setitem(EXPERIMENTS, "propagate", (description, theorem, no_run))
+        out = tmp_path / "missing" / "p.csv"
+        assert main(["propagate", "--out", str(out)]) == 2
+        assert "does not exist" in capsys.readouterr().err
+
+    def test_counterexample_k_must_be_integers(self, tmp_path, capsys):
+        cfg = write(tmp_path, "k.cfg", "grid.M = 64\ncounterexample.k = 1.5, 2, 4\n")
+        assert main(["counterexample", "--config", cfg,
+                     "--out", str(tmp_path / "k.csv")]) == 2
+        assert "integer list" in capsys.readouterr().err
+
     def test_bridge_rejects_dim_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "b2.cfg", "grid.dim = 2\ngrid.M = 64\n")
         assert main(["bridge", "--config", cfg,
@@ -156,12 +177,14 @@ class TestDeterminism:
 
 class TestCatalog:
     def test_all_documented_experiments_present(self):
-        for name in ("propagate", "verify-identity", "uncertainty",
-                     "two-time-observability", "empirical-constant",
-                     "interpolation-12", "two-ball-13", "spectral-ineq-27",
-                     "moment-34", "euler-21", "counterexample",
-                     "control-solve", "cost-scaling"):
-            assert name in EXPERIMENTS
+        # the README's "Experiments:" paragraph lists the catalog, with the
+        # control variants in a parenthesis after control-solve
+        paragraph = README.read_text().split("\nExperiments:", 1)[1].split("\n\n")[0]
+        before, variants = paragraph.split("(`control.variant` one of", 1)
+        variants, after = variants.split(")", 1)
+        names = re.findall(r"`([^`]+)`", before + after)
+        assert names == list(EXPERIMENTS)
+        assert re.findall(r"`([^`]+)`", variants) == list(VARIANTS)
 
     def test_listing_stable_and_tagged(self, capsys):
         first = list_experiments()

@@ -1,26 +1,23 @@
 """Impulse-control duality: exact adjoints, the budget bound, variants."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from schrodlab.control import (ErrorNorm, ImpulseProblem, calibrate_observation_weight,
+from schrodlab.cli import main
+from schrodlab.control import (VARIANTS, ErrorNorm, ImpulseProblem,
+                               calibrate_observation_weight,
                                control_map, cost_scaling_study, datum_field,
                                observability_margin, observation_map,
                                reachability_map, simulate_forward, solve_control,
-                               z_weight_apply)
-from schrodlab.field import (Field, Weight, ball, ball_complement, dot,
-                             field_from_function, l2_norm, make_grid,
+                               variant_problem, z_weight_apply)
+from schrodlab.field import (Field, dot, gaussian_state, l2_norm, make_grid,
                              whole_space)
 from schrodlab.transform import propagate
 
-GRID = make_grid(1, 20.0, 256)
-SMALL = make_grid(1, 12.0, 256)
-
-
-def gaussian(grid, sigma=1.0, center=0.0):
-    return field_from_function(
-        grid, lambda *axes: np.exp(-sum((a - center) ** 2 for a in axes)
-                                   / (2.0 * sigma ** 2)))
+GRID = make_grid(1, 20.0, 256)  # the two_impulse default grid
 
 
 def random_field(grid, rng):
@@ -28,45 +25,10 @@ def random_field(grid, rng):
                  + 1j * rng.standard_normal(grid.node_count))
 
 
-def two_impulse_problem(eps0=1e-6, c0=1.0, grid=GRID):
-    region = ball_complement(0.0, 2.0, dim=grid.dim)
-    return ImpulseProblem(grid, 1.0, ((0.0, region), (1.0, region)),
-                          gaussian(grid), gaussian(grid, center=1.0),
-                          eps0, c0, ErrorNorm("l2"))
-
-
-def variant_matrix():
-    """The six controlled-equation configurations exercised by the suite."""
-    g20, g12 = GRID, SMALL
-    return {
-        "two_impulse_exact": two_impulse_problem(),
-        "complement_approx": ImpulseProblem(
-            g20, 1.0, ((0.0, ball_complement(0.0, 2.0)),), gaussian(g20),
-            gaussian(g20, center=1.0), 0.3, 1.0,
-            ErrorNorm("dual_weighted", amplitude=1.0)),
-        "ball_null": ImpulseProblem(
-            g12, 1.0, ((0.0, ball(0.0, 2.0)),), gaussian(g12), None,
-            0.1, 1.0, ErrorNorm("dual_weighted", amplitude=1.0),
-            reach="masked_dual", reach_region=ball(0.0, 3.0)),
-        "band_restricted_exact": ImpulseProblem(
-            g20, 1.0, ((0.0, ball_complement(0.0, 2.0)),), gaussian(g20),
-            gaussian(g20, center=1.0), 1e-6, 1.0, ErrorNorm("restricted"),
-            reach="restricted", reach_region=ball(0.0, 5.0)),
-        "shifted_decay_null": ImpulseProblem(
-            g12, 1.0, ((0.0, ball(0.0, 2.0)),), gaussian(g12), None,
-            0.1, 1.0, ErrorNorm("dual_weighted", amplitude=1.0),
-            reach="dual", datum_weight=Weight(0.5, 1.0, "grow", center=(1.0,))),
-        "sobolev_dual_approx": ImpulseProblem(
-            g12, 1.0, ((0.5, ball(0.0, 2.0)),), gaussian(g12),
-            gaussian(g12, center=1.0), 0.01, 1.0,
-            ErrorNorm("sobolev_dual", amplitude=1.0)),
-    }
-
-
 class TestValidation:
     def test_impulse_times(self):
         region = whole_space()
-        u0 = gaussian(GRID)
+        u0 = gaussian_state(GRID)
         with pytest.raises(ValueError):
             ImpulseProblem(GRID, 1.0, ((1.5, region),), u0, u0, 1e-4, 1.0,
                            ErrorNorm("l2"))
@@ -75,7 +37,7 @@ class TestValidation:
                            1e-4, 1.0, ErrorNorm("l2"))
 
     def test_variant_combinations(self):
-        u0 = gaussian(GRID)
+        u0 = gaussian_state(GRID)
         with pytest.raises(ValueError):  # null control needs a dual reach
             ImpulseProblem(GRID, 1.0, ((0.0, whole_space()),), u0, None,
                            1e-4, 1.0, ErrorNorm("l2"))
@@ -91,7 +53,7 @@ class TestValidation:
 class TestAdjoints:
     def test_observation_control_adjoint(self):
         rng = np.random.default_rng(0)
-        problem = two_impulse_problem()
+        problem = variant_problem("two_impulse")
         for _ in range(100):
             z = random_field(GRID, rng)
             hs = [random_field(GRID, rng) for _ in problem.impulses]
@@ -102,7 +64,7 @@ class TestAdjoints:
 
     def test_observation_linear(self):
         rng = np.random.default_rng(1)
-        problem = two_impulse_problem()
+        problem = variant_problem("two_impulse")
         z1, z2 = random_field(GRID, rng), random_field(GRID, rng)
         c = 0.7 - 1.3j
         combined = observation_map(Field(GRID, z1.values + c * z2.values), problem)
@@ -114,17 +76,17 @@ class TestAdjoints:
 
     def test_observation_terminal_identity(self):
         problem = ImpulseProblem(GRID, 1.0, ((1.0, whole_space()),),
-                                 gaussian(GRID), gaussian(GRID), 1e-4, 1.0,
+                                 gaussian_state(GRID), gaussian_state(GRID), 1e-4, 1.0,
                                  ErrorNorm("l2"))
         rng = np.random.default_rng(2)
         z = random_field(GRID, rng)
         obs = observation_map(z, problem)[0]
         assert np.array_equal(obs.values, z.values)
 
-    @pytest.mark.parametrize("name", ["two_impulse_exact", "band_restricted_exact",
+    @pytest.mark.parametrize("name", ["two_impulse", "band_restricted",
                                       "ball_null", "shifted_decay_null"])
     def test_reachability_adjoint(self, name):
-        problem = variant_matrix()[name]
+        problem = variant_problem(name)
         grid = problem.grid
         rng = np.random.default_rng(3)
         apply_r, apply_r_star = reachability_map(problem)
@@ -144,7 +106,7 @@ class TestAdjoints:
 
 class TestSolve:
     def test_zero_datum_gives_zero_controls(self):
-        u0 = gaussian(GRID)
+        u0 = gaussian_state(GRID)
         problem = ImpulseProblem(GRID, 1.0, ((0.0, whole_space()),), u0,
                                  propagate(u0, 1.0), 1e-4, 1.0, ErrorNorm("l2"))
         solution = solve_control(problem)
@@ -153,7 +115,7 @@ class TestSolve:
 
     def test_closed_form_single_impulse(self):
         problem = ImpulseProblem(GRID, 1.0, ((0.0, whole_space()),),
-                                 gaussian(GRID), gaussian(GRID, center=1.0),
+                                 gaussian_state(GRID), gaussian_state(GRID, center=1.0),
                                  1e-4, 3.0, ErrorNorm("l2"))
         solution = solve_control(problem, tol=1e-13)
         f = datum_field(problem)
@@ -163,7 +125,8 @@ class TestSolve:
 
     def test_normal_operator_coercive(self):
         rng = np.random.default_rng(4)
-        problem = two_impulse_problem(eps0=1e-3, c0=2.0)
+        problem = replace(variant_problem("two_impulse", penalty=1e-3),
+                          observation_weight=2.0)
         apply_w = z_weight_apply(problem)
         from schrodlab.control import _observation_apply
         gram = _observation_apply(problem)
@@ -174,13 +137,13 @@ class TestSolve:
             assert quad >= 1e-3 * np.vdot(z, z).real * (1.0 - 1e-12)
 
     def test_duality_identity(self):
-        problem = calibrate_observation_weight(two_impulse_problem(), seed=5)
+        problem = calibrate_observation_weight(variant_problem("two_impulse"), seed=5)
         solution = solve_control(problem, tol=1e-11)
         assert solution.duality_gap <= 1e-10
         assert solution.optimality_residual <= 1e-10
 
     def test_budget_bound_and_terminal_error(self):
-        problem = calibrate_observation_weight(two_impulse_problem(), seed=6)
+        problem = calibrate_observation_weight(variant_problem("two_impulse"), seed=6)
         solution = solve_control(problem, tol=1e-10)
         f_norm_sq = solution.datum_norm_sq
         assert solution.bound_lhs <= f_norm_sq * (1.0 + 1e-9)
@@ -189,16 +152,20 @@ class TestSolve:
         assert solution.terminal_error == pytest.approx(
             solution.terminal_error_l2, rel=1e-6)
 
-    def test_variant_matrix_bound(self):
-        for name, problem in variant_matrix().items():
-            problem = calibrate_observation_weight(problem, seed=7)
-            solution = solve_control(problem, tol=1e-10)
-            assert solution.cg.converged, name
-            assert solution.bound_lhs <= solution.datum_norm_sq * (1.0 + 1e-9), name
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_variant_defaults_bound(self, variant, tmp_path):
+        # the CLI exits 3 unless CG converges to its default tol 1e-10, and
+        # bound_holds is the budget bound at 1 + 10 tol
+        config = tmp_path / "v.cfg"
+        config.write_text(f"control.variant = {variant}\n")
+        out = tmp_path / "v.csv"
+        assert main(["control-solve", "--config", str(config), "--out", str(out),
+                     "--seed", "7"]) == 0
+        summary = json.loads(out.with_suffix(".json").read_text())
+        assert summary["results"]["bound_holds"]
 
     def test_penalty_tradeoff_monotone(self):
-        from dataclasses import replace
-        base = two_impulse_problem(eps0=1e-6)
+        base = variant_problem("two_impulse")
         calibrated = calibrate_observation_weight(base, seed=8)
         errors = []
         for eps0 in (1e-2, 1e-4, 1e-6):
@@ -207,48 +174,38 @@ class TestSolve:
         assert errors[0] >= errors[1] >= errors[2]
 
     def test_masked_dual_masks_initial_state(self):
-        problem = variant_matrix()["ball_null"]
-        problem = calibrate_observation_weight(problem, seed=9)
+        problem = calibrate_observation_weight(variant_problem("ball_null"), seed=9)
         solution = solve_control(problem)
         # the terminal state is the flow of the masked datum plus controls
         mask = problem.reach_region.indicator(problem.grid)
         masked_u0 = Field(problem.grid, mask * problem.initial_state.values)
-        manual = simulate_forward(
-            ImpulseProblem(problem.grid, problem.horizon, problem.impulses,
-                           masked_u0, None, problem.penalty,
-                           problem.observation_weight, problem.error_norm,
-                           reach="masked_dual",
-                           reach_region=problem.reach_region),
-            solution.controls)
+        manual = simulate_forward(replace(problem, initial_state=masked_u0),
+                                  solution.controls)
         assert np.abs(solution.terminal_state.values - manual.values).max() \
             <= 1e-12
 
 
 class TestCalibration:
     def test_margin_monotone_in_weight(self):
-        from dataclasses import replace
-        problem = two_impulse_problem()
+        problem = variant_problem("two_impulse")
         margins = [observability_margin(replace(problem, observation_weight=c0),
                                         seed=10)
                    for c0 in (1.0, 4.0, 16.0, 64.0)]
         assert all(b >= a - 1e-10 for a, b in zip(margins, margins[1:]))
 
     def test_calibrated_margin_nonnegative(self):
-        problem = calibrate_observation_weight(two_impulse_problem(), seed=11)
+        problem = calibrate_observation_weight(variant_problem("two_impulse"), seed=11)
         assert observability_margin(problem, seed=12) >= 0.0
 
     def test_infeasible_penalty_reported(self):
-        problem = ImpulseProblem(
-            SMALL, 1.0, ((0.0, ball_complement(0.0, 2.0)),), gaussian(SMALL),
-            gaussian(SMALL, center=1.0), 1e-6, 1.0,
-            ErrorNorm("dual_weighted", amplitude=1.0))
+        problem = variant_problem("complement_approx", L=12.0, penalty=1e-6)
         with pytest.raises(RuntimeError, match="observation pattern"):
             calibrate_observation_weight(problem, seed=13, max_doublings=20)
 
 
 def test_cost_scaling_study_shape():
     grid = make_grid(1, 20.0, 256)
-    u0 = gaussian(grid, sigma=0.8)
+    u0 = gaussian_state(grid, sigma=0.8)
     target = Field(grid, np.zeros(grid.node_count, dtype=complex))
     study = cost_scaling_study(grid, u0, target, [0.5, 1.0, 2.0], [2.0],
                                eps0=1e-6, error_target=1e-3, fixed_gap=0.5,
