@@ -138,8 +138,9 @@ class Config:
         value = self.values.get(key, list(default))
         if isinstance(value, (int, float)) and not isinstance(value, bool):
             value = [value]
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"config key {key!r} must be a number list")
+        if not isinstance(value, list) or not value or any(
+                isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
+            raise ConfigError(f"config key {key!r} must be a number list, got {value!r}")
         return [float(v) for v in value]
 
     def integers(self, key: str, default: Sequence[int]) -> List[int]:
@@ -568,11 +569,19 @@ def _run_cost_scaling(config: Config, seed: int, threads: int) -> ExperimentResu
     target = Field(grid, np.zeros(grid.node_count, dtype=complex))
     gaps = config.numbers("cost.gaps", [0.25, 0.5, 1.0, 2.0])
     radius = config.number("cost.radius", 2.0)
+    fixed_gap = config.number("cost.fixed_gap", 0.5)
+    if len(gaps) < 2:
+        raise ConfigError("cost.gaps needs at least two gaps for the log-cost fit, "
+                          f"got {len(gaps)}")
+    for key, values in (("cost.gaps", gaps), ("cost.fixed_gap", [fixed_gap]),
+                        ("cost.radius", [radius])):
+        if not all(value > 0 for value in values):
+            raise ConfigError(f"{key} must be positive, got {values}")
     study = cost_scaling_study(
         grid, u0, target, gaps, [radius],
         eps0=config.number("cost.penalty", 1e-6),
         error_target=config.number("cost.error_target", 1e-3),
-        fixed_gap=config.number("cost.fixed_gap", 0.5),
+        fixed_gap=fixed_gap,
         tol=config.number("cost.cg_tolerance", 1e-8),
         seed=seed)
     doubling_increase = None

@@ -41,7 +41,8 @@ from .field import (DEFAULT_EXPONENT_CAP, Field, Grid, Region, Weight, ball,
 from .fitting import FitResult, affine_fit
 from .inequalities import prior_sobolev_order
 from .solvers import CGResult, conjugate_gradient, lanczos_smallest
-from .transform import fft_symbol, propagate_values, spectral_multiply
+from .transform import (fft_symbol, propagate_values, propagator_symbol,
+                        spectral_multiply)
 
 IMPULSE_JUMP = -1j
 
@@ -271,26 +272,36 @@ def reachability_map(problem: ImpulseProblem):
     if problem.reach == "restricted":
         mask = problem.reach_region.indicator(grid)
         return (lambda v: v.copy()), (lambda v: mask * v)
+    backward = propagator_symbol(grid, -horizon)
+    forward = propagator_symbol(grid, horizon)
     if problem.reach == "dual":
-        return (lambda v: propagate_values(grid, v, -horizon)), \
-               (lambda v: propagate_values(grid, v, horizon))
+        return (lambda v: spectral_multiply(grid, v, backward)), \
+               (lambda v: spectral_multiply(grid, v, forward))
     mask = problem.reach_region.indicator(grid)
-    return (lambda v: mask * propagate_values(grid, v, -horizon)), \
-           (lambda v: propagate_values(grid, mask * v, horizon))
+    return (lambda v: mask * spectral_multiply(grid, v, backward)), \
+           (lambda v: spectral_multiply(grid, mask * v, forward))
 
 
 def _observation_apply(problem: ImpulseProblem):
-    """Matrix-free O*O on raw arrays."""
+    """Matrix-free O*O on raw arrays; the propagator symbols are built here,
+    once, and an impulse at the horizon is the exact identity flow."""
     grid = problem.grid
     horizon = problem.horizon
-    masks = [region.indicator(grid) for _, region in problem.impulses]
-    taus = [tau for tau, _ in problem.impulses]
+    terms = []
+    for tau, region in problem.impulses:
+        symbols = None if tau == horizon else (
+            propagator_symbol(grid, tau - horizon), propagator_symbol(grid, horizon - tau))
+        terms.append((region.indicator(grid), symbols))
 
     def apply_gram(v: np.ndarray) -> np.ndarray:
         acc = np.zeros_like(v)
-        for tau, mask in zip(taus, masks):
-            fwd = propagate_values(grid, v, tau - horizon)
-            acc += propagate_values(grid, mask * fwd, horizon - tau)
+        for mask, symbols in terms:
+            if symbols is None:
+                acc += mask * v
+                continue
+            backward, forward = symbols
+            acc += spectral_multiply(grid, mask * spectral_multiply(grid, v, backward),
+                                     forward)
         return acc
 
     return apply_gram

@@ -32,7 +32,7 @@ from .field import (
 from .fitting import FitResult, affine_fit  # re-exported: fits live with reports
 from .solvers import LanczosResult, lanczos_smallest
 from .transform import (chirp_aliasing_ok, dft, fft_symbol, idft, propagate,
-                        propagate_values, spectral_multiply)
+                        propagator_symbol, spectral_multiply)
 
 
 class AliasingError(ValueError):
@@ -183,11 +183,12 @@ def gramian_apply(grid: Grid, s: float, t: float,
     mask_a = region_a.indicator(grid)
     mask_b = region_b.indicator(grid)
     duration = t - s
+    forward = propagator_symbol(grid, duration)
+    backward = propagator_symbol(grid, -duration)
 
     def apply_g(v: np.ndarray) -> np.ndarray:
-        forward = propagate_values(grid, v, duration)
-        back = propagate_values(grid, mask_b * forward, -duration)
-        return mask_a * v + back
+        flowed = mask_b * spectral_multiply(grid, v, forward)
+        return mask_a * v + spectral_multiply(grid, flowed, backward)
 
     return apply_g
 

@@ -102,7 +102,9 @@ def lanczos_smallest(apply_op: Operator, size: int, upper_bound: float,
     def reflected(v: np.ndarray) -> np.ndarray:
         return upper_bound * v - apply_op(v)
 
-    basis = np.zeros((max_iter, size), dtype=np.complex128)
+    # the basis grows by doubling, so a long max_iter (size by default)
+    # costs memory only for the steps actually taken
+    basis = np.empty((min(64, max_iter), size), dtype=np.complex128)
     alphas = np.zeros(max_iter)
     betas = np.zeros(max_iter)  # betas[j-1] couples steps j-1 and j
 
@@ -112,14 +114,20 @@ def lanczos_smallest(apply_op: Operator, size: int, upper_bound: float,
     w = w - alphas[0] * q
     steps = 1
     for j in range(1, max_iter):
-        # full reorthogonalization (twice) against the stored basis
+        # full reorthogonalization (classical Gram-Schmidt, twice) against
+        # the stored basis; conjugating w rather than the basis copies only
+        # vectors of length size and steps
         for _ in range(2):
-            w = w - basis[:steps].T @ (basis[:steps].conj() @ w)
+            w = w - (basis[:steps] @ w.conj()).conj() @ basis[:steps]
         beta = np.linalg.norm(w)
         if beta < 1e-14 * max(upper_bound, 1.0):
             break  # Krylov space exhausted; Ritz values are exact on it
         betas[j - 1] = beta
         q = w / beta
+        if j == len(basis):
+            grown = np.empty((min(2 * j, max_iter), size), dtype=np.complex128)
+            grown[:j] = basis
+            basis = grown
         basis[j] = q
         w = reflected(q)
         alphas[j] = np.vdot(q, w).real

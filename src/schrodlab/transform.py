@@ -87,11 +87,19 @@ def spectral_multiply(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.
     return out.ravel()
 
 
+def propagator_symbol(grid: Grid, t: float) -> np.ndarray:
+    """The free-flow multiplier e^{-i|xi|^2 t} in FFT order, for spectral_multiply.
+
+    Operators that apply the same flow time repeatedly (the Krylov matvecs)
+    build it once, when the operator is built."""
+    return np.exp(-1j * _fft_freq_sq(grid) * t)
+
+
 def propagate_values(grid: Grid, values: np.ndarray, t: float) -> np.ndarray:
     """Array-level free flow; the allocation-light worker behind propagate."""
     if t == 0.0:
         return values.astype(np.complex128, copy=True)
-    return spectral_multiply(grid, values, np.exp(-1j * _fft_freq_sq(grid) * t))
+    return spectral_multiply(grid, values, propagator_symbol(grid, t))
 
 
 def propagate(f: Field, t: float) -> Field:

@@ -107,6 +107,30 @@ class TestExitCodes:
                      "--out", str(tmp_path / "k.csv")]) == 2
         assert "integer list" in capsys.readouterr().err
 
+    def test_non_numeric_list_entry_named(self, tmp_path, capsys):
+        cfg = write(tmp_path, "r.cfg", "grid.M = 64\nuncertainty.radii = 0.5, abc\n")
+        assert main(["uncertainty", "--config", cfg,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "'uncertainty.radii' must be a number list" in err
+
+    @pytest.mark.parametrize("line, named", [
+        ("cost.gaps = 0.0, 1.0", "cost.gaps must be positive"),
+        ("cost.gaps = 1.0", "at least two gaps"),
+        ("cost.fixed_gap = -0.5", "cost.fixed_gap must be positive"),
+        ("cost.radius = 0.0", "cost.radius must be positive"),
+    ])
+    def test_cost_scaling_validated_before_solving(self, tmp_path, capsys,
+                                                   monkeypatch, line, named):
+        def no_study(*args, **kwargs):
+            raise AssertionError("validation must precede the control solves")
+
+        monkeypatch.setattr(cli, "cost_scaling_study", no_study)
+        cfg = write(tmp_path, "c.cfg", f"grid.M = 64\n{line}\n")
+        assert main(["cost-scaling", "--config", cfg,
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        assert named in capsys.readouterr().err
+
     def test_bridge_rejects_dim_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "b2.cfg", "grid.dim = 2\ngrid.M = 64\n")
         assert main(["bridge", "--config", cfg,

@@ -1,0 +1,63 @@
+"""Golden outputs: three cheap CLI runs must keep writing the same bytes.
+
+Performance work is meant to leave every output unchanged; these runs pin
+that.  The CSV must match byte for byte, and the JSON summary too once its
+"versions" entry (numpy/scipy versions, which vary between environments) is
+set aside.  A change that means to move an output regenerates the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and says so in CHANGES.md.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from schrodlab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SEED = 7
+
+# name -> (experiment, config text)
+RUNS = {
+    "empirical-constant": ("empirical-constant",
+                           "grid.dim = 1\ngrid.L = 20.0\ngrid.M = 512\n"
+                           "observability.radius = 2.0\n"
+                           "observability.gaps = 1.0, 2.0\n"),
+    "control-two_impulse": ("control-solve", "control.variant = two_impulse\n"),
+    "control-sobolev_dual_approx": ("control-solve",
+                                    "control.variant = sobolev_dual_approx\n"),
+}
+
+
+def run(name: str, directory: Path) -> Path:
+    experiment, text = RUNS[name]
+    cfg = directory / f"{name}.cfg"
+    cfg.write_text(text)
+    out = directory / f"{name}.csv"
+    assert main([experiment, "--config", str(cfg), "--out", str(out),
+                 "--seed", str(SEED)]) == 0
+    return out
+
+
+def _summary_without_versions(path: Path) -> dict:
+    summary = json.loads(path.read_text())
+    summary.pop("versions")
+    return summary
+
+
+@pytest.mark.parametrize("name", list(RUNS))
+def test_output_matches_golden(name, tmp_path):
+    out = run(name, tmp_path)
+    golden = GOLDEN / f"{name}.csv"
+    assert out.read_bytes() == golden.read_bytes()
+    assert (_summary_without_versions(out.with_suffix(".json"))
+            == _summary_without_versions(golden.with_suffix(".json")))
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for key in RUNS:
+        run(key, GOLDEN).with_suffix(".cfg").unlink()

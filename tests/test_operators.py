@@ -1,0 +1,113 @@
+"""The Krylov operators build their propagator symbols once, when they are
+built, and apply them bit for bit as the per-call flow `propagate_values`."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from schrodlab import control, inequalities, transform
+from schrodlab.control import _observation_apply, reachability_map, variant_problem
+from schrodlab.field import ball_complement, make_grid
+from schrodlab.inequalities import gramian_apply
+from schrodlab.transform import propagate_values
+
+GRIDS = {"1d": make_grid(1, 20.0, 256), "2d": make_grid(2, 20.0, 32)}
+
+
+def random_values(grid, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(grid.node_count) + 1j * rng.standard_normal(grid.node_count)
+
+
+def flow_gramian(grid, s, t, region_a, region_b, v):
+    forward = propagate_values(grid, v, t - s)
+    back = propagate_values(grid, region_b.indicator(grid) * forward, -(t - s))
+    return region_a.indicator(grid) * v + back
+
+
+def flow_observation(problem, v):
+    grid, horizon = problem.grid, problem.horizon
+    acc = np.zeros_like(v)
+    for tau, region in problem.impulses:
+        fwd = propagate_values(grid, v, tau - horizon)
+        acc += propagate_values(grid, region.indicator(grid) * fwd, horizon - tau)
+    return acc
+
+
+def flow_reachability(problem):
+    grid, horizon = problem.grid, problem.horizon
+    if problem.reach == "dual":
+        return (lambda v: propagate_values(grid, v, -horizon),
+                lambda v: propagate_values(grid, v, horizon))
+    mask = problem.reach_region.indicator(grid)
+    return (lambda v: mask * propagate_values(grid, v, -horizon),
+            lambda v: propagate_values(grid, mask * v, horizon))
+
+
+@pytest.mark.parametrize("dim", list(GRIDS))
+@pytest.mark.parametrize("s, t", [(0.0, 1.0), (0.5, 2.25)])
+def test_gramian_matches_flow(dim, s, t):
+    grid = GRIDS[dim]
+    region_a = ball_complement(0.0, 2.0, dim=grid.dim)
+    region_b = ball_complement(0.0, 3.0, dim=grid.dim)
+    v = random_values(grid)
+    assert np.array_equal(gramian_apply(grid, s, t, region_a, region_b)(v),
+                          flow_gramian(grid, s, t, region_a, region_b, v))
+
+
+# two_impulse has one impulse at tau = 0 and one at tau = horizon (the exact
+# identity flow); sobolev_dual_approx has its impulse at horizon / 2
+@pytest.mark.parametrize("dim", list(GRIDS))
+@pytest.mark.parametrize("variant", ["two_impulse", "sobolev_dual_approx"])
+def test_observation_gram_matches_flow(dim, variant):
+    problem = variant_problem(variant, GRIDS[dim])
+    v = random_values(problem.grid)
+    assert np.array_equal(_observation_apply(problem)(v), flow_observation(problem, v))
+
+
+@pytest.mark.parametrize("dim", list(GRIDS))
+def test_impulse_at_horizon_is_exact_identity(dim):
+    problem = variant_problem("two_impulse", GRIDS[dim])
+    tau, region = problem.impulses[1]
+    assert tau == problem.horizon
+    last_only = replace(problem, impulses=((tau, region),))
+    v = random_values(problem.grid)
+    assert np.array_equal(_observation_apply(last_only)(v),
+                          region.indicator(problem.grid) * v)
+
+
+@pytest.mark.parametrize("dim", list(GRIDS))
+@pytest.mark.parametrize("variant", ["ball_null", "shifted_decay_null"])
+def test_reachability_matches_flow(dim, variant):
+    problem = variant_problem(variant, GRIDS[dim])
+    v = random_values(problem.grid)
+    for built, flowed in zip(reachability_map(problem), flow_reachability(problem)):
+        assert np.array_equal(built(v), flowed(v))
+
+
+def test_symbols_built_once_per_operator(monkeypatch):
+    calls = []
+    real = transform.propagator_symbol
+
+    def counted(grid, t):
+        calls.append(t)
+        return real(grid, t)
+
+    for module in (transform, control, inequalities):
+        monkeypatch.setattr(module, "propagator_symbol", counted)
+    grid = GRIDS["1d"]
+    region = ball_complement(0.0, 2.0, dim=1)
+    operators = [gramian_apply(grid, 0.0, 1.0, region, region)]
+    for variant in ("two_impulse", "sobolev_dual_approx", "shifted_decay_null"):
+        operators.append(_observation_apply(variant_problem(variant, grid)))
+    operators.extend(reachability_map(variant_problem("ball_null", grid)))
+    built = len(calls)
+    # gramian 2, two_impulse 2 (its impulse at the horizon needs none),
+    # sobolev_dual_approx 2, shifted_decay_null 2, ball_null's reach map 2
+    assert built == 10
+    v = random_values(grid)
+    for _ in range(10):
+        for apply in operators:
+            apply(v)
+    assert len(calls) == built

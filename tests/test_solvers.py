@@ -1,8 +1,15 @@
 """Krylov solver checks against dense LAPACK factorizations."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import schrodlab
 from schrodlab.solvers import (IndefiniteOperatorError, conjugate_gradient,
                                lanczos_smallest)
 
@@ -91,3 +98,29 @@ def test_lanczos_handles_indefinite_reflection():
                               tol=1e-10)
     assert result.eigenvalue == pytest.approx(exact, abs=1e-9)
     assert exact < 0
+
+
+def test_lanczos_basis_fits_a_large_operator():
+    # the basis grows with the steps taken: a 65536-point operator must not
+    # reserve a 65536 x 65536 basis (64 GiB) before its first matvec; run in
+    # a child process whose own address space is capped at 4 GiB
+    code = textwrap.dedent("""
+        import resource, sys
+        import numpy as np
+        from schrodlab.solvers import lanczos_smallest
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+        size = 65536
+        diag = np.linspace(0.5, 2.0, size)
+        diag[size // 3] = 0.1  # isolated smallest eigenvalue
+        result = lanczos_smallest(lambda v: diag * v, size, upper_bound=2.0,
+                                  seed=1, tol=1e-10)
+        print(result.eigenvalue, result.converged)
+    """)
+    src = str(Path(schrodlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    eigenvalue, converged = done.stdout.split()
+    assert float(eigenvalue) == pytest.approx(0.1, abs=1e-10)
+    assert converged == "True"
