@@ -503,12 +503,26 @@ def _error_diagnostics(problem: ImpulseProblem, error_field: Field) -> Dict[str,
 # calibration of the observation weight
 
 
+class Margin(float):
+    """An observability margin, carrying the Ritz residual of the Lanczos
+    pair it came from: an eigenvalue of the margin operator lies within
+    `residual` of it."""
+
+    def __new__(cls, value: float, residual: float):
+        margin = super().__new__(cls, value)
+        margin.residual = residual
+        return margin
+
+
 def observability_margin(problem: ImpulseProblem, seed: int = 0,
-                         max_iter: int = None, tol: float = 1e-8) -> float:
+                         max_iter: int = None, tol: float = 1e-8,
+                         stop_below: float = None) -> Margin:
     """Smallest eigenvalue of C0 O*O + eps0 W - R* V R on the Z subspace.
 
     Nonnegative margin is exactly the discrete observability inequality at
-    the problem's constants, hence the validity of the budget bound."""
+    the problem's constants, hence the validity of the budget bound.  With
+    `stop_below` set, the solve stops as soon as it proves the margin is
+    below it, and returns that upper bound (see `lanczos_smallest`)."""
     grid = problem.grid
     apply_w = z_weight_apply(problem)
     apply_gram = _observation_apply(problem)
@@ -532,16 +546,22 @@ def observability_margin(problem: ImpulseProblem, seed: int = 0,
 
     upper = c0 * len(problem.impulses) + eps0 * z_weight_bound(problem) + 1.0
     result = lanczos_smallest(apply_h, grid.node_count, upper_bound=upper,
-                              max_iter=max_iter, seed=seed, tol=tol)
-    return result.eigenvalue
+                              max_iter=max_iter, seed=seed, tol=tol,
+                              stop_below=stop_below)
+    return Margin(result.eigenvalue, result.residual)
 
 
 def calibrate_observation_weight(problem: ImpulseProblem, seed: int = 0,
                                  start: float = 1.0, max_doublings: int = 48,
                                  safety: float = 2.0) -> ImpulseProblem:
     """Return the problem with C0 raised until the discrete observability
-    inequality holds (margin >= 0), then multiplied by `safety`.
+    inequality holds, then multiplied by `safety`.
 
+    A candidate is admissible when its margin is at least its own Ritz
+    residual, so the eigenvalue it approximates is certainly nonnegative.
+    Each margin solve stops once it proves the margin negative; a solve
+    whose margin is nonnegative never meets that stop, so the accepting
+    solve runs exactly as a full one.
     The margin is nondecreasing in C0, so doubling terminates whenever a
     valid C0 exists below start * 2^max_doublings.  Beyond that the penalty
     is too small for the observation pattern (on a truncated box the hidden
@@ -551,7 +571,8 @@ def calibrate_observation_weight(problem: ImpulseProblem, seed: int = 0,
     c0 = start
     for _ in range(max_doublings):
         candidate = replace(problem, observation_weight=c0)
-        if observability_margin(candidate, seed=seed) >= 0.0:
+        margin = observability_margin(candidate, seed=seed, stop_below=0.0)
+        if margin >= margin.residual:
             return replace(problem, observation_weight=safety * c0)
         c0 *= 2.0
     raise RuntimeError(

@@ -14,7 +14,6 @@ from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from .field import (
@@ -486,6 +485,10 @@ def euler_integral(a: float, beta: Sequence[int]) -> float:
     if n == 1:
         b = beta[0]
         return 2.0 * a ** (-(2 * b + 1)) * float(factorial(2 * b))
+    # imported here: scipy.integrate costs ~0.3 s at import, and nothing
+    # else in the package needs it
+    from scipy.integrate import quad
+
     b1, b2 = beta
     total = b1 + b2
     radial, _ = quad(lambda rho: rho ** (2 * total + 1) * np.exp(-a * rho),

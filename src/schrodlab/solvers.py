@@ -15,6 +15,8 @@ from scipy.linalg import eigh_tridiagonal
 
 Operator = Callable[[np.ndarray], np.ndarray]
 
+_TWICE_IS_ENOUGH = 1.0 / np.sqrt(2.0)
+
 
 class IndefiniteOperatorError(RuntimeError):
     """CG met nonpositive curvature; the operator is not positive definite
@@ -34,8 +36,11 @@ def conjugate_gradient(apply_op: Operator, rhs: np.ndarray, tol: float = 1e-10,
                        precondition: Operator = None) -> CGResult:
     """(Preconditioned) CG for Hermitian positive-definite apply_op.
 
-    Stops at the true relative residual ||b - Ax|| <= tol * ||b|| regardless
-    of the preconditioner; non-convergence is reported, never silent.
+    Stops when the recursively updated residual r_k meets
+    ||r_k|| <= tol * ||b||, regardless of the preconditioner, and reports
+    ||r_k|| / ||b||.  r_k equals b - A x_k only in exact arithmetic; the true
+    residual is not recomputed, so the two can drift apart in floating point.
+    Non-convergence is reported, never silent.
     `precondition` applies an approximate inverse of apply_op (Hermitian PD).
     """
     b_norm = np.linalg.norm(rhs)
@@ -82,7 +87,7 @@ class LanczosResult:
 
 def lanczos_smallest(apply_op: Operator, size: int, upper_bound: float,
                      max_iter: int = None, seed: int = 0,
-                     tol: float = 1e-11) -> LanczosResult:
+                     tol: float = 1e-11, stop_below: float = None) -> LanczosResult:
     """Smallest eigenvalue of a Hermitian PSD operator with spectrum in
     [0, upper_bound].
 
@@ -91,6 +96,12 @@ def lanczos_smallest(apply_op: Operator, size: int, upper_bound: float,
     in `seed`.  Converged means the Ritz residual ||A v - lambda v|| of the
     returned pair is below the absolute tolerance tol (the eigenvalue error
     of a Hermitian Ritz pair is bounded by its residual).
+
+    With `stop_below` set, the run also stops at the first 16-step check
+    whose Ritz value upper_bound - theta is below it.  Ritz values bound
+    lambda_min from above and only decrease as steps are added (Cauchy
+    interlacing), so that value proves lambda_min < stop_below; it is
+    returned as it stands, converged only if its residual meets tol.
     """
     if max_iter is None:
         max_iter = size
@@ -114,12 +125,17 @@ def lanczos_smallest(apply_op: Operator, size: int, upper_bound: float,
     w = w - alphas[0] * q
     steps = 1
     for j in range(1, max_iter):
-        # full reorthogonalization (classical Gram-Schmidt, twice) against
-        # the stored basis; conjugating w rather than the basis copies only
-        # vectors of length size and steps
-        for _ in range(2):
-            w = w - (basis[:steps] @ w.conj()).conj() @ basis[:steps]
+        # full reorthogonalization by classical Gram-Schmidt against the
+        # stored basis; conjugating w rather than the basis copies only
+        # vectors of length size and steps.  A second pass runs only when the
+        # first leaves less than 1/sqrt(2) of the norm ("twice is enough":
+        # Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30, 1976)
+        before = np.linalg.norm(w)
+        w = w - (basis[:steps] @ w.conj()).conj() @ basis[:steps]
         beta = np.linalg.norm(w)
+        if beta < _TWICE_IS_ENOUGH * before:
+            w = w - (basis[:steps] @ w.conj()).conj() @ basis[:steps]
+            beta = np.linalg.norm(w)
         if beta < 1e-14 * max(upper_bound, 1.0):
             break  # Krylov space exhausted; Ritz values are exact on it
         betas[j - 1] = beta
@@ -138,6 +154,8 @@ def lanczos_smallest(apply_op: Operator, size: int, upper_bound: float,
             # residual bound |beta_next * s_last| with beta_next ~ ||w||
             if np.linalg.norm(w) * abs(s[-1]) <= 0.05 * tol:
                 break
+            if stop_below is not None and upper_bound - theta < stop_below:
+                break  # Ritz values only fall: lambda_min < stop_below is proven
 
     theta, s = _largest_ritz(alphas[:steps], betas[: steps - 1])
     vec = (basis[:steps].T @ s.astype(np.complex128))

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from schrodlab import control
 from schrodlab.cli import main
 from schrodlab.control import (VARIANTS, ErrorNorm, ImpulseProblem,
                                calibrate_observation_weight,
@@ -15,6 +16,7 @@ from schrodlab.control import (VARIANTS, ErrorNorm, ImpulseProblem,
                                variant_problem, z_weight_apply)
 from schrodlab.field import (Field, dot, gaussian_state, l2_norm, make_grid,
                              whole_space)
+from schrodlab.solvers import lanczos_smallest
 from schrodlab.transform import propagate
 
 GRID = make_grid(1, 20.0, 256)  # the two_impulse default grid
@@ -196,6 +198,37 @@ class TestCalibration:
     def test_calibrated_margin_nonnegative(self):
         problem = calibrate_observation_weight(variant_problem("two_impulse"), seed=11)
         assert observability_margin(problem, seed=12) >= 0.0
+
+    @pytest.mark.parametrize("name", ["two_impulse", "band_restricted", "ball_null"])
+    def test_early_stop_keeps_the_calibrated_weight(self, name):
+        # calibration stops each rejected margin solve once it is proven
+        # negative; doubling on full solves must land on the same C0
+        problem = variant_problem(name)
+        c0 = 1.0
+        while observability_margin(replace(problem, observation_weight=c0)) < 0.0:
+            c0 *= 2.0
+        calibrated = calibrate_observation_weight(problem)
+        assert calibrated.observation_weight == 2.0 * c0
+
+    def test_margin_below_its_residual_is_not_accepted(self, monkeypatch):
+        # a nonnegative margin that is smaller than its own Ritz residual does
+        # not prove the inequality: calibration must double past it
+        problem = variant_problem("two_impulse")
+        reference = calibrate_observation_weight(problem).observation_weight
+        spoiled = []
+
+        def uncertain(*args, **kwargs):
+            result = lanczos_smallest(*args, **kwargs)
+            if result.eigenvalue >= 0.0 and not spoiled:
+                spoiled.append(result.eigenvalue)
+                return replace(result, residual=2.0 * result.eigenvalue + 1e-6,
+                               converged=False)
+            return result
+
+        monkeypatch.setattr(control, "lanczos_smallest", uncertain)
+        calibrated = calibrate_observation_weight(problem)
+        assert len(spoiled) == 1
+        assert calibrated.observation_weight == 2.0 * reference
 
     def test_infeasible_penalty_reported(self):
         problem = variant_problem("complement_approx", L=12.0, penalty=1e-6)

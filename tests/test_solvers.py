@@ -100,6 +100,52 @@ def test_lanczos_handles_indefinite_reflection():
     assert exact < 0
 
 
+def test_lanczos_clustered_spectrum_long_run():
+    # eigenvalues (k/(n-1))^2 crowd towards 0, so resolving lambda_min to
+    # 1e-12 takes (nearly) every step: one Gram-Schmidt pass per step, plus a
+    # second only when the first cancels, must keep the basis orthogonal
+    # through 300+ steps
+    rng = np.random.default_rng(6)
+    n = 320
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    a = (q * (np.arange(n) / (n - 1)) ** 2) @ q.conj().T
+    a = (a + a.conj().T) / 2
+    exact_values, exact_vectors = np.linalg.eigh(a)
+    result = lanczos_smallest(lambda v: a @ v, n, upper_bound=1.0, seed=3,
+                              tol=1e-12)
+    assert result.iterations >= 300
+    assert result.converged
+    assert abs(result.eigenvalue - exact_values[0]) <= 1e-12
+    assert result.residual <= 1e-12
+    eigh_residual = np.linalg.norm(a @ exact_vectors[:, 0]
+                                   - exact_values[0] * exact_vectors[:, 0])
+    assert abs(result.residual - eigh_residual) <= 1e-12
+
+
+def test_lanczos_stop_below_proves_a_negative_minimum():
+    rng = np.random.default_rng(8)
+    n = 200
+    a = random_hpd(n, rng, shift=0.0)
+    a = a / np.linalg.norm(a, 2) - 0.5 * np.eye(n)  # spectrum in [-0.5, 0.5]
+    exact = np.linalg.eigvalsh(a)[0]
+
+    def op(v):
+        return a @ v
+
+    full = lanczos_smallest(op, n, upper_bound=1.0, seed=4, tol=1e-11)
+    early = lanczos_smallest(op, n, upper_bound=1.0, seed=4, tol=1e-11,
+                             stop_below=0.0)
+    assert full.iterations > 16
+    assert early.iterations <= 16
+    assert exact <= early.eigenvalue < 0.0
+    assert early.converged == (early.residual <= 1e-11)
+    # a threshold below lambda_min is never met: the run is the full one
+    never = lanczos_smallest(op, n, upper_bound=1.0, seed=4, tol=1e-11,
+                             stop_below=exact - 0.1)
+    assert never.iterations == full.iterations
+    assert never.eigenvalue == full.eigenvalue
+
+
 def test_lanczos_basis_fits_a_large_operator():
     # the basis grows with the steps taken: a 65536-point operator must not
     # reserve a 65536 x 65536 basis (64 GiB) before its first matvec; run in
