@@ -92,87 +92,82 @@ def load_config(path: str) -> Dict[str, object]:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {path!r} must hold a JSON object, "
+                              f"got {type(data).__name__}")
         flat: Dict[str, object] = {}
         _flatten("", data, flat)
         return flat
     config: Dict[str, object] = {}
+    first_line: Dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        config[key.strip()] = _parse_value(value)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
+        config[key] = _parse_value(value)
     return config
 
 
-class Config:
-    """Dotted-key access with defaults and type checks."""
+# a key's type -> (its name in errors, the config values it accepts)
+_KINDS = {float: ("a number", (int, float)), int: ("an integer", int),
+          str: ("a string", str)}
 
-    def __init__(self, values: Dict[str, object]):
-        self.values = dict(values)
 
-    def get(self, key: str, default=None):
-        return self.values.get(key, default)
-
-    def number(self, key: str, default: float) -> float:
-        value = self.values.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-        return float(value)
-
-    def integer(self, key: str, default: int) -> int:
-        value = self.values.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-        return int(value)
-
-    def text(self, key: str, default: str) -> str:
-        value = self.values.get(key, default)
-        if not isinstance(value, str):
-            raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
-        return value
-
-    def numbers(self, key: str, default: Sequence[float]) -> List[float]:
-        value = self.values.get(key, list(default))
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            value = [value]
-        if not isinstance(value, list) or not value or any(
-                isinstance(v, bool) or not isinstance(v, (int, float)) for v in value):
-            raise ConfigError(f"config key {key!r} must be a number list, got {value!r}")
-        return [float(v) for v in value]
-
-    def integers(self, key: str, default: Sequence[int]) -> List[int]:
-        value = self.values.get(key, list(default))
-        items = value if isinstance(value, list) else [value]
-        if not items or any(isinstance(v, bool) or not isinstance(v, int)
+def resolve(keys: Dict[str, object], values: Dict[str, object],
+            experiment: str) -> Dict[str, object]:
+    """Each declared key at its config value or else its default, type-checked:
+    the default fixes the type (float, int, str, or a non-empty list of one;
+    a scalar value reads as a one-item list).  A key declared by its bare type
+    is present only when set.  A config key the table lacks is an error."""
+    unknown = [key for key in values if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))} "
+                          f"for experiment {experiment!r}; it reads {', '.join(keys)}")
+    settings: Dict[str, object] = {}
+    for key, default in keys.items():
+        if isinstance(default, type) and key not in values:
+            continue
+        value = values.get(key, default)
+        many = isinstance(default, list)
+        kind = type(default[0]) if many else \
+            default if isinstance(default, type) else type(default)
+        items = value if many and isinstance(value, list) else [value]
+        noun, accepted = _KINDS[kind]
+        if not items or any(isinstance(v, bool) or not isinstance(v, accepted)
                             for v in items):
-            raise ConfigError(f"config key {key!r} must be an integer list, "
-                              f"got {value!r}")
-        return items
+            raise ConfigError(f"config key {key!r} must be {noun}"
+                              f"{' list' if many else ''}, got {value!r}")
+        settings[key] = [kind(v) for v in items] if many else kind(value)
+    return settings
 
 
-def _grid_from(config: Config, default_dim=1, default_l=20.0, default_m=512):
+def _grid_keys(half_extent: float, points: int) -> Dict[str, object]:
+    return {"grid.dim": 1, "grid.L": half_extent, "grid.M": points}
+
+
+def _grid_from(config: dict):
     try:
-        return make_grid(config.integer("grid.dim", default_dim),
-                         config.number("grid.L", default_l),
-                         config.integer("grid.M", default_m))
+        return make_grid(config["grid.dim"], config["grid.L"], config["grid.M"])
     except GridError as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
 
-def _check_tail(config: Config, reference: Field, validity: Dict[str, object]):
-    tol = config.number("tail_tolerance", 1e-10)
+def _check_tail(config: dict, reference: Field) -> Dict[str, object]:
+    tol = config["tail_tolerance"]
     fraction = box_tail_fraction(reference)
-    validity["tail_fraction"] = fraction
-    validity["tail_tolerance"] = tol
-    validity["tail_ok"] = bool(fraction <= tol)
-    if fraction > tol:
+    if not fraction <= tol:  # a NaN fraction fails too
         raise ConfigError(
             f"box too small: reference mass fraction {fraction:.3e} outside "
             f"[-L/2, L/2]^dim exceeds the tail tolerance {tol:.1e}"
         )
+    return {"tail_fraction": fraction, "tail_tolerance": tol, "tail_ok": True}
 
 
 def _check_chirp(grid, t: float):
@@ -200,14 +195,11 @@ class ExperimentResult:
     summary: Dict[str, object]
 
 
-def _run_propagate(config: Config, seed: int, threads: int) -> ExperimentResult:
-    # box sized so the t=10 state still fits without wrap-around
-    grid = _grid_from(config, default_l=100.0, default_m=2048)
-    sigma = config.number("propagate.sigma", 1.0)
-    times = config.numbers("propagate.times", [0.1, 1.0, 10.0])
-    validity: Dict[str, object] = {}
+def _run_propagate(config: dict, seed: int, threads: int) -> ExperimentResult:
+    grid = _grid_from(config)
+    sigma, times = config["propagate.sigma"], config["propagate.times"]
     u0 = gaussian_state(grid, sigma)
-    _check_tail(config, u0, validity)
+    validity = _check_tail(config, u0)
 
     def one(t: float) -> Dict[str, object]:
         u_t = propagate(u0, t)
@@ -225,14 +217,12 @@ def _run_propagate(config: Config, seed: int, threads: int) -> ExperimentResult:
     return ExperimentResult(rows, summary)
 
 
-def _run_verify_identity(config: Config, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config, default_l=40.0, default_m=2048)
-    sigma = config.number("fresnel.sigma", 1.0)
-    times = config.numbers("fresnel.times", [0.5, 1.0, 2.0])
-    compare_within = config.number("fresnel.compare_box_fraction", 0.95)
-    validity: Dict[str, object] = {}
+def _run_verify_identity(config: dict, seed: int, threads: int) -> ExperimentResult:
+    grid = _grid_from(config)
+    sigma, times = config["fresnel.sigma"], config["fresnel.times"]
+    compare_within = config["fresnel.compare_box_fraction"]
     u0 = gaussian_state(grid, sigma)
-    _check_tail(config, u0, validity)
+    validity = _check_tail(config, u0)
     for t in times:
         _check_chirp(grid, t)
 
@@ -255,13 +245,10 @@ def _run_verify_identity(config: Config, seed: int, threads: int) -> ExperimentR
     return ExperimentResult(rows, summary)
 
 
-def _run_uncertainty(config: Config, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config, default_l=40.0, default_m=2048)
-    sigma = config.number("uncertainty.sigma", 1.0)
-    radii = config.numbers("uncertainty.radii", [0.5, 1.0, 2.0, 4.0])
-    validity: Dict[str, object] = {}
-    f = gaussian_state(grid, sigma)
-    _check_tail(config, f, validity)
+def _run_uncertainty(config: dict, seed: int, threads: int) -> ExperimentResult:
+    grid = _grid_from(config)
+    f = gaussian_state(grid, config["uncertainty.sigma"])
+    validity = _check_tail(config, f)
 
     def one(rho: float) -> Dict[str, object]:
         report = uncertainty_quotient(f, ball(0.0, rho, dim=grid.dim),
@@ -271,20 +258,16 @@ def _run_uncertainty(config: Config, seed: int, threads: int) -> ExperimentResul
                 "outside_frequency": report.terms["outside_frequency"],
                 "quotient": report.quotient}
 
-    rows = _map_ordered(one, radii, threads)
+    rows = _map_ordered(one, config["uncertainty.radii"], threads)
     return ExperimentResult(rows, {"validity": validity})
 
 
-def _run_two_time(config: Config, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config, default_l=40.0, default_m=2048)
-    sigma = config.number("observability.sigma", 1.0)
-    radius = config.number("observability.radius", 2.0)
-    s = config.number("observability.S", 0.0)
-    gaps = config.numbers("observability.gaps", [0.25, 0.5, 1.0, 2.0])
-    validity: Dict[str, object] = {}
-    u0 = gaussian_state(grid, sigma)
-    _check_tail(config, u0, validity)
-    region = ball_complement(0.0, radius, dim=grid.dim)
+def _run_two_time(config: dict, seed: int, threads: int) -> ExperimentResult:
+    grid = _grid_from(config)
+    s, gaps = config["observability.S"], config["observability.gaps"]
+    u0 = gaussian_state(grid, config["observability.sigma"])
+    validity = _check_tail(config, u0)
+    region = ball_complement(0.0, config["observability.radius"], dim=grid.dim)
 
     def one(gap: float) -> Dict[str, object]:
         report = two_time_quotient(u0, s, s + gap, region, region)
@@ -297,10 +280,9 @@ def _run_two_time(config: Config, seed: int, threads: int) -> ExperimentResult:
     return ExperimentResult(rows, {"validity": validity})
 
 
-def _run_empirical_constant(config: Config, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config, default_l=20.0, default_m=512)
-    radius = config.number("observability.radius", 2.0)
-    gaps = config.numbers("observability.gaps", [0.25, 0.5, 1.0, 2.0])
+def _run_empirical_constant(config: dict, seed: int, threads: int) -> ExperimentResult:
+    grid = _grid_from(config)
+    radius, gaps = config["observability.radius"], config["observability.gaps"]
     if len(gaps) < 2:
         raise ConfigError("observability.gaps needs at least two gaps for the "
                           f"log-constant fit, got {len(gaps)}")
@@ -322,14 +304,9 @@ def _run_empirical_constant(config: Config, seed: int, threads: int) -> Experime
     return ExperimentResult(rows, summary)
 
 
-def _run_interpolation_12(config: Config, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config, default_l=20.0, default_m=1024)
-    r = config.number("interpolation.r", 1.0)
-    a = config.number("interpolation.a", 1.0)
-    t = config.number("interpolation.T", 1.0)
-    scales = config.numbers("interpolation.scales",
-                            list(np.linspace(0.5, 3.0, 20)))
-    validity: Dict[str, object] = {}
+def _run_interpolation_12(config: dict, seed: int, threads: int) -> ExperimentResult:
+    grid = _grid_from(config)
+    r, a, t, scales = (config[f"interpolation.{k}"] for k in ("r", "a", "T", "scales"))
 
     def member(scale: float) -> Field:
         rsq = grid.radius_sq()
@@ -339,7 +316,7 @@ def _run_interpolation_12(config: Config, seed: int, threads: int) -> Experiment
         f = Field(grid, values.astype(complex))
         return Field(grid, f.values / l2_norm(f))
 
-    _check_tail(config, member(max(scales)), validity)
+    validity = _check_tail(config, member(max(scales)))
 
     def one(scale: float) -> Dict[str, object]:
         report = interpolation_report_12(member(scale), r, a, t, variant="i")
@@ -360,17 +337,12 @@ def _run_interpolation_12(config: Config, seed: int, threads: int) -> Experiment
     return ExperimentResult(rows, summary)
 
 
-def _run_two_ball_13(config: Config, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config, default_l=40.0, default_m=2048)
-    sigma = config.number("two_ball.sigma", 1.0)
-    r1 = config.number("two_ball.r1", 1.0)
-    r2 = config.number("two_ball.r2", 1.0)
-    a = config.number("two_ball.a", 1.0)
-    t = config.number("two_ball.T", 1.0)
-    separations = config.numbers("two_ball.separations", [0.0, 2.0, 4.0, 6.0])
-    validity: Dict[str, object] = {}
+def _run_two_ball_13(config: dict, seed: int, threads: int) -> ExperimentResult:
+    grid = _grid_from(config)
+    sigma, r1, r2, a, t, separations = (config[f"two_ball.{k}"] for k in (
+        "sigma", "r1", "r2", "a", "T", "separations"))
     u0 = gaussian_state(grid, sigma)
-    _check_tail(config, u0, validity)
+    validity = _check_tail(config, u0)
 
     def one(sep: float) -> Dict[str, object]:
         report = two_ball_report_13(u0, -sep / 2.0, sep / 2.0, r1, r2, a, t)
@@ -382,16 +354,14 @@ def _run_two_ball_13(config: Config, seed: int, threads: int) -> ExperimentResul
     return ExperimentResult(rows, {"validity": validity})
 
 
-def _run_spectral_ineq(config: Config, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config, default_l=10.0, default_m=512)
-    radii = config.numbers("spectral.radii", [0.5, 1.0, 2.0])
-    bands = config.numbers("spectral.bands", [1.0, 2.0, 4.0, 8.0])
-    samples = config.integer("spectral.samples", 50)
+def _run_spectral_ineq(config: dict, seed: int, threads: int) -> ExperimentResult:
+    grid = _grid_from(config)
+    bands, samples = config["spectral.bands"], config["spectral.samples"]
     if max(bands) >= grid.nyquist:
         raise ConfigError(
             f"band radius {max(bands)} is not below the Nyquist frequency "
             f"{grid.nyquist:.4g}")
-    tuples = [(r, n) for r in radii for n in bands]
+    tuples = [(r, n) for r in config["spectral.radii"] for n in bands]
 
     def one(pair) -> Dict[str, object]:
         r, band = pair
@@ -422,15 +392,11 @@ def _run_spectral_ineq(config: Config, seed: int, threads: int) -> ExperimentRes
     return ExperimentResult(rows, summary)
 
 
-def _run_moment_34(config: Config, seed: int, threads: int) -> ExperimentResult:
-    # box sized for the T=16 flow of the sigma=2 state; the wider Gaussian
-    # keeps the finite-range secant slope under the 2k budget
-    grid = _grid_from(config, default_l=80.0, default_m=2048)
-    sigma = config.number("moment.sigma", 2.0)
-    times = config.numbers("moment.times", [1.0, 2.0, 4.0, 8.0, 16.0])
-    validity: Dict[str, object] = {}
+def _run_moment_34(config: dict, seed: int, threads: int) -> ExperimentResult:
+    grid = _grid_from(config)
+    sigma, times = config["moment.sigma"], config["moment.times"]
     u0 = gaussian_state(grid, sigma)
-    _check_tail(config, u0, validity)
+    validity = _check_tail(config, u0)
 
     def one(pair) -> Dict[str, object]:
         k, t = pair
@@ -450,13 +416,12 @@ def _run_moment_34(config: Config, seed: int, threads: int) -> ExperimentResult:
     return ExperimentResult(rows, summary)
 
 
-def _run_euler_21(config: Config, seed: int, threads: int) -> ExperimentResult:
-    amplitudes = config.numbers("euler.amplitudes", [0.5, 1.0, 2.0])
+def _run_euler_21(config: dict, seed: int, threads: int) -> ExperimentResult:
     cases = []
     for n in (1, 2):
         betas = [(b,) for b in range(5)] if n == 1 else \
             [(b1, b2) for b1 in range(5) for b2 in range(5) if b1 + b2 <= 4]
-        for a in amplitudes:
+        for a in config["euler.amplitudes"]:
             for beta in betas:
                 cases.append((n, a, beta))
     constant = smallest_euler_constant([(a, beta) for _, a, beta in cases])
@@ -474,30 +439,22 @@ def _run_euler_21(config: Config, seed: int, threads: int) -> ExperimentResult:
     return ExperimentResult(rows, summary)
 
 
-def _run_counterexample(config: Config, seed: int, threads: int) -> ExperimentResult:
-    family = config.text("counterexample.family", "concentrating")
-    grid = _grid_from(config, default_l=15.0, default_m=4096)
-    k_values = config.integers("counterexample.k", [1, 2, 4, 8, 16, 32])
-    defaults = {"concentrating": dict(r1=1.0, r2=1.0),
-                "time_reversed": dict(r1=1.0, r2=2.0),
-                "modulated": dict(r1=1.0, r2=1.0)}
-    if family not in defaults:
-        raise ConfigError(f"unknown counterexample family {family!r}")
-    spec = SequenceSpec(
-        family=family,
-        profile=config.text("counterexample.profile", "gaussian"),
-        x_prime=config.number("counterexample.x_prime", 0.0),
-        x_dprime=config.number("counterexample.x_dprime", 0.0),
-        r1=config.number("counterexample.r1", defaults[family]["r1"]),
-        r2=config.number("counterexample.r2", defaults[family]["r2"]),
-        horizon=config.number("counterexample.T", 1.0),
-        s1=config.number("counterexample.S1", 0.5),
-        s2=config.number("counterexample.S2", 0.5),
-        weight_amplitude=config.number("counterexample.a", 1.0),
-    )
+def _run_counterexample(config: dict, seed: int, threads: int) -> ExperimentResult:
+    family = config["counterexample.family"]
+    grid = _grid_from(config)
     try:
-        study = decay_study(spec, grid, k_values,
-                            time_slices=config.integer("counterexample.time_slices", 48))
+        spec = SequenceSpec(
+            family=family, profile=config["counterexample.profile"],
+            x_prime=config["counterexample.x_prime"],
+            x_dprime=config["counterexample.x_dprime"],
+            r1=config["counterexample.r1"],
+            r2=config.get("counterexample.r2",
+                          2.0 if family == "time_reversed" else 1.0),
+            horizon=config["counterexample.T"],
+            s1=config["counterexample.S1"], s2=config["counterexample.S2"],
+            weight_amplitude=config["counterexample.a"])
+        study = decay_study(spec, grid, config["counterexample.k"],
+                            time_slices=config["counterexample.time_slices"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     summary: Dict[str, object] = {"family": family}
@@ -511,30 +468,28 @@ def _run_counterexample(config: Config, seed: int, threads: int) -> ExperimentRe
     return ExperimentResult(study.rows, summary)
 
 
-def _run_control_solve(config: Config, seed: int, threads: int) -> ExperimentResult:
-    variant = config.text("control.variant", "two_impulse")
+def _run_control_solve(config: dict, seed: int, threads: int) -> ExperimentResult:
+    variant = config["control.variant"]
     if variant not in VARIANTS:
         raise ConfigError(f"unknown control variant {variant!r}; "
                           f"expected one of {', '.join(VARIANTS)}")
-    params = dict(VARIANTS[variant])
-    grid = _grid_from(config, default_l=params.pop("L"), default_m=params.pop("M"))
-    # impulse times whose default is None follow control.T unless set
-    params = {key: config.number(f"control.{key}", default)
-              for key, default in params.items()
-              if default is not None or f"control.{key}" in config.values}
+    grid = _grid_from({"grid.L": VARIANTS[variant]["L"],
+                       "grid.M": VARIANTS[variant]["M"], **config})
+    # the registry fills in every parameter the config leaves unset
+    params = {key: config[f"control.{key}"] for key in _CONTROL_PARAMS
+              if f"control.{key}" in config}
     try:
         problem = variant_problem(variant, grid, **params)
     except ValueError as exc:
         raise ConfigError(f"invalid control problem: {exc}") from exc
-    validity: Dict[str, object] = {}
-    _check_tail(config, problem.initial_state, validity)
+    validity = _check_tail(config, problem.initial_state)
     try:
         problem = calibrate_observation_weight(problem, seed=seed)
     except RuntimeError as exc:
         raise ConfigError(str(exc)) from exc
-    tol = config.number("control.cg_tolerance", 1e-10)
+    tol = config["control.cg_tolerance"]
     solution = solve_control(problem, tol=tol,
-                             max_iter=config.integer("control.max_iterations", 5000))
+                             max_iter=config["control.max_iterations"])
     if not solution.cg.converged:
         raise SolverFailure(
             f"CG stalled at relative residual {solution.cg.relative_residual:.3e} "
@@ -562,28 +517,21 @@ def _run_control_solve(config: Config, seed: int, threads: int) -> ExperimentRes
     return ExperimentResult([row], summary)
 
 
-def _run_cost_scaling(config: Config, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config, default_l=20.0, default_m=256)
-    sigma = config.number("control.sigma", 0.8)
-    u0 = gaussian_state(grid, sigma)
+def _run_cost_scaling(config: dict, seed: int, threads: int) -> ExperimentResult:
+    grid = _grid_from(config)
+    u0 = gaussian_state(grid, config["control.sigma"])
     target = Field(grid, np.zeros(grid.node_count, dtype=complex))
-    gaps = config.numbers("cost.gaps", [0.25, 0.5, 1.0, 2.0])
-    radius = config.number("cost.radius", 2.0)
-    fixed_gap = config.number("cost.fixed_gap", 0.5)
+    gaps = config["cost.gaps"]
     if len(gaps) < 2:
         raise ConfigError("cost.gaps needs at least two gaps for the log-cost fit, "
                           f"got {len(gaps)}")
-    for key, values in (("cost.gaps", gaps), ("cost.fixed_gap", [fixed_gap]),
-                        ("cost.radius", [radius])):
-        if not all(value > 0 for value in values):
-            raise ConfigError(f"{key} must be positive, got {values}")
+    for key in ("cost.gaps", "cost.fixed_gap", "cost.radius"):
+        if not np.all(np.asarray(config[key]) > 0):
+            raise ConfigError(f"{key} must be positive, got {config[key]}")
     study = cost_scaling_study(
-        grid, u0, target, gaps, [radius],
-        eps0=config.number("cost.penalty", 1e-6),
-        error_target=config.number("cost.error_target", 1e-3),
-        fixed_gap=fixed_gap,
-        tol=config.number("cost.cg_tolerance", 1e-8),
-        seed=seed)
+        grid, u0, target, gaps, [config["cost.radius"]],
+        eps0=config["cost.penalty"], error_target=config["cost.error_target"],
+        fixed_gap=config["cost.fixed_gap"], tol=config["cost.cg_tolerance"], seed=seed)
     doubling_increase = None
     if len(study.doubling_rows) == 2:
         doubling_increase = bool(study.doubling_rows[1]["normalized_cost"]
@@ -599,15 +547,12 @@ def _run_cost_scaling(config: Config, seed: int, threads: int) -> ExperimentResu
     return ExperimentResult(study.rows, summary)
 
 
-def _run_bridge(config: Config, seed: int, threads: int) -> ExperimentResult:
-    # registered under verify-identity's family; kept as its own experiment
-    grid = _grid_from(config, default_l=20.0, default_m=1024)
+def _run_bridge(config: dict, seed: int, threads: int) -> ExperimentResult:
+    grid = _grid_from(config)
     if grid.dim != 1:
         raise ConfigError("bridge samples and regions are one-dimensional; "
                           f"grid.dim must be 1, got {grid.dim}")
-    t = config.number("bridge.T", 1.0)
-    radius = config.number("bridge.radius", 6.0)
-    count = config.integer("bridge.samples", 20)
+    t, radius, count = (config[f"bridge.{k}"] for k in ("T", "radius", "samples"))
     _check_chirp(grid, t)
 
     def smooth_sample(j: int) -> Field:
@@ -634,43 +579,109 @@ def _run_bridge(config: Config, seed: int, threads: int) -> ExperimentResult:
     return ExperimentResult(rows, summary)
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """A catalog entry; `keys` is its key table (see `resolve`)."""
+    description: str
+    theorem: str
+    runner: Callable[[dict, int, int], ExperimentResult]
+    keys: Dict[str, object]
+
+
+_TAIL = {"tail_tolerance": 1e-10}
+# the union of the variants' problem parameters; L and M size the grid
+_CONTROL_PARAMS = tuple(dict.fromkeys(
+    key for params in VARIANTS.values() for key in params if key not in ("L", "M")))
+
 EXPERIMENTS = {
-    "propagate": ("flow conservation and Gaussian oracle errors",
-                  "free flow, conservation law", _run_propagate),
-    "verify-identity": ("chirp/rescale map vs oracle vs spectral flow",
-                        "Fresnel identity", _run_verify_identity),
-    "bridge": ("chirp invariance and the spectral/flow energy bridge",
-               "uncertainty-observability equivalence", _run_bridge),
-    "uncertainty": ("two-ball concentration quotients",
-                    "uncertainty principle", _run_uncertainty),
-    "two-time-observability": ("recover vs two-time observation energies",
-                               "two-time observability", _run_two_time),
-    "empirical-constant": ("Gramian smallest eigenvalue vs time gap",
-                           "two-time observability constant", _run_empirical_constant),
-    "interpolation-12": ("bump family fit of the interpolation inequality",
-                         "one-time interpolation estimate", _run_interpolation_12),
-    "two-ball-13": ("ball-to-ball terminal estimates",
-                    "two-ball unique continuation", _run_two_ball_13),
-    "spectral-ineq-27": ("band-limited whole/outside energy ratios",
-                         "spectral inequality", _run_spectral_ineq),
-    "moment-34": ("moment growth of the flow",
-                  "moment propagation", _run_moment_34),
-    "euler-21": ("weighted moment integrals vs factorial bound",
-                 "Euler-integral bound", _run_euler_21),
-    "counterexample": ("decay rates of the sharpness families",
-                       "sharpness counterexamples", _run_counterexample),
-    "control-solve": ("penalized dual control synthesis",
-                      "impulse control duality", _run_control_solve),
-    "cost-scaling": ("control cost against the exponential budget",
-                     "control cost bound", _run_cost_scaling),
+    "propagate": Experiment(
+        "flow conservation and Gaussian oracle errors", "free flow, conservation law",
+        # box sized so the t=10 state still fits without wrap-around
+        _run_propagate, {**_grid_keys(100.0, 2048), **_TAIL, "propagate.sigma": 1.0,
+                         "propagate.times": [0.1, 1.0, 10.0]}),
+    "verify-identity": Experiment(
+        "chirp/rescale map vs oracle vs spectral flow", "Fresnel identity",
+        _run_verify_identity, {
+            **_grid_keys(40.0, 2048), **_TAIL, "fresnel.sigma": 1.0,
+            "fresnel.times": [0.5, 1.0, 2.0], "fresnel.compare_box_fraction": 0.95}),
+    "bridge": Experiment(
+        "chirp invariance and the spectral/flow energy bridge",
+        "uncertainty-observability equivalence", _run_bridge, {
+            **_grid_keys(20.0, 1024), "bridge.T": 1.0, "bridge.radius": 6.0,
+            "bridge.samples": 20}),
+    "uncertainty": Experiment(
+        "two-ball concentration quotients", "uncertainty principle", _run_uncertainty,
+        {**_grid_keys(40.0, 2048), **_TAIL, "uncertainty.sigma": 1.0,
+         "uncertainty.radii": [0.5, 1.0, 2.0, 4.0]}),
+    "two-time-observability": Experiment(
+        "recover vs two-time observation energies", "two-time observability",
+        _run_two_time, {
+            **_grid_keys(40.0, 2048), **_TAIL, "observability.sigma": 1.0,
+            "observability.radius": 2.0, "observability.S": 0.0,
+            "observability.gaps": [0.25, 0.5, 1.0, 2.0]}),
+    "empirical-constant": Experiment(
+        "Gramian smallest eigenvalue vs time gap", "two-time observability constant",
+        _run_empirical_constant, {
+            **_grid_keys(20.0, 512), "observability.radius": 2.0,
+            "observability.gaps": [0.25, 0.5, 1.0, 2.0]}),
+    "interpolation-12": Experiment(
+        "bump family fit of the interpolation inequality",
+        "one-time interpolation estimate", _run_interpolation_12, {
+            **_grid_keys(20.0, 1024), **_TAIL, "interpolation.r": 1.0,
+            "interpolation.a": 1.0, "interpolation.T": 1.0,
+            "interpolation.scales": np.linspace(0.5, 3.0, 20).tolist()}),
+    "two-ball-13": Experiment(
+        "ball-to-ball terminal estimates", "two-ball unique continuation",
+        _run_two_ball_13, {
+            **_grid_keys(40.0, 2048), **_TAIL, "two_ball.sigma": 1.0,
+            "two_ball.r1": 1.0, "two_ball.r2": 1.0, "two_ball.a": 1.0,
+            "two_ball.T": 1.0, "two_ball.separations": [0.0, 2.0, 4.0, 6.0]}),
+    "spectral-ineq-27": Experiment(
+        "band-limited whole/outside energy ratios", "spectral inequality",
+        _run_spectral_ineq, {
+            **_grid_keys(10.0, 512), "spectral.radii": [0.5, 1.0, 2.0],
+            "spectral.bands": [1.0, 2.0, 4.0, 8.0], "spectral.samples": 50}),
+    "moment-34": Experiment(
+        "moment growth of the flow", "moment propagation", _run_moment_34, {
+            # box sized for the T=16 flow of the sigma=2 state; the wider
+            # Gaussian keeps the finite-range secant slope under the 2k budget
+            **_grid_keys(80.0, 2048), **_TAIL, "moment.sigma": 2.0,
+            "moment.times": [1.0, 2.0, 4.0, 8.0, 16.0]}),
+    "euler-21": Experiment(
+        "weighted moment integrals vs factorial bound", "Euler-integral bound",
+        _run_euler_21, {"euler.amplitudes": [0.5, 1.0, 2.0]}),
+    "counterexample": Experiment(
+        "decay rates of the sharpness families", "sharpness counterexamples",
+        _run_counterexample, {
+            "counterexample.family": "concentrating", **_grid_keys(15.0, 4096),
+            "counterexample.k": [1, 2, 4, 8, 16, 32], "counterexample.T": 1.0,
+            "counterexample.profile": "gaussian", "counterexample.x_prime": 0.0,
+            "counterexample.x_dprime": 0.0, "counterexample.r1": 1.0,
+            "counterexample.r2": float, "counterexample.S1": 0.5,
+            "counterexample.S2": 0.5, "counterexample.a": 1.0,
+            "counterexample.time_slices": 48}),
+    "control-solve": Experiment(
+        "penalized dual control synthesis", "impulse control duality",
+        _run_control_solve, {
+            # grid.L, grid.M and the problem parameters default per variant
+            "control.variant": "two_impulse", "grid.dim": 1, "grid.L": float,
+            "grid.M": int, **_TAIL, **{f"control.{k}": float for k in _CONTROL_PARAMS},
+            "control.cg_tolerance": 1e-10, "control.max_iterations": 5000}),
+    "cost-scaling": Experiment(
+        "control cost against the exponential budget", "control cost bound",
+        _run_cost_scaling, {
+            **_grid_keys(20.0, 256), "control.sigma": 0.8,
+            "cost.gaps": [0.25, 0.5, 1.0, 2.0], "cost.radius": 2.0,
+            "cost.fixed_gap": 0.5, "cost.penalty": 1e-6, "cost.error_target": 1e-3,
+            "cost.cg_tolerance": 1e-8}),
 }
 
 
 def list_experiments() -> str:
     lines = ["available experiments:"]
     width = max(len(name) for name in EXPERIMENTS)
-    for name, (description, theorem, _) in EXPERIMENTS.items():
-        lines.append(f"  {name.ljust(width)}  {description} [{theorem}]")
+    for name, entry in EXPERIMENTS.items():
+        lines.append(f"  {name.ljust(width)}  {entry.description} [{entry.theorem}]")
     return "\n".join(lines)
 
 
@@ -689,7 +700,7 @@ def _format_cell(value) -> str:
 
 
 def write_outputs(result: ExperimentResult, out_path: Path, experiment: str,
-                  theorem: str, config: Config, seed: int) -> None:
+                  theorem: str, config: Dict[str, object], seed: int) -> None:
     columns = list(result.rows[0])
     lines = [",".join(columns)]
     for row in result.rows:
@@ -699,7 +710,7 @@ def write_outputs(result: ExperimentResult, out_path: Path, experiment: str,
         "experiment": experiment,
         "theorem": theorem,
         "seed": seed,
-        "config": {k: config.values[k] for k in sorted(config.values)},
+        "config": {k: config[k] for k in sorted(config)},
         "versions": {"schrodlab": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "results": result.summary,
@@ -742,11 +753,9 @@ def main(argv: Sequence[str] = None) -> int:
         print(f"error: unknown experiment {args.experiment!r}; "
               f"run 'schrodlab list' for the catalog", file=sys.stderr)
         return 2
-
-    try:
-        config = Config(load_config(args.config)) if args.config else Config({})
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.seed < 0:
+        print(f"error: --seed must be a non-negative integer, got {args.seed}",
+              file=sys.stderr)
         return 2
 
     out_path = Path(args.out) if args.out else Path(f"{args.experiment}.csv")
@@ -755,9 +764,11 @@ def main(argv: Sequence[str] = None) -> int:
               file=sys.stderr)
         return 2
 
-    description, theorem, runner = EXPERIMENTS[args.experiment]
+    entry = EXPERIMENTS[args.experiment]
     try:
-        result = runner(config, args.seed, max(1, args.threads))
+        values = load_config(args.config) if args.config else {}
+        config = resolve(entry.keys, values, args.experiment)
+        result = entry.runner(config, args.seed, max(1, args.threads))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -765,7 +776,7 @@ def main(argv: Sequence[str] = None) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 
-    write_outputs(result, out_path, args.experiment, theorem, config, args.seed)
+    write_outputs(result, out_path, args.experiment, entry.theorem, values, args.seed)
     print(f"wrote {out_path} and {out_path.with_suffix('.json')}")
     return 0
 

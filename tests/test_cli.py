@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,15 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def forbid_run(monkeypatch, experiment):
+    """Swap the experiment's runner for one that fails the test if called."""
+    def no_run(*args, **kwargs):
+        raise AssertionError(f"{experiment} must be rejected before it runs")
+
+    monkeypatch.setitem(EXPERIMENTS, experiment,
+                        replace(EXPERIMENTS[experiment], runner=no_run))
 
 
 class TestConfigParsing:
@@ -55,6 +65,26 @@ class TestConfigParsing:
     def test_unreadable_path_rejected(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/nowhere.cfg")
+
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        cfg = write(tmp_path, "twice.cfg",
+                    "grid.M = 64\ngrid.L = 10.0\ngrid.M = 128\n")
+        with pytest.raises(ConfigError,
+                           match=r"twice.cfg:3: key 'grid.M' repeats line 1"):
+            load_config(cfg)
+        assert main(["uncertainty", "--config", cfg,
+                     "--out", str(tmp_path / "u.csv")]) == 2
+        assert "'grid.M' repeats line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [[1, 2], 3.5, "grid.M = 64", None])
+    def test_json_top_level_must_be_object(self, tmp_path, capsys, data):
+        cfg = write(tmp_path, "top.json", json.dumps(data))
+        with pytest.raises(ConfigError, match="must hold a JSON object"):
+            load_config(cfg)
+        assert main(["uncertainty", "--config", cfg,
+                     "--out", str(tmp_path / "u.csv")]) == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "u.csv").exists()
 
 
 class TestExitCodes:
@@ -92,20 +122,35 @@ class TestExitCodes:
         assert not (tmp_path / "e.csv").exists()
 
     def test_missing_output_directory(self, tmp_path, capsys, monkeypatch):
-        def no_run(*args, **kwargs):
-            raise AssertionError("the output path must be checked before the run")
-
-        description, theorem, _ = EXPERIMENTS["propagate"]
-        monkeypatch.setitem(EXPERIMENTS, "propagate", (description, theorem, no_run))
+        forbid_run(monkeypatch, "propagate")
         out = tmp_path / "missing" / "p.csv"
         assert main(["propagate", "--out", str(out)]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["empirical-constant", "spectral-ineq-27",
+                                            "bridge", "control-solve"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, monkeypatch, experiment):
+        forbid_run(monkeypatch, experiment)
+        assert main([experiment, "--seed", "-1",
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert "--seed must be a non-negative integer" in capsys.readouterr().err
 
     def test_counterexample_k_must_be_integers(self, tmp_path, capsys):
         cfg = write(tmp_path, "k.cfg", "grid.M = 64\ncounterexample.k = 1.5, 2, 4\n")
         assert main(["counterexample", "--config", cfg,
                      "--out", str(tmp_path / "k.csv")]) == 2
         assert "integer list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, named", [
+        ("counterexample.family = bogus", "unknown family 'bogus'"),
+        ("counterexample.profile = bogus", "unknown profile 'bogus'"),
+    ])
+    def test_counterexample_family_and_profile_named(self, tmp_path, capsys, line,
+                                                     named):
+        cfg = write(tmp_path, "f.cfg", f"grid.M = 64\n{line}\n")
+        assert main(["counterexample", "--config", cfg,
+                     "--out", str(tmp_path / "f.csv")]) == 2
+        assert named in capsys.readouterr().err
 
     def test_non_numeric_list_entry_named(self, tmp_path, capsys):
         cfg = write(tmp_path, "r.cfg", "grid.M = 64\nuncertainty.radii = 0.5, abc\n")
@@ -164,6 +209,69 @@ class TestExitCodes:
         assert summary["config"]["grid.M"] == 64  # config echo
         assert summary["seed"] == 0
         assert "numpy" in summary["versions"]
+
+
+class TestKeyTables:
+    """Every config key is declared by its experiment's key table; any other
+    key is rejected before the experiment runs."""
+
+    @pytest.mark.parametrize("experiment, text, named", [
+        ("uncertainty", "grid.m = 64\nuncertainty.radiis = 0.5\n",
+         ["'grid.m'", "'uncertainty.radiis'"]),
+        ("empirical-constant", "grid.M = 64\ntail_tolerance = 1e-6\n",
+         ["'tail_tolerance'"]),
+    ])
+    def test_unknown_keys_rejected_before_run(self, tmp_path, capsys, monkeypatch,
+                                              experiment, text, named):
+        forbid_run(monkeypatch, experiment)
+        cfg = write(tmp_path, "typo.cfg", text)
+        assert main([experiment, "--config", cfg,
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config key" in err and f"experiment {experiment!r}" in err
+        for key in named:
+            assert key in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_parameter_of_another_variant_rejected_before_solving(
+            self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("validation must precede the control solves")
+
+        monkeypatch.setattr(cli, "calibrate_observation_weight", no_solve)
+        monkeypatch.setattr(cli, "solve_control", no_solve)
+        cfg = write(tmp_path, "v.cfg",
+                    "control.variant = ball_null\ncontrol.tau1 = 0\n")
+        assert main(["control-solve", "--config", cfg,
+                     "--out", str(tmp_path / "v.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "ball_null" in err and "'tau1'" in err
+
+    def test_tail_tolerance_only_where_the_tail_is_checked(self):
+        tail = {"propagate", "verify-identity", "uncertainty", "two-time-observability",
+                "interpolation-12", "two-ball-13", "moment-34", "control-solve"}
+        assert {name for name, entry in EXPERIMENTS.items()
+                if "tail_tolerance" in entry.keys} == tail
+
+    def test_readme_keys_declared(self):
+        text = README.read_text()
+        # the study.cfg example is a counterexample config
+        study = text.split("# study.cfg\n", 1)[1].split("```", 1)[0]
+        study_keys = [line.split("=")[0].strip() for line in study.splitlines()]
+        assert study_keys
+        assert set(study_keys) <= set(EXPERIMENTS["counterexample"].keys)
+        # the control-solve paragraph and its variant table, whose last column
+        # names each variant's own keys without the control. prefix
+        control = text.split("`control-solve` builds its problem", 1)[1]
+        control = control.split("\n## ", 1)[0]
+        named = re.findall(r"(?<![\w.])((?:grid|control)\.\w+)", control)
+        own = [f"control.{key}" for key in re.findall(r"`(\w+) = ", control)]
+        assert len(own) == 6
+        assert set(named + own) <= set(EXPERIMENTS["control-solve"].keys)
+        # every other dotted key is declared by some experiment
+        declared = {key for entry in EXPERIMENTS.values() for key in entry.keys}
+        dotted = set(re.findall(r"`([a-z_]+\.[A-Za-z_]\w*)", text))
+        assert {key for key in dotted if not key.startswith("schrodlab.")} <= declared
 
 
 class TestDeterminism:

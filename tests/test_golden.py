@@ -1,9 +1,11 @@
-"""Golden outputs: three cheap CLI runs must keep writing the same bytes.
+"""Golden outputs: cheap CLI runs must keep writing the same bytes.
 
-Performance work is meant to leave every output unchanged; these runs pin
-that.  The CSV must match byte for byte, and the JSON summary too once its
-"versions" entry (numpy/scipy versions, which vary between environments) is
-set aside.  A change that means to move an output regenerates the files with
+Performance work and refactoring are meant to leave every output unchanged;
+these runs pin that: three chosen configurations, and every experiment at its
+CLI defaults (an empty config).  The CSV must match byte for byte, and the
+JSON summary too once its "versions" entry (numpy/scipy versions, which vary
+between environments) is set aside.  A change that means to move an output
+regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from schrodlab.cli import main
+from schrodlab.cli import EXPERIMENTS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = 7
@@ -29,6 +31,7 @@ RUNS = {
     "control-two_impulse": ("control-solve", "control.variant = two_impulse\n"),
     "control-sobolev_dual_approx": ("control-solve",
                                     "control.variant = sobolev_dual_approx\n"),
+    **{f"defaults-{experiment}": (experiment, "") for experiment in EXPERIMENTS},
 }
 
 
