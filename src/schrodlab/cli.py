@@ -28,9 +28,10 @@ from .fitting import affine_fit
 from .control import (VARIANTS, calibrate_observation_weight, cost_scaling_study,
                       solve_control, variant_problem)
 from .counterexamples import SequenceSpec, decay_study
-from .inequalities import (bandlimited_sample, empirical_constant,
-                           equivalence_bridge_check, euler_bound,
-                           euler_integral, extremal_bandlimited_concentration,
+from .inequalities import (bandlimited_sample, check_band_radius,
+                           empirical_constant, equivalence_bridge_check,
+                           euler_bound, euler_integral,
+                           extremal_bandlimited_concentration,
                            fit_interpolation_12, interpolation_report_12,
                            moment_check_34, smallest_euler_constant,
                            spectral_inequality_report, two_ball_report_13,
@@ -73,10 +74,23 @@ def _parse_value(text: str):
     return _parse_scalar(text)
 
 
+def _unique_object(pairs) -> Dict[str, object]:
+    """json object_pairs_hook: a key repeated within one object is an error."""
+    obj: Dict[str, object] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"key {key!r} repeats in one JSON object")
+        obj[key] = value
+    return obj
+
+
 def _flatten(prefix: str, obj, out: Dict[str, object]):
     if isinstance(obj, dict):
         for key, value in obj.items():
             _flatten(f"{prefix}.{key}" if prefix else str(key), value, out)
+    elif prefix in out:
+        raise ConfigError(f"key {prefix!r} is set twice (nested objects "
+                          f"flatten to dotted keys)")
     else:
         out[prefix] = obj
 
@@ -89,7 +103,7 @@ def load_config(path: str) -> Dict[str, object]:
         raise ConfigError(f"config file {path!r} is not readable: {exc}") from exc
     if p.suffix.lower() == ".json":
         try:
-            data = json.loads(text)
+            data = json.loads(text, object_pairs_hook=_unique_object)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -357,10 +371,10 @@ def _run_two_ball_13(config: dict, seed: int, threads: int) -> ExperimentResult:
 def _run_spectral_ineq(config: dict, seed: int, threads: int) -> ExperimentResult:
     grid = _grid_from(config)
     bands, samples = config["spectral.bands"], config["spectral.samples"]
-    if max(bands) >= grid.nyquist:
-        raise ConfigError(
-            f"band radius {max(bands)} is not below the Nyquist frequency "
-            f"{grid.nyquist:.4g}")
+    try:
+        check_band_radius(grid, max(bands))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     tuples = [(r, n) for r in config["spectral.radii"] for n in bands]
 
     def one(pair) -> Dict[str, object]:

@@ -32,22 +32,21 @@ ones, i.e. kappa^{-1} times the duality controls y*.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .field import (DEFAULT_EXPONENT_CAP, Field, Grid, Region, Weight, ball,
+from .field import (EXPONENT_CAP, Field, Grid, Region, Weight, ball,
                     ball_complement, gaussian_state, l2_norm, make_grid)
 from .fitting import FitResult, affine_fit
 from .inequalities import prior_sobolev_order
-from .solvers import CGResult, conjugate_gradient, lanczos_smallest
-from .transform import (fft_symbol, propagate_values, propagator_symbol,
-                        spectral_multiply)
+from .solvers import CGResult, Operator, conjugate_gradient, lanczos_smallest
+from .transform import (fft_symbol, flow_gram, propagate_values,
+                        propagator_symbol, spectral_multiply)
 
 IMPULSE_JUMP = -1j
 
-ERROR_NORMS = ("l2", "restricted", "dual_weighted", "shifted_dual_weighted",
-               "sobolev_dual")
+ERROR_NORMS = ("l2", "restricted", "dual_weighted", "sobolev_dual")
 REACH_KINDS = ("identity", "restricted", "masked_dual", "dual")
 
 
@@ -56,15 +55,12 @@ class ErrorNorm:
     """Terminal-error norm, i.e. the dual norm of the dual-state space Z."""
 
     kind: str
-    amplitude: float = 0.0          # a (dual_weighted, sobolev_dual) or b (shifted)
-    center: Tuple[float, ...] = ()  # x' for the shifted weight
-    sobolev_order: Optional[float] = None  # defaults to prior_sobolev_order(dim)
+    amplitude: float = 0.0  # a of the e^{a|x|} weight (dual_weighted, sobolev_dual)
 
     def __post_init__(self):
         if self.kind not in ERROR_NORMS:
             raise ValueError(f"unknown error norm {self.kind!r}")
-        if self.kind in ("dual_weighted", "shifted_dual_weighted", "sobolev_dual") \
-                and not self.amplitude > 0:
+        if self.kind in ("dual_weighted", "sobolev_dual") and not self.amplitude > 0:
             raise ValueError(f"error norm {self.kind!r} needs a positive amplitude")
 
 
@@ -176,59 +172,19 @@ def variant_problem(name: str, grid: Optional[Grid] = None, **params) -> Impulse
 
 
 # ---------------------------------------------------------------------------
-# the Z geometry: weight operator and subspace projection
+# the Z geometry: the pieces of the weight operator W
 
 
-def _z_projection(problem: ImpulseProblem) -> Optional[np.ndarray]:
-    if problem.error_norm.kind == "restricted":
-        return problem.reach_region.indicator(problem.grid)
-    return None
-
-
-def _sobolev_order(norm: ErrorNorm, dim: int) -> float:
-    return norm.sobolev_order if norm.sobolev_order is not None \
-        else prior_sobolev_order(dim)
-
-
-def _sobolev_symbol(grid: Grid, norm: ErrorNorm, power: float = 1.0) -> np.ndarray:
-    """(1+|xi|^2)^{power * order} in FFT order, for spectral_multiply."""
-    order = _sobolev_order(norm, grid.dim)
+def _sobolev_symbol(grid: Grid, power: float = 1.0) -> np.ndarray:
+    """(1+|xi|^2)^{power * (n+3)} in FFT order, for spectral_multiply."""
+    order = prior_sobolev_order(grid.dim)
     return fft_symbol(grid, (1.0 + grid.dual().radius_sq()) ** (power * order))
 
 
 def _norm_weight(grid: Grid, norm: ErrorNorm, sign: str = "grow") -> np.ndarray:
-    """The capped density e^{+-a|x - x'|} of the weighted Z geometries."""
-    weight, _ = Weight(norm.amplitude, 1.0, sign, center=norm.center).evaluate(grid)
+    """The capped density e^{+-a|x|} of the weighted Z geometries."""
+    weight, _ = Weight(norm.amplitude, 1.0, sign).evaluate(grid)
     return weight
-
-
-def z_weight_apply(problem: ImpulseProblem) -> Callable[[np.ndarray], np.ndarray]:
-    """The Z-norm operator W as a matrix-free callable (Hermitian, PD)."""
-    grid = problem.grid
-    norm = problem.error_norm
-    if norm.kind in ("l2", "restricted"):
-        return lambda v: v.copy()
-    diag = _norm_weight(grid, norm)
-    if norm.kind in ("dual_weighted", "shifted_dual_weighted"):
-        return lambda v: diag * v
-    # sobolev_dual: e^{a|x|} 'plus' the H^{order} spectral multiplier
-    symbol = _sobolev_symbol(grid, norm)
-    return lambda v: diag * v + spectral_multiply(grid, v, symbol)
-
-
-def z_weight_bound(problem: ImpulseProblem) -> float:
-    """An upper bound for ||W|| (used to bracket Lanczos spectra)."""
-    grid = problem.grid
-    norm = problem.error_norm
-    if norm.kind in ("l2", "restricted"):
-        return 1.0
-    reach = grid.half_extent * np.sqrt(grid.dim)
-    if norm.center:
-        reach += float(np.linalg.norm(norm.center))
-    diag_max = float(np.exp(min(norm.amplitude * reach, DEFAULT_EXPONENT_CAP)))
-    if norm.kind != "sobolev_dual":
-        return diag_max
-    return diag_max + (1.0 + grid.dim * grid.nyquist ** 2) ** _sobolev_order(norm, grid.dim)
 
 
 def _quad(values: np.ndarray, applied: np.ndarray, grid: Grid) -> float:
@@ -282,49 +238,65 @@ def reachability_map(problem: ImpulseProblem):
            (lambda v: spectral_multiply(grid, mask * v, forward))
 
 
-def _observation_apply(problem: ImpulseProblem):
-    """Matrix-free O*O on raw arrays; the propagator symbols are built here,
-    once, and an impulse at the horizon is the exact identity flow."""
-    grid = problem.grid
-    horizon = problem.horizon
-    terms = []
-    for tau, region in problem.impulses:
-        symbols = None if tau == horizon else (
-            propagator_symbol(grid, tau - horizon), propagator_symbol(grid, horizon - tau))
-        terms.append((region.indicator(grid), symbols))
+@dataclass(frozen=True)
+class ProblemOperators:
+    """The matrix-free operators of one control problem, on raw arrays."""
 
-    def apply_gram(v: np.ndarray) -> np.ndarray:
-        acc = np.zeros_like(v)
-        for mask, symbols in terms:
-            if symbols is None:
-                acc += mask * v
-                continue
-            backward, forward = symbols
-            acc += spectral_multiply(grid, mask * spectral_multiply(grid, v, backward),
-                                     forward)
-        return acc
-
-    return apply_gram
+    gram: Operator                     # O*O
+    weight: Operator                   # W, the Z-norm operator (Hermitian, PD)
+    weight_bound: float                # an upper bound for ||W||
+    normal: Operator                   # C0 O*O + eps0 W, projected onto Z
+    precondition: Optional[Operator]   # approximate inverse of `normal`
+    reach: Operator                    # R
+    reach_star: Operator               # R*
+    projection: Optional[np.ndarray]   # indicator of Z; None when Z is all of L2
+    density: Optional[np.ndarray]      # X*-side datum density; None for plain L2
 
 
-def _normal_preconditioner(problem: ImpulseProblem):
-    """Approximate inverse of C0 O*O + eps0 W for the weighted Z geometries.
+def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
+    """Build every operator of the problem once, propagator symbols included.
 
-    The penalty weight is what stretches the spectrum (e^{a|x|} reaches
-    e^{aL}, the Sobolev multiplier (1+|xi|^2)^{n+3} reaches ~1e12), and it is
-    diagonal in x (resp. xi), so a diagonal inverse in the matching domain
-    restores CG's reach to tight residuals.  The observation part is kept as
+    This is where the error-norm kind picks W: the identity for "l2" and
+    "restricted", the capped density e^{a|x|} for "dual_weighted", and that
+    density plus the H^{n+3} multiplier (1+|xi|^2)^{n+3} for "sobolev_dual".
+    The preconditioner inverts C0 + eps0 Sigma, with Sigma the part of W
+    that stretches the spectrum (e^{a|x|} reaches e^{aL}, the Sobolev
+    multiplier ~1e12).  Sigma is diagonal in x (resp. xi), so its inverse
+    restores CG's reach to tight residuals; the observation part is kept as
     the constant C0 (its symbol is at most 1 per impulse)."""
     grid = problem.grid
     norm = problem.error_norm
     c0, eps0 = problem.observation_weight, problem.penalty
+    gram = flow_gram(grid, [(tau - problem.horizon, region)
+                            for tau, region in problem.impulses])
+    projection = problem.reach_region.indicator(grid) \
+        if norm.kind == "restricted" else None
     if norm.kind in ("l2", "restricted"):
-        return None
-    if norm.kind in ("dual_weighted", "shifted_dual_weighted"):
-        inv = 1.0 / (c0 + eps0 * _norm_weight(grid, norm))
-        return lambda v: inv * v
-    inv = 1.0 / (c0 + eps0 * _sobolev_symbol(grid, norm))
-    return lambda v: spectral_multiply(grid, v, inv)
+        weight, bound, precondition = (lambda v: v.copy()), 1.0, None
+    else:
+        diag = _norm_weight(grid, norm)
+        extent = grid.half_extent * np.sqrt(grid.dim)
+        bound = float(np.exp(min(norm.amplitude * extent, EXPONENT_CAP)))
+        if norm.kind == "dual_weighted":
+            inv = 1.0 / (c0 + eps0 * diag)
+            weight, precondition = (lambda v: diag * v), (lambda v: inv * v)
+        else:  # sobolev_dual: e^{a|x|} 'plus' the H^{n+3} spectral multiplier
+            symbol = _sobolev_symbol(grid)
+            inv = 1.0 / (c0 + eps0 * symbol)
+            order = prior_sobolev_order(grid.dim)
+            bound += (1.0 + grid.dim * grid.nyquist ** 2) ** order
+            weight = (lambda v: diag * v + spectral_multiply(grid, v, symbol))
+            precondition = (lambda v: spectral_multiply(grid, v, inv))
+    reach, reach_star = reachability_map(problem)
+    density = None if problem.datum_weight is None \
+        else problem.datum_weight.evaluate(grid)[0]
+
+    def normal(v: np.ndarray) -> np.ndarray:
+        out = c0 * gram(v) + eps0 * weight(v)
+        return projection * out if projection is not None else out
+
+    return ProblemOperators(gram, weight, bound, normal, precondition, reach,
+                            reach_star, projection, density)
 
 
 def datum_field(problem: ImpulseProblem) -> Field:
@@ -349,13 +321,6 @@ def datum_norm_sq(problem: ImpulseProblem, f: Field) -> float:
         raise ValueError("datum weight overflowed its exponent cap")
     h = problem.grid.spacing
     return float(np.sum(w * np.abs(f.values) ** 2) * h ** problem.grid.dim)
-
-
-def _datum_density(problem: ImpulseProblem) -> Optional[np.ndarray]:
-    if problem.datum_weight is None:
-        return None
-    w, _ = problem.datum_weight.evaluate(problem.grid)
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -395,35 +360,28 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
                   max_iter: int = 5000) -> ControlSolution:
     """Minimize the penalized dual functional and synthesize the controls.
 
-    CG stagnation raises through the returned CGResult flag; indefiniteness
-    aborts inside the solver (adjoint bug).  All budget quantities of the
-    duality lemma are reported, never asserted here.
+    CG stagnation is reported in the returned `cg.converged` flag, never
+    raised; indefiniteness aborts inside the solver (adjoint bug).  All
+    budget quantities of the duality lemma are reported, never asserted here.
 
-    Null control from ball-supported data is enforced by masking: the initial
-    state is restricted to the reach region before anything else happens.
+    Null control steers the datum itself to zero, so the simulation starts
+    from it: for ball-supported data that is the initial state restricted to
+    the reach region.
     """
-    if problem.reach == "masked_dual":
-        mask = problem.reach_region.indicator(problem.grid)
-        problem = replace(problem, initial_state=Field(
-            problem.grid, mask * problem.initial_state.values))
+    f = datum_field(problem)
+    if problem.target is None:
+        problem = replace(problem, initial_state=f)
     grid = problem.grid
     h_scale = grid.spacing ** grid.dim
-    apply_w = z_weight_apply(problem)
-    apply_gram = _observation_apply(problem)
-    projection = _z_projection(problem)
-    apply_r, apply_r_star = reachability_map(problem)
+    ops = problem_operators(problem)
+    projection = ops.projection
     c0, eps0 = problem.observation_weight, problem.penalty
 
-    def normal_op(v: np.ndarray) -> np.ndarray:
-        out = c0 * apply_gram(v) + eps0 * apply_w(v)
-        return projection * out if projection is not None else out
-
-    f = datum_field(problem)
-    rhs = apply_r_star(f.values)
+    rhs = ops.reach_star(f.values)
     if projection is not None:
         rhs = projection * rhs
-    cg = conjugate_gradient(normal_op, rhs, tol=tol, max_iter=max_iter,
-                            precondition=_normal_preconditioner(problem))
+    cg = conjugate_gradient(ops.normal, rhs, tol=tol, max_iter=max_iter,
+                            precondition=ops.precondition)
     z_star = cg.solution
 
     observations = observation_map(Field(grid, z_star), problem)
@@ -434,7 +392,7 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
     sign = 1.0 if problem.target is not None else -1.0
     controls = [Field(grid, sign * kappa_inv * y.values) for y in y_star]
 
-    w_z = apply_w(z_star)
+    w_z = ops.weight(z_star)
     quad_w = _quad(z_star, w_z, grid)              # <W z*, z*>
     cost = sum(l2_norm(h) ** 2 for h in controls)
     terminal_error = eps0 * np.sqrt(max(quad_w, 0.0))
@@ -442,7 +400,7 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
 
     # optimality and duality residuals (relative to ||R* f||)
     rhs_norm = np.linalg.norm(rhs) * np.sqrt(h_scale)
-    residual_vec = normal_op(z_star) - rhs
+    residual_vec = ops.normal(z_star) - rhs
     optimality = float(np.linalg.norm(residual_vec) * np.sqrt(h_scale)
                        / max(rhs_norm, np.finfo(float).tiny))
     o_star_y = control_map(y_star, problem)
@@ -492,7 +450,7 @@ def _error_diagnostics(problem: ImpulseProblem, error_field: Field) -> Dict[str,
     decay = _norm_weight(grid, norm, "decay")
     values, key = error_field.values, "simulated_error_dual"
     if norm.kind == "sobolev_dual":
-        values = spectral_multiply(grid, values, _sobolev_symbol(grid, norm, -0.5))
+        values = spectral_multiply(grid, values, _sobolev_symbol(grid, -0.5))
         key = "simulated_error_dual_approx"
     val = float(np.sum(decay * np.abs(values) ** 2) * grid.spacing ** grid.dim)
     out[key] = float(np.sqrt(val))
@@ -515,7 +473,6 @@ class Margin(float):
 
 
 def observability_margin(problem: ImpulseProblem, seed: int = 0,
-                         max_iter: int = None, tol: float = 1e-8,
                          stop_below: float = None) -> Margin:
     """Smallest eigenvalue of C0 O*O + eps0 W - R* V R on the Z subspace.
 
@@ -523,39 +480,35 @@ def observability_margin(problem: ImpulseProblem, seed: int = 0,
     the problem's constants, hence the validity of the budget bound.  With
     `stop_below` set, the solve stops as soon as it proves the margin is
     below it, and returns that upper bound (see `lanczos_smallest`)."""
-    grid = problem.grid
-    apply_w = z_weight_apply(problem)
-    apply_gram = _observation_apply(problem)
-    apply_r, apply_r_star = reachability_map(problem)
-    projection = _z_projection(problem)
-    density = _datum_density(problem)
+    ops = problem_operators(problem)
+    projection, density = ops.projection, ops.density
     c0, eps0 = problem.observation_weight, problem.penalty
 
     def apply_h(v: np.ndarray) -> np.ndarray:
         zv = projection * v if projection is not None else v
-        rv = apply_r(zv)
+        rv = ops.reach(zv)
         if density is not None:
             # X-norm density for R z is the dual of the datum density
             rv = rv / density
-        out = c0 * apply_gram(zv) + eps0 * apply_w(zv) - apply_r_star(rv)
+        # R* already maps into Z (the restricted reach masks by Z's own
+        # region), so only the normal operator needs the projection
+        out = ops.normal(zv) - ops.reach_star(rv)
         if projection is None:
             return out
         # off-subspace directions are not part of Z; give them a positive
         # placeholder so they cannot masquerade as the smallest eigenvalue
-        return projection * out + eps0 * (v - zv)
+        return out + eps0 * (v - zv)
 
-    upper = c0 * len(problem.impulses) + eps0 * z_weight_bound(problem) + 1.0
-    result = lanczos_smallest(apply_h, grid.node_count, upper_bound=upper,
-                              max_iter=max_iter, seed=seed, tol=tol,
-                              stop_below=stop_below)
+    upper = c0 * len(problem.impulses) + eps0 * ops.weight_bound + 1.0
+    result = lanczos_smallest(apply_h, problem.grid.node_count, upper_bound=upper,
+                              seed=seed, tol=1e-8, stop_below=stop_below)
     return Margin(result.eigenvalue, result.residual)
 
 
 def calibrate_observation_weight(problem: ImpulseProblem, seed: int = 0,
-                                 start: float = 1.0, max_doublings: int = 48,
-                                 safety: float = 2.0) -> ImpulseProblem:
-    """Return the problem with C0 raised until the discrete observability
-    inequality holds, then multiplied by `safety`.
+                                 max_doublings: int = 48) -> ImpulseProblem:
+    """Return the problem with C0 doubled from 1 until the discrete
+    observability inequality holds, then doubled once more for safety.
 
     A candidate is admissible when its margin is at least its own Ritz
     residual, so the eigenvalue it approximates is certainly nonnegative.
@@ -563,17 +516,17 @@ def calibrate_observation_weight(problem: ImpulseProblem, seed: int = 0,
     whose margin is nonnegative never meets that stop, so the accepting
     solve runs exactly as a full one.
     The margin is nondecreasing in C0, so doubling terminates whenever a
-    valid C0 exists below start * 2^max_doublings.  Beyond that the penalty
+    valid C0 exists below 2^max_doublings.  Beyond that the penalty
     is too small for the observation pattern (on a truncated box the hidden
     states have weighted norms capped near e^{aL}, which floors the
     admissible penalty), and the failure is reported rather than forcing an
     ill-conditioned solve."""
-    c0 = start
+    c0 = 1.0
     for _ in range(max_doublings):
         candidate = replace(problem, observation_weight=c0)
         margin = observability_margin(candidate, seed=seed, stop_below=0.0)
         if margin >= margin.residual:
-            return replace(problem, observation_weight=safety * c0)
+            return replace(problem, observation_weight=2.0 * c0)
         c0 *= 2.0
     raise RuntimeError(
         "no admissible observation weight found below the conditioning cap; "
@@ -597,8 +550,8 @@ class CostScalingStudy:
 def cost_scaling_study(grid: Grid, u0: Field, target: Field,
                        gaps: Sequence[float], radii: Sequence[float],
                        eps0: float = 1e-6, error_target: float = 1e-3,
-                       fixed_gap: float = None, doubled_radius_factor: float = np.sqrt(2.0),
-                       tol: float = 1e-8, seed: int = 0) -> CostScalingStudy:
+                       fixed_gap: float = None, tol: float = 1e-8,
+                       seed: int = 0) -> CostScalingStudy:
     """Normalized control cost against r1 r2 / gap for two-impulse problems.
 
     Each configuration is calibrated (C0 from the matrix-free margin), solved,
@@ -622,7 +575,7 @@ def cost_scaling_study(grid: Grid, u0: Field, target: Field,
                      model="log-affine")
     doubling_rows: List[Dict[str, float]] = []
     if fixed_gap is not None:
-        for factor in (1.0, doubled_radius_factor):
+        for factor in (1.0, np.sqrt(2.0)):
             row = _solve_scaled(grid, u0, target, fixed_gap, r * factor, r * factor,
                                 eps0, error_target, tol, seed)
             if row is not None:

@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 # exp(x) overflows double precision near x ~ 709.78
-DEFAULT_EXPONENT_CAP = 700.0
+EXPONENT_CAP = 700.0
 
 
 class GridError(ValueError):
@@ -233,7 +233,7 @@ class Weight:
 
     sign="grow" is e^{a|x|^beta}, sign="decay" is e^{-a|x|^beta}.  An optional
     center shifts |x| to |x - center| (the e^{-b|x-x'|} weights of the decay
-    estimates).  The exponent is capped at exponent_cap before exponentiating;
+    estimates).  The exponent is capped at EXPONENT_CAP before exponentiating;
     evaluate() reports whether the cap was hit.
     """
 
@@ -241,7 +241,6 @@ class Weight:
     exponent: float = 1.0
     sign: str = "grow"
     center: Tuple[float, ...] = ()
-    exponent_cap: float = DEFAULT_EXPONENT_CAP
 
     def __post_init__(self):
         if not self.amplitude > 0:
@@ -255,8 +254,8 @@ class Weight:
         """Weight values on the grid and whether the exponent cap tripped."""
         rsq = grid.radius_sq(self.center if self.center else None)
         arg = self.amplitude * rsq ** (self.exponent / 2.0)
-        capped = bool(np.any(arg > self.exponent_cap))
-        arg = np.minimum(arg, self.exponent_cap)
+        capped = bool(np.any(arg > EXPONENT_CAP))
+        arg = np.minimum(arg, EXPONENT_CAP)
         if self.sign == "decay":
             arg = -arg
         return np.exp(arg), capped

@@ -30,8 +30,8 @@ from .field import (
 )
 from .fitting import FitResult, affine_fit  # re-exported: fits live with reports
 from .solvers import LanczosResult, lanczos_smallest
-from .transform import (chirp_aliasing_ok, dft, fft_symbol, idft, propagate,
-                        propagator_symbol, spectral_multiply)
+from .transform import (chirp_aliasing_ok, dft, fft_symbol, flow_gram, idft,
+                        propagate, spectral_multiply)
 
 
 class AliasingError(ValueError):
@@ -179,22 +179,11 @@ def gramian_apply(grid: Grid, s: float, t: float,
     """Matrix-free G = M_A + P* M_B P with P the flow from time s to t."""
     if not t > s:
         raise ValueError("need T > S for the observability Gramian")
-    mask_a = region_a.indicator(grid)
-    mask_b = region_b.indicator(grid)
-    duration = t - s
-    forward = propagator_symbol(grid, duration)
-    backward = propagator_symbol(grid, -duration)
-
-    def apply_g(v: np.ndarray) -> np.ndarray:
-        flowed = mask_b * spectral_multiply(grid, v, forward)
-        return mask_a * v + spectral_multiply(grid, flowed, backward)
-
-    return apply_g
+    return flow_gram(grid, [(0.0, region_a), (t - s, region_b)])
 
 
 def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
-                       grid: Grid, max_iter: int = None, seed: int = 0,
-                       tol: float = 1e-11) -> EmpiricalConstant:
+                       grid: Grid, seed: int = 0) -> EmpiricalConstant:
     """Best discrete two-time observability constant 1/lambda_min(G).
 
     G is Hermitian PSD with spectrum in [0, 2]; its smallest eigenvalue is
@@ -214,7 +203,7 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
                 f"Gramian failed the self-adjointness test: |<Gf,g>-<f,Gg>| = {abs(lhs - rhs):.3e}"
             )
     result: LanczosResult = lanczos_smallest(
-        apply_g, n, upper_bound=2.0, max_iter=max_iter, seed=seed, tol=tol)
+        apply_g, n, upper_bound=2.0, seed=seed, tol=1e-11)
     lam = max(result.eigenvalue, 0.0)
     constant = float("inf") if lam == 0.0 else 1.0 / lam
     return EmpiricalConstant(lam, constant, Field(grid, result.eigenvector),
@@ -344,16 +333,20 @@ def two_ball_report_13(u0: Field, x_prime, x_dprime, r1: float, r2: float,
 # band-limited fields and the spectral inequality
 
 
+def check_band_radius(grid: Grid, band_radius: float) -> None:
+    """Reject a band radius at or above the grid Nyquist frequency."""
+    if band_radius >= grid.nyquist:
+        raise ValueError(
+            f"band radius {band_radius} is not below the Nyquist frequency "
+            f"{grid.nyquist:.6g}")
+
+
 def bandlimited_sample(grid: Grid, band_radius: float, seed: int) -> Field:
     """Unit-norm field with iid complex-Gaussian spectrum inside B_N(0).
 
     Deterministic in seed; rejects band radii at or above the grid Nyquist.
     """
-    if band_radius >= grid.nyquist:
-        raise ValueError(
-            f"band radius {band_radius} is not below the Nyquist frequency "
-            f"{grid.nyquist:.6g}"
-        )
+    check_band_radius(grid, band_radius)
     rng = np.random.default_rng(seed)
     coeffs = (rng.standard_normal(grid.node_count)
               + 1j * rng.standard_normal(grid.node_count)) / np.sqrt(2.0)
@@ -380,10 +373,7 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float,
     returned unit-norm field realizes the worst (largest) whole/outside energy
     ratio among band-limited fields on this grid, which is the discrete
     analogue of the spectral-inequality constant."""
-    if band_radius >= grid.nyquist:
-        raise ValueError(
-            f"band radius {band_radius} is not below the Nyquist frequency "
-            f"{grid.nyquist:.6g}")
+    check_band_radius(grid, band_radius)
     band = _band_symbol(grid, band_radius)
     ball_mask = ball(0.0, r, dim=grid.dim).indicator(grid)
 

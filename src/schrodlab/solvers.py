@@ -32,9 +32,8 @@ class CGResult:
 
 
 def conjugate_gradient(apply_op: Operator, rhs: np.ndarray, tol: float = 1e-10,
-                       max_iter: int = 5000, x0: np.ndarray = None,
-                       precondition: Operator = None) -> CGResult:
-    """(Preconditioned) CG for Hermitian positive-definite apply_op.
+                       max_iter: int = 5000, precondition: Operator = None) -> CGResult:
+    """(Preconditioned) CG for Hermitian positive-definite apply_op, from x = 0.
 
     Stops when the recursively updated residual r_k meets
     ||r_k|| <= tol * ||b||, regardless of the preconditioner, and reports
@@ -46,12 +45,8 @@ def conjugate_gradient(apply_op: Operator, rhs: np.ndarray, tol: float = 1e-10,
     b_norm = np.linalg.norm(rhs)
     if b_norm == 0.0:
         return CGResult(np.zeros_like(rhs), 0, 0.0, True)
-    if x0 is None:
-        x = np.zeros_like(rhs)
-        r = rhs.copy()
-    else:
-        x = x0.astype(np.complex128).copy()
-        r = rhs - apply_op(x)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
     z = precondition(r) if precondition is not None else r
     p = z.copy()
     rz_old = np.vdot(r, z).real

@@ -12,9 +12,11 @@ chirp/rescale map evaluates the flow at time T on the scaled dual lattice
 
 from __future__ import annotations
 
+from typing import Sequence, Tuple
+
 import numpy as np
 
-from .field import Field, Grid
+from .field import Field, Grid, Region
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
@@ -93,6 +95,32 @@ def propagator_symbol(grid: Grid, t: float) -> np.ndarray:
     Operators that apply the same flow time repeatedly (the Krylov matvecs)
     build it once, when the operator is built."""
     return np.exp(-1j * _fft_freq_sq(grid) * t)
+
+
+def flow_gram(grid: Grid, terms: Sequence[Tuple[float, Region]]):
+    """Matrix-free sum_i P(t_i)* M_i P(t_i) on raw arrays, for terms (t_i, region_i)
+    with P(t) the flow over time t and M_i the indicator of region_i.
+
+    Each propagator symbol is built once, here; a term at t_i = 0 is the
+    exact mask * v."""
+    built = []
+    for t, region in terms:
+        symbols = None if t == 0.0 else (propagator_symbol(grid, t),
+                                         propagator_symbol(grid, -t))
+        built.append((region.indicator(grid), symbols))
+
+    def apply_gram(v: np.ndarray) -> np.ndarray:
+        acc = np.zeros(v.shape, dtype=np.complex128)
+        for mask, symbols in built:
+            if symbols is None:
+                acc += mask * v
+                continue
+            forward, backward = symbols
+            acc += spectral_multiply(grid, mask * spectral_multiply(grid, v, forward),
+                                     backward)
+        return acc
+
+    return apply_gram
 
 
 def propagate_values(grid: Grid, values: np.ndarray, t: float) -> np.ndarray:

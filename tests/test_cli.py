@@ -76,6 +76,18 @@ class TestConfigParsing:
                      "--out", str(tmp_path / "u.csv")]) == 2
         assert "'grid.M' repeats line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ['{"grid.M": 64, "grid.M": 128}',
+                                      '{"grid.M": 64, "grid": {"M": 128}}',
+                                      '{"grid": {"M": 128}, "grid.M": 64}'])
+    def test_json_key_set_twice_named(self, tmp_path, capsys, monkeypatch, text):
+        forbid_run(monkeypatch, "uncertainty")
+        cfg = write(tmp_path, "twice.json", text)
+        with pytest.raises(ConfigError, match="'grid.M'"):
+            load_config(cfg)
+        assert main(["uncertainty", "--config", cfg,
+                     "--out", str(tmp_path / "u.csv")]) == 2
+        assert "'grid.M'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("data", [[1, 2], 3.5, "grid.M = 64", None])
     def test_json_top_level_must_be_object(self, tmp_path, capsys, data):
         cfg = write(tmp_path, "top.json", json.dumps(data))
@@ -134,6 +146,18 @@ class TestExitCodes:
         assert main([experiment, "--seed", "-1",
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert "--seed must be a non-negative integer" in capsys.readouterr().err
+
+    def test_band_beyond_nyquist_rejected_before_solving(self, tmp_path, capsys,
+                                                         monkeypatch):
+        for name in ("bandlimited_sample", "extremal_bandlimited_concentration"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail(
+                "validation must precede the spectral solves"))
+        # L = 10, M = 64: the Nyquist frequency pi / h is 10.05
+        cfg = write(tmp_path, "band.cfg", "grid.M = 64\nspectral.bands = 1.0, 11.0\n")
+        assert main(["spectral-ineq-27", "--config", cfg,
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert "band radius 11.0 is not below the Nyquist" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_counterexample_k_must_be_integers(self, tmp_path, capsys):
         cfg = write(tmp_path, "k.cfg", "grid.M = 64\ncounterexample.k = 1.5, 2, 4\n")

@@ -12,8 +12,8 @@ from schrodlab.control import (VARIANTS, ErrorNorm, ImpulseProblem,
                                calibrate_observation_weight,
                                control_map, cost_scaling_study, datum_field,
                                observability_margin, observation_map,
-                               reachability_map, simulate_forward, solve_control,
-                               variant_problem, z_weight_apply)
+                               problem_operators, reachability_map,
+                               simulate_forward, solve_control, variant_problem)
 from schrodlab.field import (Field, dot, gaussian_state, l2_norm, make_grid,
                              whole_space)
 from schrodlab.solvers import lanczos_smallest
@@ -129,9 +129,8 @@ class TestSolve:
         rng = np.random.default_rng(4)
         problem = replace(variant_problem("two_impulse", penalty=1e-3),
                           observation_weight=2.0)
-        apply_w = z_weight_apply(problem)
-        from schrodlab.control import _observation_apply
-        gram = _observation_apply(problem)
+        ops = problem_operators(problem)
+        apply_w, gram = ops.weight, ops.gram
         for _ in range(20):
             z = rng.standard_normal(GRID.node_count) \
                 + 1j * rng.standard_normal(GRID.node_count)

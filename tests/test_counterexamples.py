@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from schrodlab import counterexamples
 from schrodlab.counterexamples import (DecayStudy, ResolvabilityError,
                                        SequenceSpec, base_profile,
                                        concentrated_profile, decay_study,
@@ -118,6 +119,19 @@ class TestDecayStudy:
         a = coarse.rows[0]["time_integral_inside"]
         b = fine.rows[0]["time_integral_inside"]
         assert abs(a - b) <= 5e-3 * b
+
+    def test_time_reversed_spreads_once_per_k(self, monkeypatch):
+        spreads = []
+        real = counterexamples._spread_radii
+
+        def counted(f):
+            spreads.append(f)
+            return real(f)
+
+        monkeypatch.setattr(counterexamples, "_spread_radii", counted)
+        spec = SequenceSpec("time_reversed", x_dprime=0.0, r2=2.0)
+        decay_study(spec, GRID, [1, 2, 4], time_slices=48)
+        assert len(spreads) == 3
 
     def test_rejects_too_few_slices(self):
         spec = SequenceSpec("time_reversed")

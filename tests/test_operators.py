@@ -1,13 +1,14 @@
 """The Krylov operators build their propagator symbols once, when they are
-built, and apply them bit for bit as the per-call flow `propagate_values`."""
+built (`flow_gram`, `problem_operators`), and apply them bit for bit as the
+per-call flow `propagate_values`."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from schrodlab import control, inequalities, transform
-from schrodlab.control import _observation_apply, reachability_map, variant_problem
+from schrodlab import control, transform
+from schrodlab.control import problem_operators, reachability_map, variant_problem
 from schrodlab.field import ball_complement, make_grid
 from schrodlab.inequalities import gramian_apply
 from schrodlab.transform import propagate_values
@@ -51,9 +52,11 @@ def test_gramian_matches_flow(dim, s, t):
     grid = GRIDS[dim]
     region_a = ball_complement(0.0, 2.0, dim=grid.dim)
     region_b = ball_complement(0.0, 3.0, dim=grid.dim)
+    apply_g = gramian_apply(grid, s, t, region_a, region_b)
     v = random_values(grid)
-    assert np.array_equal(gramian_apply(grid, s, t, region_a, region_b)(v),
-                          flow_gramian(grid, s, t, region_a, region_b, v))
+    for values in (v, v.real):
+        assert np.array_equal(apply_g(values),
+                              flow_gramian(grid, s, t, region_a, region_b, values))
 
 
 # two_impulse has one impulse at tau = 0 and one at tau = horizon (the exact
@@ -63,7 +66,8 @@ def test_gramian_matches_flow(dim, s, t):
 def test_observation_gram_matches_flow(dim, variant):
     problem = variant_problem(variant, GRIDS[dim])
     v = random_values(problem.grid)
-    assert np.array_equal(_observation_apply(problem)(v), flow_observation(problem, v))
+    assert np.array_equal(problem_operators(problem).gram(v),
+                          flow_observation(problem, v))
 
 
 @pytest.mark.parametrize("dim", list(GRIDS))
@@ -73,7 +77,7 @@ def test_impulse_at_horizon_is_exact_identity(dim):
     assert tau == problem.horizon
     last_only = replace(problem, impulses=((tau, region),))
     v = random_values(problem.grid)
-    assert np.array_equal(_observation_apply(last_only)(v),
+    assert np.array_equal(problem_operators(last_only).gram(v),
                           region.indicator(problem.grid) * v)
 
 
@@ -94,18 +98,23 @@ def test_symbols_built_once_per_operator(monkeypatch):
         calls.append(t)
         return real(grid, t)
 
-    for module in (transform, control, inequalities):
+    for module in (transform, control):
         monkeypatch.setattr(module, "propagator_symbol", counted)
     grid = GRIDS["1d"]
     region = ball_complement(0.0, 2.0, dim=1)
     operators = [gramian_apply(grid, 0.0, 1.0, region, region)]
-    for variant in ("two_impulse", "sobolev_dual_approx", "shifted_decay_null"):
-        operators.append(_observation_apply(variant_problem(variant, grid)))
-    operators.extend(reachability_map(variant_problem("ball_null", grid)))
+    for variant in ("two_impulse", "sobolev_dual_approx", "shifted_decay_null",
+                    "ball_null"):
+        ops = problem_operators(variant_problem(variant, grid))
+        operators.extend([ops.gram, ops.weight, ops.normal, ops.reach, ops.reach_star])
+        if ops.precondition is not None:
+            operators.append(ops.precondition)
     built = len(calls)
-    # gramian 2, two_impulse 2 (its impulse at the horizon needs none),
-    # sobolev_dual_approx 2, shifted_decay_null 2, ball_null's reach map 2
-    assert built == 10
+    # flow_gram builds 2 per term at a nonzero time, so each Gram operator
+    # here costs 2 (the gramian's M_A term is at time 0, two_impulse's second
+    # impulse at the horizon); the dual reach maps of shifted_decay_null and
+    # ball_null add 2 each, the identity reach maps none
+    assert built == 5 * 2 + 2 * 2
     v = random_values(grid)
     for _ in range(10):
         for apply in operators:
