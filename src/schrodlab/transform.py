@@ -21,40 +21,22 @@ from .field import Field, Grid, Region
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 
 
-def _alt_signs(grid: Grid) -> np.ndarray:
-    """(-1)^{j0+...+j_{dim-1}} over the flattened lattice."""
-    m = grid.points_per_dim
-    s = (-1.0) ** np.arange(m)
-    if grid.dim == 1:
-        return s
-    return np.outer(s, s).ravel()
-
-
-def _center_sign(grid: Grid) -> float:
-    """(-1)^{M/2} per axis; +1 when M is a multiple of 4."""
-    return float((-1.0) ** (grid.points_per_dim // 2)) ** grid.dim
-
-
 def dft(f: Field) -> Field:
     """Forward transform; returns a Field on f.grid.dual() in monotone xi order."""
     grid = f.grid
-    m = grid.points_per_dim
-    shape = (m,) * grid.dim
-    signs = _alt_signs(grid)
-    pref = (grid.spacing / _SQRT_2PI) ** grid.dim * _center_sign(grid)
-    spectrum = np.fft.fftn((signs * f.values).reshape(shape)).ravel()
-    return Field(grid.dual(), pref * signs * spectrum)
+    shape = (grid.points_per_dim,) * grid.dim
+    pref = (grid.spacing / _SQRT_2PI) ** grid.dim
+    spectrum = np.fft.fftshift(np.fft.fftn(np.fft.ifftshift(f.values.reshape(shape))))
+    return Field(grid.dual(), pref * spectrum.ravel())
 
 
 def idft(spec: Field) -> Field:
     """Inverse of dft; returns a Field on spec.grid.dual() (the primal grid)."""
     grid_out = spec.grid.dual()
-    m = grid_out.points_per_dim
-    shape = (m,) * grid_out.dim
-    signs = _alt_signs(grid_out)
-    pref = (_SQRT_2PI / grid_out.spacing) ** grid_out.dim * _center_sign(grid_out)
-    values = np.fft.ifftn((signs * spec.values).reshape(shape)).ravel()
-    return Field(grid_out, pref * signs * values)
+    shape = (grid_out.points_per_dim,) * grid_out.dim
+    pref = (_SQRT_2PI / grid_out.spacing) ** grid_out.dim
+    values = np.fft.fftshift(np.fft.ifftn(np.fft.ifftshift(spec.values.reshape(shape))))
+    return Field(grid_out, pref * values.ravel())
 
 
 def _fft_freq_sq(grid: Grid) -> np.ndarray:
@@ -79,10 +61,9 @@ def fft_symbol(grid: Grid, dual_values: np.ndarray) -> np.ndarray:
 def spectral_multiply(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.ndarray:
     """idft( symbol * dft(values) ) on raw flat arrays, with symbol in FFT order.
 
-    The sign and scale factors that turn the raw FFT into the
-    continuum-normalized dft are diagonal in frequency, so they commute with
-    any frequency multiplier and cancel against those of idft; the multiplier
-    is therefore applied between plain FFTs.
+    The shifts and scale factors that turn the raw FFT into the
+    continuum-normalized dft cancel against those of idft once the symbol is
+    in FFT order, so the multiplier is applied between plain FFTs.
     """
     shape = (grid.points_per_dim,) * grid.dim
     out = np.fft.ifftn(symbol.reshape(shape) * np.fft.fftn(values.reshape(shape)))
