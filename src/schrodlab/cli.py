@@ -309,8 +309,13 @@ def _run_empirical_constant(config: dict, seed: int, threads: int) -> Experiment
                 "residual": result.residual, "converged": result.converged}
 
     rows = _map_ordered(one, gaps, threads)
-    if not all(row["converged"] for row in rows):
-        raise SolverFailure("eigenvalue iteration did not converge on every gap")
+    failing = [row for row in rows if not row["converged"]]
+    if failing:
+        raise SolverFailure(
+            "Gramian eigenvalue not resolved (unconverged, or below its own "
+            "residual) at " + "; ".join(
+                f"gap {row['gap']:g}: lambda_min {row['lambda_min']:.3e}, "
+                f"residual {row['residual']:.3e}" for row in failing))
     fit = affine_fit([1.0 / row["gap"] for row in rows],
                      [np.log(row["constant"]) for row in rows])
     summary = {"fit_log_constant_vs_inverse_gap": {
@@ -371,11 +376,17 @@ def _run_two_ball_13(config: dict, seed: int, threads: int) -> ExperimentResult:
 def _run_spectral_ineq(config: dict, seed: int, threads: int) -> ExperimentResult:
     grid = _grid_from(config)
     bands, samples = config["spectral.bands"], config["spectral.samples"]
+    radii = config["spectral.radii"]
+    for key, ok, rule in (("spectral.bands", all(n > 0 for n in bands), "positive"),
+                          ("spectral.radii", all(r >= 0 for r in radii), "non-negative"),
+                          ("spectral.samples", samples >= 1, "at least 1")):
+        if not ok:
+            raise ConfigError(f"{key} must be {rule}, got {config[key]}")
     try:
         check_band_radius(grid, max(bands))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    tuples = [(r, n) for r in config["spectral.radii"] for n in bands]
+    tuples = [(r, n) for r in radii for n in bands]
 
     def one(pair) -> Dict[str, object]:
         r, band = pair
@@ -543,7 +554,7 @@ def _run_cost_scaling(config: dict, seed: int, threads: int) -> ExperimentResult
         if not np.all(np.asarray(config[key]) > 0):
             raise ConfigError(f"{key} must be positive, got {config[key]}")
     study = cost_scaling_study(
-        grid, u0, target, gaps, [config["cost.radius"]],
+        grid, u0, target, gaps, config["cost.radius"],
         eps0=config["cost.penalty"], error_target=config["cost.error_target"],
         fixed_gap=config["cost.fixed_gap"], tol=config["cost.cg_tolerance"], seed=seed)
     doubling_increase = None

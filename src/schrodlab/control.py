@@ -36,8 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .field import (EXPONENT_CAP, Field, Grid, Region, Weight, ball,
-                    ball_complement, gaussian_state, l2_norm, make_grid)
+from .field import (Field, Grid, Region, Weight, ball, ball_complement,
+                    gaussian_state, l2_norm, make_grid)
 from .fitting import FitResult, affine_fit
 from .inequalities import prior_sobolev_order
 from .solvers import CGResult, Operator, conjugate_gradient, lanczos_smallest
@@ -244,7 +244,6 @@ class ProblemOperators:
 
     gram: Operator                     # O*O
     weight: Operator                   # W, the Z-norm operator (Hermitian, PD)
-    weight_bound: float                # an upper bound for ||W||
     normal: Operator                   # C0 O*O + eps0 W, projected onto Z
     precondition: Optional[Operator]   # approximate inverse of `normal`
     reach: Operator                    # R
@@ -272,19 +271,15 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     projection = problem.reach_region.indicator(grid) \
         if norm.kind == "restricted" else None
     if norm.kind in ("l2", "restricted"):
-        weight, bound, precondition = (lambda v: v.copy()), 1.0, None
+        weight, precondition = (lambda v: v.copy()), None
     else:
         diag = _norm_weight(grid, norm)
-        extent = grid.half_extent * np.sqrt(grid.dim)
-        bound = float(np.exp(min(norm.amplitude * extent, EXPONENT_CAP)))
         if norm.kind == "dual_weighted":
             inv = 1.0 / (c0 + eps0 * diag)
             weight, precondition = (lambda v: diag * v), (lambda v: inv * v)
         else:  # sobolev_dual: e^{a|x|} 'plus' the H^{n+3} spectral multiplier
             symbol = _sobolev_symbol(grid)
             inv = 1.0 / (c0 + eps0 * symbol)
-            order = prior_sobolev_order(grid.dim)
-            bound += (1.0 + grid.dim * grid.nyquist ** 2) ** order
             weight = (lambda v: diag * v + spectral_multiply(grid, v, symbol))
             precondition = (lambda v: spectral_multiply(grid, v, inv))
     reach, reach_star = reachability_map(problem)
@@ -295,8 +290,8 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
         out = c0 * gram(v) + eps0 * weight(v)
         return projection * out if projection is not None else out
 
-    return ProblemOperators(gram, weight, bound, normal, precondition, reach,
-                            reach_star, projection, density)
+    return ProblemOperators(gram, weight, normal, precondition, reach, reach_star,
+                            projection, density)
 
 
 def datum_field(problem: ImpulseProblem) -> Field:
@@ -479,10 +474,11 @@ def observability_margin(problem: ImpulseProblem, seed: int = 0,
     Nonnegative margin is exactly the discrete observability inequality at
     the problem's constants, hence the validity of the budget bound.  With
     `stop_below` set, the solve stops as soon as it proves the margin is
-    below it, and returns that upper bound (see `lanczos_smallest`)."""
+    below it, and returns that Ritz value, an upper bound on the margin
+    (see `lanczos_smallest`)."""
     ops = problem_operators(problem)
     projection, density = ops.projection, ops.density
-    c0, eps0 = problem.observation_weight, problem.penalty
+    eps0 = problem.penalty
 
     def apply_h(v: np.ndarray) -> np.ndarray:
         zv = projection * v if projection is not None else v
@@ -499,9 +495,8 @@ def observability_margin(problem: ImpulseProblem, seed: int = 0,
         # placeholder so they cannot masquerade as the smallest eigenvalue
         return out + eps0 * (v - zv)
 
-    upper = c0 * len(problem.impulses) + eps0 * ops.weight_bound + 1.0
-    result = lanczos_smallest(apply_h, problem.grid.node_count, upper_bound=upper,
-                              seed=seed, tol=1e-8, stop_below=stop_below)
+    result = lanczos_smallest(apply_h, problem.grid.node_count, seed=seed, tol=1e-8,
+                              stop_below=stop_below)
     return Margin(result.eigenvalue, result.residual)
 
 
@@ -548,11 +543,12 @@ class CostScalingStudy:
 
 
 def cost_scaling_study(grid: Grid, u0: Field, target: Field,
-                       gaps: Sequence[float], radii: Sequence[float],
+                       gaps: Sequence[float], radius: float,
                        eps0: float = 1e-6, error_target: float = 1e-3,
                        fixed_gap: float = None, tol: float = 1e-8,
                        seed: int = 0) -> CostScalingStudy:
-    """Normalized control cost against r1 r2 / gap for two-impulse problems.
+    """Normalized control cost against r1 r2 / gap for two-impulse problems
+    with r1 = r2 = radius.
 
     Each configuration is calibrated (C0 from the matrix-free margin), solved,
     and kept only if its relative terminal error meets `error_target`; the
@@ -561,9 +557,9 @@ def cost_scaling_study(grid: Grid, u0: Field, target: Field,
     """
     rows: List[Dict[str, float]] = []
     excluded = 0
-    r = radii[0]
     for gap in gaps:
-        row = _solve_scaled(grid, u0, target, gap, r, r, eps0, error_target, tol, seed)
+        row = _solve_scaled(grid, u0, target, gap, radius, radius, eps0, error_target,
+                            tol, seed)
         if row is None:
             excluded += 1
             continue
@@ -571,13 +567,12 @@ def cost_scaling_study(grid: Grid, u0: Field, target: Field,
     if len(rows) < 2:
         raise RuntimeError("too few admissible cost samples to fit")
     fit = affine_fit([row["stress"] for row in rows],
-                     [np.log(row["normalized_cost"]) for row in rows],
-                     model="log-affine")
+                     [np.log(row["normalized_cost"]) for row in rows])
     doubling_rows: List[Dict[str, float]] = []
     if fixed_gap is not None:
         for factor in (1.0, np.sqrt(2.0)):
-            row = _solve_scaled(grid, u0, target, fixed_gap, r * factor, r * factor,
-                                eps0, error_target, tol, seed)
+            row = _solve_scaled(grid, u0, target, fixed_gap, radius * factor,
+                                radius * factor, eps0, error_target, tol, seed)
             if row is not None:
                 doubling_rows.append(row)
     return CostScalingStudy(rows, fit, doubling_rows, excluded)

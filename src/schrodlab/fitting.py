@@ -7,27 +7,19 @@ shapes (log-affine trends) and report slope, intercept and R^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class FitResult:
-    model: str
-    coefficients: Tuple[float, float]  # (slope, intercept)
+    slope: float
+    intercept: float
     r_squared: float
 
-    @property
-    def slope(self) -> float:
-        return self.coefficients[0]
 
-    @property
-    def intercept(self) -> float:
-        return self.coefficients[1]
-
-
-def affine_fit(x: Sequence[float], y: Sequence[float], model: str = "affine") -> FitResult:
+def affine_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
     """Ordinary least squares y ~ slope*x + intercept with R^2 in [0, 1]."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -41,7 +33,7 @@ def affine_fit(x: Sequence[float], y: Sequence[float], model: str = "affine") ->
         r2 = 1.0 if ss_res == 0.0 else 0.0
     else:
         r2 = 1.0 - ss_res / ss_tot
-    return FitResult(model, (float(slope), float(intercept)), float(min(max(r2, 0.0), 1.0)))
+    return FitResult(float(slope), float(intercept), float(min(max(r2, 0.0), 1.0)))
 
 
 def loglog_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
@@ -50,4 +42,4 @@ def loglog_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
     y = np.asarray(y, dtype=float)
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("loglog_fit needs strictly positive samples")
-    return affine_fit(np.log(x), np.log(y), model="log-log")
+    return affine_fit(np.log(x), np.log(y))

@@ -189,6 +189,8 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
     G is Hermitian PSD with spectrum in [0, 2]; its smallest eigenvalue is
     computed by Lanczos with full reorthogonalization after a dot-product
     self-adjointness check (which would expose a propagator/adjoint bug).
+    Converged also requires lambda_min >= its Ritz residual: an eigenvalue
+    below its own residual is not resolved, and neither is its inverse.
     """
     apply_g = gramian_apply(grid, s, t, region_a, region_b)
     rng = np.random.default_rng(seed)
@@ -202,12 +204,12 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
             raise RuntimeError(
                 f"Gramian failed the self-adjointness test: |<Gf,g>-<f,Gg>| = {abs(lhs - rhs):.3e}"
             )
-    result: LanczosResult = lanczos_smallest(
-        apply_g, n, upper_bound=2.0, seed=seed, tol=1e-11)
+    result: LanczosResult = lanczos_smallest(apply_g, n, seed=seed, tol=1e-11)
     lam = max(result.eigenvalue, 0.0)
     constant = float("inf") if lam == 0.0 else 1.0 / lam
+    converged = result.converged and lam >= result.residual
     return EmpiricalConstant(lam, constant, Field(grid, result.eigenvector),
-                             result.iterations, result.residual, result.converged)
+                             result.iterations, result.residual, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +384,7 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float,
         banded = spectral_multiply(grid, v, band)
         return v - spectral_multiply(grid, ball_mask * banded, band)
 
-    result = lanczos_smallest(apply_residual, grid.node_count, upper_bound=1.0,
-                              seed=seed, tol=1e-12)
+    result = lanczos_smallest(apply_residual, grid.node_count, seed=seed, tol=1e-12)
     extremizer = Field(grid, spectral_multiply(grid, result.eigenvector, band))
     norm = l2_norm(extremizer)
     if norm == 0.0:

@@ -80,46 +80,41 @@ class LanczosResult:
     converged: bool
 
 
-def lanczos_smallest(apply_op: Operator, size: int, upper_bound: float,
-                     max_iter: int = None, seed: int = 0,
+def lanczos_smallest(apply_op: Operator, size: int, seed: int = 0,
                      tol: float = 1e-11, stop_below: float = None) -> LanczosResult:
-    """Smallest eigenvalue of a Hermitian PSD operator with spectrum in
-    [0, upper_bound].
+    """Smallest eigenvalue of a Hermitian operator, definite or not.
 
-    Runs Lanczos with full reorthogonalization on the reflected operator
-    upper_bound*I - A, whose largest Ritz value converges fast; deterministic
-    in `seed`.  Converged means the Ritz residual ||A v - lambda v|| of the
-    returned pair is below the absolute tolerance tol (the eigenvalue error
-    of a Hermitian Ritz pair is bounded by its residual).
+    Runs Lanczos with full reorthogonalization on apply_op itself, for at
+    most `size` steps; deterministic in `seed`.  Converged means the Ritz
+    residual ||A v - lambda v|| of the returned pair is below the absolute
+    tolerance tol (the eigenvalue error of a Hermitian Ritz pair is bounded
+    by its residual).  The Krylov space is exhausted when the new direction
+    is below 1e-14 of the largest |alpha_j| seen (at least 1), a scale the
+    run measures itself.
 
     With `stop_below` set, the run also stops at the first 16-step check
-    whose Ritz value upper_bound - theta is below it.  Ritz values bound
-    lambda_min from above and only decrease as steps are added (Cauchy
-    interlacing), so that value proves lambda_min < stop_below; it is
-    returned as it stands, converged only if its residual meets tol.
+    whose smallest Ritz value is below it.  Ritz values bound lambda_min
+    from above and only decrease as steps are added (Cauchy interlacing),
+    so that value proves lambda_min < stop_below; it is returned as it
+    stands, converged only if its residual meets tol.
     """
-    if max_iter is None:
-        max_iter = size
-    max_iter = max(2, min(max_iter, size))
     rng = np.random.default_rng(seed)
     q = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     q /= np.linalg.norm(q)
 
-    def reflected(v: np.ndarray) -> np.ndarray:
-        return upper_bound * v - apply_op(v)
-
-    # the basis grows by doubling, so a long max_iter (size by default)
-    # costs memory only for the steps actually taken
-    basis = np.empty((min(64, max_iter), size), dtype=np.complex128)
-    alphas = np.zeros(max_iter)
-    betas = np.zeros(max_iter)  # betas[j-1] couples steps j-1 and j
+    # the basis grows by doubling, so a long run costs memory only for the
+    # steps actually taken
+    basis = np.empty((min(64, size), size), dtype=np.complex128)
+    alphas = np.zeros(size)
+    betas = np.zeros(size)  # betas[j-1] couples steps j-1 and j
 
     basis[0] = q
-    w = reflected(q)
+    w = apply_op(q)
     alphas[0] = np.vdot(q, w).real
+    scale = max(abs(alphas[0]), 1.0)
     w = w - alphas[0] * q
     steps = 1
-    for j in range(1, max_iter):
+    for j in range(1, size):
         # full reorthogonalization by classical Gram-Schmidt against the
         # stored basis; conjugating w rather than the basis copies only
         # vectors of length size and steps.  A second pass runs only when the
@@ -131,46 +126,45 @@ def lanczos_smallest(apply_op: Operator, size: int, upper_bound: float,
         if beta < _TWICE_IS_ENOUGH * before:
             w = w - (basis[:steps] @ w.conj()).conj() @ basis[:steps]
             beta = np.linalg.norm(w)
-        if beta < 1e-14 * max(upper_bound, 1.0):
+        if beta < 1e-14 * scale:
             break  # Krylov space exhausted; Ritz values are exact on it
         betas[j - 1] = beta
         q = w / beta
         if j == len(basis):
-            grown = np.empty((min(2 * j, max_iter), size), dtype=np.complex128)
+            grown = np.empty((min(2 * j, size), size), dtype=np.complex128)
             grown[:j] = basis
             basis = grown
         basis[j] = q
-        w = reflected(q)
+        w = apply_op(q)
         alphas[j] = np.vdot(q, w).real
+        scale = max(scale, abs(alphas[j]))
         w = w - alphas[j] * q - beta * basis[j - 1]
         steps = j + 1
         if steps % 16 == 0:
-            theta, s = _largest_ritz(alphas[:steps], betas[: steps - 1])
+            lam, s = _smallest_ritz(alphas[:steps], betas[: steps - 1])
             # residual bound |beta_next * s_last| with beta_next ~ ||w||
             if np.linalg.norm(w) * abs(s[-1]) <= 0.05 * tol:
                 break
-            if stop_below is not None and upper_bound - theta < stop_below:
+            if stop_below is not None and lam < stop_below:
                 break  # Ritz values only fall: lambda_min < stop_below is proven
 
-    theta, s = _largest_ritz(alphas[:steps], betas[: steps - 1])
+    lam, s = _smallest_ritz(alphas[:steps], betas[: steps - 1])
     vec = (basis[:steps].T @ s.astype(np.complex128))
     vec /= np.linalg.norm(vec)
-    lam = upper_bound - theta
     residual = float(np.linalg.norm(apply_op(vec) - lam * vec))
-    return LanczosResult(float(lam), vec, steps, residual, residual <= tol)
+    return LanczosResult(lam, vec, steps, residual, residual <= tol)
 
 
-def _largest_ritz(alphas: np.ndarray, betas: np.ndarray):
-    k = len(alphas)
-    if k == 1:
+def _smallest_ritz(alphas: np.ndarray, betas: np.ndarray):
+    if len(alphas) == 1:
         return float(alphas[0]), np.ones(1)
     try:
         vals, vecs = eigh_tridiagonal(alphas, betas, select="i",
-                                      select_range=(k - 1, k - 1),
+                                      select_range=(0, 0),
                                       lapack_driver="stebz")
         return float(vals[0]), vecs[:, 0]
     except np.linalg.LinAlgError:
         # bisection driver can fail on hard tridiagonals; fall back to dense
         t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         vals, vecs = np.linalg.eigh(t)
-        return float(vals[-1]), vecs[:, -1]
+        return float(vals[0]), vecs[:, 0]

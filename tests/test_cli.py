@@ -159,6 +159,36 @@ class TestExitCodes:
         assert "band radius 11.0 is not below the Nyquist" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("line, named", [
+        ("spectral.bands = 0.0, 1.0", "spectral.bands must be positive"),
+        ("spectral.samples = 0", "spectral.samples must be at least 1"),
+        ("spectral.radii = -1.0", "spectral.radii must be non-negative"),
+    ])
+    def test_spectral_values_validated_before_solving(self, tmp_path, capsys,
+                                                      monkeypatch, line, named):
+        for name in ("bandlimited_sample", "extremal_bandlimited_concentration",
+                     "spectral_inequality_report"):
+            monkeypatch.setattr(cli, name, lambda *a, **k: pytest.fail(
+                "validation must precede the spectral solves"))
+        cfg = write(tmp_path, "s.cfg", f"grid.M = 64\n{line}\n")
+        assert main(["spectral-ineq-27", "--config", cfg,
+                     "--out", str(tmp_path / "s.csv")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_unresolved_empirical_constant_is_exit_3(self, tmp_path, capsys):
+        # gaps 0.05 and 0.1 leave lambda_min below its own residual
+        cfg = write(tmp_path, "gaps.cfg",
+                    "grid.L = 20.0\ngrid.M = 512\nobservability.radius = 2.0\n"
+                    "observability.gaps = 0.05, 0.1, 0.25\n")
+        assert main(["empirical-constant", "--config", cfg,
+                     "--out", str(tmp_path / "e.csv")]) == 3
+        err = capsys.readouterr().err
+        failing = re.findall(r"gap ([0-9.]+): lambda_min (\S+), residual ([0-9.e+-]+)", err)
+        assert [gap for gap, _, _ in failing] == ["0.05", "0.1"]
+        assert all(float(lam) < float(res) for _, lam, res in failing)
+        assert not (tmp_path / "e.csv").exists()
+
     def test_counterexample_k_must_be_integers(self, tmp_path, capsys):
         cfg = write(tmp_path, "k.cfg", "grid.M = 64\ncounterexample.k = 1.5, 2, 4\n")
         assert main(["counterexample", "--config", cfg,

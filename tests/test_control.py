@@ -239,7 +239,7 @@ def test_cost_scaling_study_shape():
     grid = make_grid(1, 20.0, 256)
     u0 = gaussian_state(grid, sigma=0.8)
     target = Field(grid, np.zeros(grid.node_count, dtype=complex))
-    study = cost_scaling_study(grid, u0, target, [0.5, 1.0, 2.0], [2.0],
+    study = cost_scaling_study(grid, u0, target, [0.5, 1.0, 2.0], 2.0,
                                eps0=1e-6, error_target=1e-3, fixed_gap=0.5,
                                tol=1e-8, seed=0)
     assert study.excluded == 0

@@ -184,6 +184,18 @@ class TestEmpiricalConstant:
         exact = np.linalg.eigvalsh(dense)[0]
         assert result.lambda_min == pytest.approx(exact, abs=1e-8)
 
+    def test_eigenvalue_below_its_residual_is_not_converged(self):
+        # at gap 0.05 lambda_min sits at the rounding floor, below its own
+        # Ritz residual, so its inverse is no constant
+        grid = make_grid(1, 20.0, 512)
+        region = ball_complement(0.0, 2.0)
+        floor = empirical_constant(0.0, 0.05, region, region, grid)
+        assert floor.lambda_min < floor.residual
+        assert not floor.converged
+        resolved = empirical_constant(0.0, 0.25, region, region, grid)
+        assert resolved.residual <= resolved.lambda_min
+        assert resolved.converged
+
     def test_extremizer_achieves_eigenvalue(self):
         grid = make_grid(1, 20.0, 256)
         region = ball_complement(0.0, 2.0)
