@@ -36,6 +36,7 @@ from .inequalities import (bandlimited_sample, check_band_radius,
                            moment_check_34, smallest_euler_constant,
                            spectral_inequality_report, two_ball_report_13,
                            two_time_quotient, uncertainty_quotient)
+from .solvers import IndefiniteOperatorError
 from .transform import (bandlimited_interpolate, chirp_aliasing_ok, fresnel_map,
                         gaussian_oracle, propagate)
 
@@ -190,6 +191,14 @@ def _check_chirp(grid, t: float):
             f"chirp aliasing bound violated: L/(2T) = "
             f"{grid.half_extent / (2 * t):.4g} exceeds Nyquist {grid.nyquist:.4g}"
         )
+
+
+def _check_positive(config: dict, *keys: str):
+    """Each key's value (a number or a list of them) must be positive; a NaN
+    is not."""
+    for key in keys:
+        if not np.all(np.asarray(config[key]) > 0):
+            raise ConfigError(f"{key} must be positive, got {config[key]}")
 
 
 def _map_ordered(fn: Callable, items: Sequence, threads: int) -> List:
@@ -498,6 +507,7 @@ def _run_control_solve(config: dict, seed: int, threads: int) -> ExperimentResul
     if variant not in VARIANTS:
         raise ConfigError(f"unknown control variant {variant!r}; "
                           f"expected one of {', '.join(VARIANTS)}")
+    _check_positive(config, "control.cg_tolerance")
     grid = _grid_from({"grid.L": VARIANTS[variant]["L"],
                        "grid.M": VARIANTS[variant]["M"], **config})
     # the registry fills in every parameter the config leaves unset
@@ -550,13 +560,18 @@ def _run_cost_scaling(config: dict, seed: int, threads: int) -> ExperimentResult
     if len(gaps) < 2:
         raise ConfigError("cost.gaps needs at least two gaps for the log-cost fit, "
                           f"got {len(gaps)}")
-    for key in ("cost.gaps", "cost.fixed_gap", "cost.radius"):
-        if not np.all(np.asarray(config[key]) > 0):
-            raise ConfigError(f"{key} must be positive, got {config[key]}")
-    study = cost_scaling_study(
-        grid, u0, target, gaps, config["cost.radius"],
-        eps0=config["cost.penalty"], error_target=config["cost.error_target"],
-        fixed_gap=config["cost.fixed_gap"], tol=config["cost.cg_tolerance"], seed=seed)
+    _check_positive(config, "cost.gaps", "cost.fixed_gap", "cost.radius",
+                    "cost.penalty", "cost.error_target", "cost.cg_tolerance")
+    try:
+        study = cost_scaling_study(
+            grid, u0, target, gaps, config["cost.radius"],
+            eps0=config["cost.penalty"], error_target=config["cost.error_target"],
+            fixed_gap=config["cost.fixed_gap"], tol=config["cost.cg_tolerance"],
+            seed=seed)
+    except IndefiniteOperatorError:
+        raise  # an adjoint bug, not a configuration the study cannot serve
+    except RuntimeError as exc:
+        raise ConfigError(str(exc)) from exc
     doubling_increase = None
     if len(study.doubling_rows) == 2:
         doubling_increase = bool(study.doubling_rows[1]["normalized_cost"]

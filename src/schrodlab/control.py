@@ -32,22 +32,22 @@ ones, i.e. kappa^{-1} times the duality controls y*.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .field import (Field, Grid, Region, Weight, ball, ball_complement,
-                    gaussian_state, l2_norm, make_grid)
+                    gaussian_state, l2_norm, make_grid, weighted_energy_flagged,
+                    whole_space)
 from .fitting import FitResult, affine_fit
 from .inequalities import prior_sobolev_order
 from .solvers import CGResult, Operator, conjugate_gradient, lanczos_smallest
-from .transform import (fft_symbol, flow_gram, propagate_values,
-                        propagator_symbol, spectral_multiply)
+from .transform import (fft_symbol, flow_observation, propagate_values,
+                        spectral_multiply)
 
 IMPULSE_JUMP = -1j
 
-ERROR_NORMS = ("l2", "restricted", "dual_weighted", "sobolev_dual")
-REACH_KINDS = ("identity", "restricted", "masked_dual", "dual")
+ERROR_NORMS = ("l2", "dual_weighted", "sobolev_dual")
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,14 @@ class ErrorNorm:
 
 @dataclass(frozen=True)
 class ImpulseProblem:
+    """One impulse-control problem; its variant is read off two fields.
+
+    `target` set is exact control (datum u_T - flow(u0), reach map the
+    identity); `target` None is null control (datum u0, reach map the
+    backward flow to time 0).  `reach_region` restricts either one: exact
+    control to L2(region), with Z projected onto it, and null control to
+    data supported in the region."""
+
     grid: Grid
     horizon: float
     impulses: Tuple[Tuple[float, Region], ...]
@@ -74,8 +82,7 @@ class ImpulseProblem:
     penalty: float              # eps0
     observation_weight: float   # C0
     error_norm: ErrorNorm
-    reach: str = "identity"
-    reach_region: Optional[Region] = None  # B_N for restricted, B_{r2}(x'') for masked_dual
+    reach_region: Optional[Region] = None
     datum_weight: Optional[Weight] = None  # X*-side density for the budget norm
 
     def __post_init__(self):
@@ -90,16 +97,6 @@ class ImpulseProblem:
             raise ValueError("impulse times must lie in [0, horizon]")
         if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
             raise ValueError("impulse times must be strictly increasing")
-        if self.reach not in REACH_KINDS:
-            raise ValueError(f"unknown reachability variant {self.reach!r}")
-        if self.reach in ("restricted", "masked_dual") and self.reach_region is None:
-            raise ValueError(f"reach {self.reach!r} needs reach_region")
-        if self.error_norm.kind == "restricted" and self.reach != "restricted":
-            raise ValueError("the restricted error norm pairs with reach='restricted'")
-        if self.target is None and self.reach not in ("masked_dual", "dual"):
-            raise ValueError("null-control problems use reach 'masked_dual' or 'dual'")
-        if self.target is not None and self.reach in ("masked_dual", "dual"):
-            raise ValueError("reach 'masked_dual'/'dual' are null-control variants")
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +149,7 @@ def variant_problem(name: str, grid: Optional[Grid] = None, **params) -> Impulse
                               ErrorNorm("l2"))
     if name == "band_restricted":
         return ImpulseProblem(grid, horizon, ((0.0, outside_r1),), u0, target,
-                              eps0, 1.0, ErrorNorm("restricted"), reach="restricted",
+                              eps0, 1.0, ErrorNorm("l2"),
                               reach_region=ball(0.0, p["N"], dim=dim))
     if name == "sobolev_dual_approx":
         tau = horizon / 2.0 if p["tau"] is None else p["tau"]
@@ -164,11 +161,10 @@ def variant_problem(name: str, grid: Optional[Grid] = None, **params) -> Impulse
                               eps0, 1.0, weighted)
     if name == "ball_null":
         return ImpulseProblem(grid, horizon, ((0.0, inside_r1),), u0, None, eps0,
-                              1.0, weighted, reach="masked_dual",
-                              reach_region=ball(0.0, p["r2"], dim=dim))
+                              1.0, weighted, reach_region=ball(0.0, p["r2"], dim=dim))
     decay = Weight(p["b"], 1.0, "grow", center=(p["target_shift"],) * dim)
     return ImpulseProblem(grid, horizon, ((0.0, inside_r1),), u0, None, eps0, 1.0,
-                          weighted, reach="dual", datum_weight=decay)
+                          weighted, datum_weight=decay)
 
 
 # ---------------------------------------------------------------------------
@@ -181,67 +177,20 @@ def _sobolev_symbol(grid: Grid, power: float = 1.0) -> np.ndarray:
     return fft_symbol(grid, (1.0 + grid.dual().radius_sq()) ** (power * order))
 
 
-def _norm_weight(grid: Grid, norm: ErrorNorm, sign: str = "grow") -> np.ndarray:
-    """The capped density e^{+-a|x|} of the weighted Z geometries."""
-    weight, _ = Weight(norm.amplitude, 1.0, sign).evaluate(grid)
-    return weight
-
-
 def _quad(values: np.ndarray, applied: np.ndarray, grid: Grid) -> float:
     return float(np.vdot(applied, values).real * grid.spacing ** grid.dim)
 
 
 # ---------------------------------------------------------------------------
-# observation, control, reachability maps (exact discrete adjoint pairs)
-
-
-def observation_map(z: Field, problem: ImpulseProblem) -> List[Field]:
-    """O z = ( chi_{w_i} phi(., tau_i; T, z) )_i, linear in z."""
-    grid = problem.grid
-    out = []
-    for tau, region in problem.impulses:
-        state = propagate_values(grid, z.values, tau - problem.horizon)
-        out.append(Field(grid, region.indicator(grid) * state))
-    return out
-
-
-def control_map(h_list: Sequence[Field], problem: ImpulseProblem) -> Field:
-    """O* h = sum_i flow of chi_{w_i} h_i from tau_i to T; the exact discrete
-    adjoint of observation_map (the kappa factor belongs to the physical
-    simulation, not to the adjoint)."""
-    if len(h_list) != len(problem.impulses):
-        raise ValueError("one control field per impulse is required")
-    grid = problem.grid
-    acc = np.zeros(grid.node_count, dtype=np.complex128)
-    for (tau, region), h in zip(problem.impulses, h_list):
-        masked = region.indicator(grid) * h.values
-        acc += propagate_values(grid, masked, problem.horizon - tau)
-    return Field(grid, acc)
-
-
-def reachability_map(problem: ImpulseProblem):
-    """(R, R*) for the problem's variant, as array-level callables."""
-    grid = problem.grid
-    horizon = problem.horizon
-    if problem.reach == "identity":
-        return (lambda v: v.copy()), (lambda v: v.copy())
-    if problem.reach == "restricted":
-        mask = problem.reach_region.indicator(grid)
-        return (lambda v: v.copy()), (lambda v: mask * v)
-    backward = propagator_symbol(grid, -horizon)
-    forward = propagator_symbol(grid, horizon)
-    if problem.reach == "dual":
-        return (lambda v: spectral_multiply(grid, v, backward)), \
-               (lambda v: spectral_multiply(grid, v, forward))
-    mask = problem.reach_region.indicator(grid)
-    return (lambda v: mask * spectral_multiply(grid, v, backward)), \
-           (lambda v: spectral_multiply(grid, mask * v, forward))
+# the operators of one problem (exact discrete adjoint pairs)
 
 
 @dataclass(frozen=True)
 class ProblemOperators:
     """The matrix-free operators of one control problem, on raw arrays."""
 
+    observe: Callable[[np.ndarray], List[np.ndarray]]           # O, per impulse
+    observe_star: Callable[[Sequence[np.ndarray]], np.ndarray]  # O*
     gram: Operator                     # O*O
     weight: Operator                   # W, the Z-norm operator (Hermitian, PD)
     normal: Operator                   # C0 O*O + eps0 W, projected onto Z
@@ -255,8 +204,15 @@ class ProblemOperators:
 def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     """Build every operator of the problem once, propagator symbols included.
 
-    This is where the error-norm kind picks W: the identity for "l2" and
-    "restricted", the capped density e^{a|x|} for "dual_weighted", and that
+    O observes the dual state at each impulse, O z = (chi_{w_i} phi(., tau_i;
+    T, z))_i, and O* h flows each chi_{w_i} h_i from tau_i to T (the kappa
+    factor belongs to the physical simulation, not to the adjoint).  The
+    reach map R is one more flow observation: chi_reach P(-T) for null
+    control, chi_reach for exact control (the inclusion of Z), with chi_reach
+    the indicator of reach_region, or 1 without one.
+
+    This is where the error-norm kind picks W: the identity for "l2", the
+    capped density e^{a|x|} for "dual_weighted", and that
     density plus the H^{n+3} multiplier (1+|xi|^2)^{n+3} for "sobolev_dual".
     The preconditioner inverts C0 + eps0 Sigma, with Sigma the part of W
     that stretches the spectrum (e^{a|x|} reaches e^{aL}, the Sobolev
@@ -266,14 +222,19 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     grid = problem.grid
     norm = problem.error_norm
     c0, eps0 = problem.observation_weight, problem.penalty
-    gram = flow_gram(grid, [(tau - problem.horizon, region)
-                            for tau, region in problem.impulses])
-    projection = problem.reach_region.indicator(grid) \
-        if norm.kind == "restricted" else None
-    if norm.kind in ("l2", "restricted"):
+    observe, observe_star, gram = flow_observation(
+        grid, [(tau - problem.horizon, region) for tau, region in problem.impulses])
+    exact = problem.target is not None
+    reach_region = problem.reach_region
+    projection = reach_region.indicator(grid) \
+        if exact and reach_region is not None else None
+    reach_observe, reach_observe_star, _ = flow_observation(
+        grid, [(0.0 if exact else -problem.horizon,
+                whole_space() if reach_region is None else reach_region)])
+    if norm.kind == "l2":
         weight, precondition = (lambda v: v.copy()), None
     else:
-        diag = _norm_weight(grid, norm)
+        diag, _ = Weight(norm.amplitude, 1.0, "grow").evaluate(grid)  # e^{a|x|}, capped
         if norm.kind == "dual_weighted":
             inv = 1.0 / (c0 + eps0 * diag)
             weight, precondition = (lambda v: diag * v), (lambda v: inv * v)
@@ -282,7 +243,6 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
             inv = 1.0 / (c0 + eps0 * symbol)
             weight = (lambda v: diag * v + spectral_multiply(grid, v, symbol))
             precondition = (lambda v: spectral_multiply(grid, v, inv))
-    reach, reach_star = reachability_map(problem)
     density = None if problem.datum_weight is None \
         else problem.datum_weight.evaluate(grid)[0]
 
@@ -290,8 +250,9 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
         out = c0 * gram(v) + eps0 * weight(v)
         return projection * out if projection is not None else out
 
-    return ProblemOperators(gram, weight, normal, precondition, reach, reach_star,
-                            projection, density)
+    return ProblemOperators(observe, observe_star, gram, weight, normal, precondition,
+                            lambda v: reach_observe(v)[0],
+                            lambda v: reach_observe_star([v]), projection, density)
 
 
 def datum_field(problem: ImpulseProblem) -> Field:
@@ -302,7 +263,7 @@ def datum_field(problem: ImpulseProblem) -> Field:
         drift = propagate_values(grid, problem.initial_state.values, problem.horizon)
         return Field(grid, problem.target.values - drift)
     values = problem.initial_state.values
-    if problem.reach == "masked_dual":
+    if problem.reach_region is not None:
         values = problem.reach_region.indicator(grid) * values
     return Field(grid, values)
 
@@ -311,11 +272,10 @@ def datum_norm_sq(problem: ImpulseProblem, f: Field) -> float:
     """||f||^2 in the X* norm of the variant (weighted for datum_weight)."""
     if problem.datum_weight is None:
         return l2_norm(f) ** 2
-    w, capped = problem.datum_weight.evaluate(problem.grid)
+    energy, capped = weighted_energy_flagged(f, problem.datum_weight)
     if capped:
         raise ValueError("datum weight overflowed its exponent cap")
-    h = problem.grid.spacing
-    return float(np.sum(w * np.abs(f.values) ** 2) * h ** problem.grid.dim)
+    return energy
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +339,7 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
                             precondition=ops.precondition)
     z_star = cg.solution
 
-    observations = observation_map(Field(grid, z_star), problem)
-    y_star = [Field(grid, c0 * obs.values) for obs in observations]
+    y_star = [Field(grid, c0 * obs) for obs in ops.observe(z_star)]
     # physical controls: kappa * h = y*  =>  h = kappa^{-1} y*, and the null
     # variants steer against the drift, flipping the sign
     kappa_inv = 1.0 / IMPULSE_JUMP
@@ -398,9 +357,8 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
     residual_vec = ops.normal(z_star) - rhs
     optimality = float(np.linalg.norm(residual_vec) * np.sqrt(h_scale)
                        / max(rhs_norm, np.finfo(float).tiny))
-    o_star_y = control_map(y_star, problem)
-    defect = rhs - (projection * o_star_y.values if projection is not None
-                    else o_star_y.values)
+    o_star_y = ops.observe_star([y.values for y in y_star])
+    defect = rhs - (projection * o_star_y if projection is not None else o_star_y)
     gap_vec = defect - eps0 * w_z
     duality_gap = float(np.linalg.norm(gap_vec) * np.sqrt(h_scale)
                         / max(rhs_norm, np.finfo(float).tiny))
@@ -439,16 +397,16 @@ def _error_diagnostics(problem: ImpulseProblem, error_field: Field) -> Dict[str,
     grid = problem.grid
     norm = problem.error_norm
     out = {"simulated_error_l2": l2_norm(error_field)}
-    if norm.kind in ("l2", "restricted"):
+    if norm.kind == "l2":
         out["simulated_error_dual"] = out["simulated_error_l2"]
         return out
-    decay = _norm_weight(grid, norm, "decay")
     values, key = error_field.values, "simulated_error_dual"
     if norm.kind == "sobolev_dual":
         values = spectral_multiply(grid, values, _sobolev_symbol(grid, -0.5))
         key = "simulated_error_dual_approx"
-    val = float(np.sum(decay * np.abs(values) ** 2) * grid.spacing ** grid.dim)
-    out[key] = float(np.sqrt(val))
+    energy, _ = weighted_energy_flagged(Field(grid, values),
+                                        Weight(norm.amplitude, 1.0, "decay"))
+    out[key] = float(np.sqrt(energy))
     return out
 
 
@@ -486,7 +444,7 @@ def observability_margin(problem: ImpulseProblem, seed: int = 0,
         if density is not None:
             # X-norm density for R z is the dual of the datum density
             rv = rv / density
-        # R* already maps into Z (the restricted reach masks by Z's own
+        # R* already maps into Z (for exact control it masks by Z's own
         # region), so only the normal operator needs the projection
         out = ops.normal(zv) - ops.reach_star(rv)
         if projection is None:

@@ -8,9 +8,9 @@ Three families, indexed by k:
   time_reversed   the state equal to g_k at time S1 (built with the backward
                   flow), whose outside-ball energy at S1 and time-integrated
                   inside-ball energy both vanish along k;
-  modulated       u_k = e^{-i|x|^2/4T} e^{-i k x.v} g(x): the terminal bump
-                  translates out of any fixed ball while every e^{a|x|}
-                  weighted energy stays constant in k.
+  modulated       u_k = e^{-i|x|^2/4T} e^{-i k x_1} g(x): the terminal bump
+                  translates along the first axis out of any fixed ball while
+                  every e^{a|x|} weighted energy stays constant in k.
 
 Terminal energies are evaluated on the chirp/rescale output lattice rather
 than the periodic input box: the flowed states spread far beyond [-L, L]
@@ -50,7 +50,6 @@ class SequenceSpec:
     horizon: float = 1.0       # T, families concentrating / modulated
     s1: float = 0.5            # family time_reversed
     s2: float = 0.5
-    direction: tuple = (1.0,)  # modulation direction v (normalized on use)
     weight_amplitude: float = 1.0  # a in the bounded e^{a|x|} clause
 
     def __post_init__(self):
@@ -71,10 +70,9 @@ def _profile_values(profile: str, scaled_rsq: np.ndarray) -> np.ndarray:
     return out
 
 
-def base_profile(grid: Grid, profile: str = "gaussian", center=0.0) -> Field:
-    """The unit-norm profile g on the grid."""
-    rsq = grid.radius_sq(center)
-    values = _profile_values(profile, rsq)
+def base_profile(grid: Grid, profile: str = "gaussian") -> Field:
+    """The unit-norm profile g on the grid, centred at the origin."""
+    values = _profile_values(profile, grid.radius_sq())
     f = Field(grid, values.astype(np.complex128))
     return Field(grid, f.values / l2_norm(f))
 
@@ -132,12 +130,7 @@ def generate(spec: SequenceSpec, grid: Grid, k: int) -> Field:
                 f"frequency {grid.nyquist:.4g}"
             )
         g = base_profile(grid, spec.profile)
-        direction = np.atleast_1d(np.asarray(spec.direction, dtype=float))
-        if direction.size != grid.dim or not np.linalg.norm(direction) > 0:
-            raise ValueError("direction must be a nonzero vector matching the grid dim")
-        direction = direction / np.linalg.norm(direction)
-        x_dot_v = sum(axis * v for axis, v in zip(grid.coords(), direction))
-        phase = np.exp(-1j * float(k) * x_dot_v)
+        phase = np.exp(-1j * float(k) * grid.coords()[0])
         return Field(grid, _chirp(grid, spec.horizon) * phase * g.values)
     # time_reversed: the state whose value at time S1 is g_k
     g_k = concentrated_profile(grid, spec, k)

@@ -302,9 +302,9 @@ def weighted_energy_flagged(f: Field, weight: Weight) -> Tuple[float, bool]:
     return float(np.sum(summands) * h ** f.grid.dim), capped
 
 
-def radial_moment(f: Field, order: int, center=None) -> float:
-    """h^dim * sum |x - center|^order |f|^2 (polynomial moment)."""
-    rsq = f.grid.radius_sq(center)
+def radial_moment(f: Field, order: int) -> float:
+    """h^dim * sum |x|^order |f|^2 (polynomial moment about the origin)."""
+    rsq = f.grid.radius_sq()
     h = f.grid.spacing
     return float(np.sum(rsq ** (order / 2.0) * np.abs(f.values) ** 2) * h ** f.grid.dim)
 

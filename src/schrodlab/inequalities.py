@@ -30,8 +30,8 @@ from .field import (
 )
 from .fitting import FitResult, affine_fit  # re-exported: fits live with reports
 from .solvers import LanczosResult, lanczos_smallest
-from .transform import (chirp_aliasing_ok, dft, fft_symbol, flow_gram, idft,
-                        propagate, spectral_multiply)
+from .transform import (chirp_aliasing_ok, dft, fft_symbol, flow_observation,
+                        idft, propagate, spectral_multiply)
 
 
 class AliasingError(ValueError):
@@ -179,7 +179,7 @@ def gramian_apply(grid: Grid, s: float, t: float,
     """Matrix-free G = M_A + P* M_B P with P the flow from time s to t."""
     if not t > s:
         raise ValueError("need T > S for the observability Gramian")
-    return flow_gram(grid, [(0.0, region_a), (t - s, region_b)])
+    return flow_observation(grid, [(0.0, region_a), (t - s, region_b)])[2]
 
 
 def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,

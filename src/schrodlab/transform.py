@@ -12,7 +12,7 @@ chirp/rescale map evaluates the flow at time T on the scaled dual lattice
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -78,30 +78,45 @@ def propagator_symbol(grid: Grid, t: float) -> np.ndarray:
     return np.exp(-1j * _fft_freq_sq(grid) * t)
 
 
-def flow_gram(grid: Grid, terms: Sequence[Tuple[float, Region]]):
-    """Matrix-free sum_i P(t_i)* M_i P(t_i) on raw arrays, for terms (t_i, region_i)
-    with P(t) the flow over time t and M_i the indicator of region_i.
+def flow_observation(grid: Grid, terms: Sequence[Tuple[float, Region]]):
+    """The observation O v = (M_i P(t_i) v)_i on raw arrays, for terms
+    (t_i, region_i) with P(t) the flow over time t and M_i the indicator of
+    region_i, as the triple (observe, observe_star, gram):
+
+        observe(v)       -> [M_i P(t_i) v, ...], one array per term
+        observe_star(hs) -> sum_i P(t_i)* M_i h_i, the exact discrete adjoint
+        gram(v)          -> O*O v = sum_i P(t_i)* M_i P(t_i) v, in one pass
 
     Each propagator symbol is built once, here; a term at t_i = 0 is the
-    exact mask * v."""
-    built = []
+    exact mask."""
+    built = []  # (mask, forward symbol, backward symbol); no symbols at t = 0
     for t, region in terms:
-        symbols = None if t == 0.0 else (propagator_symbol(grid, t),
-                                         propagator_symbol(grid, -t))
-        built.append((region.indicator(grid), symbols))
+        forward, backward = (None, None) if t == 0.0 else \
+            (propagator_symbol(grid, t), propagator_symbol(grid, -t))
+        built.append((region.indicator(grid), forward, backward))
 
-    def apply_gram(v: np.ndarray) -> np.ndarray:
-        acc = np.zeros(v.shape, dtype=np.complex128)
-        for mask, symbols in built:
-            if symbols is None:
-                acc += mask * v
-                continue
-            forward, backward = symbols
-            acc += spectral_multiply(grid, mask * spectral_multiply(grid, v, forward),
-                                     backward)
+    def flow(v: np.ndarray, symbol) -> np.ndarray:
+        return v if symbol is None else spectral_multiply(grid, v, symbol)
+
+    def observe(v: np.ndarray) -> List[np.ndarray]:
+        return [mask * flow(v, forward) for mask, forward, _ in built]
+
+    def observe_star(hs: Sequence[np.ndarray]) -> np.ndarray:
+        if len(hs) != len(built):
+            raise ValueError(f"observe_star takes one array per term "
+                             f"({len(built)}), got {len(hs)}")
+        acc = np.zeros(grid.node_count, dtype=np.complex128)
+        for (mask, _, backward), h in zip(built, hs):
+            acc += flow(mask * h, backward)
         return acc
 
-    return apply_gram
+    def gram(v: np.ndarray) -> np.ndarray:
+        acc = np.zeros(v.shape, dtype=np.complex128)
+        for mask, forward, backward in built:
+            acc += flow(mask * flow(v, forward), backward)
+        return acc
+
+    return observe, observe_star, gram
 
 
 def propagate_values(grid: Grid, values: np.ndarray, t: float) -> np.ndarray:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from schrodlab.control import (VARIANTS, calibrate_observation_weight,
-                               control_map, cost_scaling_study, observation_map,
+                               cost_scaling_study, problem_operators,
                                solve_control, variant_problem)
 from schrodlab.counterexamples import SequenceSpec, decay_study
 from schrodlab.field import (Field, ball, ball_complement, dot, gaussian_state,
@@ -168,11 +168,12 @@ def test_criterion_7_control_duality():
     for name in VARIANTS:  # one rng across the variants: keep their order
         problem = variant_problem(name)
         grid = problem.grid
+        ops = problem_operators(problem)
         for _ in range(100 if name == "two_impulse" else 10):
             z = random_field(grid, rng)
             hs = [random_field(grid, rng) for _ in problem.impulses]
-            lhs = sum(dot(o, h) for o, h in zip(observation_map(z, problem), hs))
-            rhs = dot(z, control_map(hs, problem))
+            lhs = sum(dot(Field(grid, o), h) for o, h in zip(ops.observe(z.values), hs))
+            rhs = dot(z, Field(grid, ops.observe_star([h.values for h in hs])))
             scale = l2_norm(z) * np.sqrt(sum(l2_norm(h) ** 2 for h in hs))
             adjoint_worst = max(adjoint_worst, abs(lhs - rhs) / scale)
 

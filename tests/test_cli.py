@@ -206,6 +206,28 @@ class TestExitCodes:
                      "--out", str(tmp_path / "f.csv")]) == 2
         assert named in capsys.readouterr().err
 
+    def test_modulated_counterexample_runs_in_2d(self, tmp_path, capsys):
+        # the modulation runs along the first axis in every dimension
+        cfg = write(tmp_path, "m.cfg", "grid.dim = 2\ngrid.M = 256\n"
+                    "counterexample.family = modulated\n"
+                    "counterexample.k = 1, 2, 4, 8, 16\n")
+        out = tmp_path / "m.csv"
+        assert main(["counterexample", "--config", cfg, "--out", str(out)]) == 0
+        header, *lines = out.read_text().splitlines()
+        assert header == "k,terminal_inside,weighted"
+        rows = [[float(v) for v in line.split(",")] for line in lines]
+        assert [row[0] for row in rows] == [1.0, 2.0, 4.0, 8.0, 16.0]
+        inside = [row[1] for row in rows]
+        assert all(b < a for a, b in zip(inside, inside[1:]))
+        assert inside[-1] < 1e-30
+        assert all(row[2] == pytest.approx(rows[0][2], rel=1e-12) for row in rows)
+        # L = 15, M = 256: k = 32 is above the Nyquist frequency 26.8
+        cfg = write(tmp_path, "m32.cfg", "grid.dim = 2\ngrid.M = 256\n"
+                    "counterexample.family = modulated\ncounterexample.k = 32\n")
+        assert main(["counterexample", "--config", cfg,
+                     "--out", str(tmp_path / "m32.csv")]) == 2
+        assert "below the Nyquist" in capsys.readouterr().err
+
     def test_non_numeric_list_entry_named(self, tmp_path, capsys):
         cfg = write(tmp_path, "r.cfg", "grid.M = 64\nuncertainty.radii = 0.5, abc\n")
         assert main(["uncertainty", "--config", cfg,
@@ -218,6 +240,10 @@ class TestExitCodes:
         ("cost.gaps = 1.0", "at least two gaps"),
         ("cost.fixed_gap = -0.5", "cost.fixed_gap must be positive"),
         ("cost.radius = 0.0", "cost.radius must be positive"),
+        ("cost.penalty = 0.0", "cost.penalty must be positive"),
+        ("cost.error_target = -1.0", "cost.error_target must be positive"),
+        ("cost.cg_tolerance = -1.0", "cost.cg_tolerance must be positive"),
+        ("cost.cg_tolerance = 0.0", "cost.cg_tolerance must be positive"),
     ])
     def test_cost_scaling_validated_before_solving(self, tmp_path, capsys,
                                                    monkeypatch, line, named):
@@ -229,6 +255,30 @@ class TestExitCodes:
         assert main(["cost-scaling", "--config", cfg,
                      "--out", str(tmp_path / "c.csv")]) == 2
         assert named in capsys.readouterr().err
+
+    def test_cost_scaling_study_failure_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        def too_few(*args, **kwargs):
+            raise RuntimeError("too few admissible cost samples to fit")
+
+        monkeypatch.setattr(cli, "cost_scaling_study", too_few)
+        cfg = write(tmp_path, "c.cfg", "grid.M = 64\n")
+        assert main(["cost-scaling", "--config", cfg,
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        assert "too few admissible cost samples" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("value", ["-1.0", "0.0"])
+    def test_control_tolerance_validated_before_solving(self, tmp_path, capsys,
+                                                        monkeypatch, value):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("validation must precede the control solves")
+
+        monkeypatch.setattr(cli, "calibrate_observation_weight", no_solve)
+        monkeypatch.setattr(cli, "solve_control", no_solve)
+        cfg = write(tmp_path, "t.cfg", f"control.cg_tolerance = {value}\n")
+        assert main(["control-solve", "--config", cfg,
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert "control.cg_tolerance must be positive" in capsys.readouterr().err
 
     def test_bridge_rejects_dim_2(self, tmp_path, capsys):
         cfg = write(tmp_path, "b2.cfg", "grid.dim = 2\ngrid.M = 64\n")

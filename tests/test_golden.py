@@ -1,11 +1,12 @@
 """Golden outputs: cheap CLI runs must keep writing the same bytes.
 
 Performance work and refactoring are meant to leave every output unchanged;
-these runs pin that: three chosen configurations, and every experiment at its
-CLI defaults (an empty config).  The CSV must match byte for byte, and the
-JSON summary too once its "versions" entry (numpy/scipy versions, which vary
-between environments) is set aside.  A change that means to move an output
-regenerates the files with
+these runs pin that: a few chosen configurations, every control variant at
+its defaults, and every experiment at its CLI defaults (an empty config).
+The CSV must match byte for byte, and the JSON summary too once its
+"versions" entry (numpy/scipy versions, which vary between environments) is
+set aside.  A change that means to move an output regenerates the files
+with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -29,8 +30,9 @@ RUNS = {
                            "observability.radius = 2.0\n"
                            "observability.gaps = 1.0, 2.0\n"),
     "control-two_impulse": ("control-solve", "control.variant = two_impulse\n"),
-    "control-sobolev_dual_approx": ("control-solve",
-                                    "control.variant = sobolev_dual_approx\n"),
+    **{f"control-{variant}": ("control-solve", f"control.variant = {variant}\n")
+       for variant in ("sobolev_dual_approx", "complement_approx", "ball_null",
+                       "band_restricted", "shifted_decay_null")},
     **{f"defaults-{experiment}": (experiment, "") for experiment in EXPERIMENTS},
 }
 

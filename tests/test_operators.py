@@ -1,14 +1,14 @@
 """The Krylov operators build their propagator symbols once, when they are
-built (`flow_gram`, `problem_operators`), and apply them bit for bit as the
-per-call flow `propagate_values`."""
+built (`flow_observation`, `problem_operators`), and apply them bit for bit
+as the per-call flow `propagate_values`."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from schrodlab import control, transform
-from schrodlab.control import problem_operators, reachability_map, variant_problem
+from schrodlab import transform
+from schrodlab.control import problem_operators, variant_problem
 from schrodlab.field import ball_complement, make_grid
 from schrodlab.inequalities import gramian_apply
 from schrodlab.transform import propagate_values
@@ -21,13 +21,13 @@ def random_values(grid, seed=0):
     return rng.standard_normal(grid.node_count) + 1j * rng.standard_normal(grid.node_count)
 
 
-def flow_gramian(grid, s, t, region_a, region_b, v):
+def flowed_gramian(grid, s, t, region_a, region_b, v):
     forward = propagate_values(grid, v, t - s)
     back = propagate_values(grid, region_b.indicator(grid) * forward, -(t - s))
     return region_a.indicator(grid) * v + back
 
 
-def flow_observation(problem, v):
+def flowed_observation_gram(problem, v):
     grid, horizon = problem.grid, problem.horizon
     acc = np.zeros_like(v)
     for tau, region in problem.impulses:
@@ -38,7 +38,7 @@ def flow_observation(problem, v):
 
 def flow_reachability(problem):
     grid, horizon = problem.grid, problem.horizon
-    if problem.reach == "dual":
+    if problem.reach_region is None:
         return (lambda v: propagate_values(grid, v, -horizon),
                 lambda v: propagate_values(grid, v, horizon))
     mask = problem.reach_region.indicator(grid)
@@ -56,7 +56,7 @@ def test_gramian_matches_flow(dim, s, t):
     v = random_values(grid)
     for values in (v, v.real):
         assert np.array_equal(apply_g(values),
-                              flow_gramian(grid, s, t, region_a, region_b, values))
+                              flowed_gramian(grid, s, t, region_a, region_b, values))
 
 
 # two_impulse has one impulse at tau = 0 and one at tau = horizon (the exact
@@ -67,7 +67,7 @@ def test_observation_gram_matches_flow(dim, variant):
     problem = variant_problem(variant, GRIDS[dim])
     v = random_values(problem.grid)
     assert np.array_equal(problem_operators(problem).gram(v),
-                          flow_observation(problem, v))
+                          flowed_observation_gram(problem, v))
 
 
 @pytest.mark.parametrize("dim", list(GRIDS))
@@ -85,8 +85,9 @@ def test_impulse_at_horizon_is_exact_identity(dim):
 @pytest.mark.parametrize("variant", ["ball_null", "shifted_decay_null"])
 def test_reachability_matches_flow(dim, variant):
     problem = variant_problem(variant, GRIDS[dim])
+    ops = problem_operators(problem)
     v = random_values(problem.grid)
-    for built, flowed in zip(reachability_map(problem), flow_reachability(problem)):
+    for built, flowed in zip((ops.reach, ops.reach_star), flow_reachability(problem)):
         assert np.array_equal(built(v), flowed(v))
 
 
@@ -98,22 +99,23 @@ def test_symbols_built_once_per_operator(monkeypatch):
         calls.append(t)
         return real(grid, t)
 
-    for module in (transform, control):
-        monkeypatch.setattr(module, "propagator_symbol", counted)
+    monkeypatch.setattr(transform, "propagator_symbol", counted)
     grid = GRIDS["1d"]
     region = ball_complement(0.0, 2.0, dim=1)
     operators = [gramian_apply(grid, 0.0, 1.0, region, region)]
     for variant in ("two_impulse", "sobolev_dual_approx", "shifted_decay_null",
                     "ball_null"):
         ops = problem_operators(variant_problem(variant, grid))
-        operators.extend([ops.gram, ops.weight, ops.normal, ops.reach, ops.reach_star])
+        operators.extend([ops.gram, ops.weight, ops.normal, ops.reach, ops.reach_star,
+                          lambda v: ops.observe_star(ops.observe(v))])
         if ops.precondition is not None:
             operators.append(ops.precondition)
     built = len(calls)
-    # flow_gram builds 2 per term at a nonzero time, so each Gram operator
-    # here costs 2 (the gramian's M_A term is at time 0, two_impulse's second
-    # impulse at the horizon); the dual reach maps of shifted_decay_null and
-    # ball_null add 2 each, the identity reach maps none
+    # flow_observation builds 2 per term at a nonzero time, so each Gram
+    # operator here costs 2 (the gramian's M_A term is at time 0, two_impulse's
+    # second impulse at the horizon), and O, O* share them; the null-control
+    # reach maps of shifted_decay_null and ball_null add 2 each, the exact
+    # control reach maps (at time 0) none
     assert built == 5 * 2 + 2 * 2
     v = random_values(grid)
     for _ in range(10):
