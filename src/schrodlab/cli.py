@@ -133,20 +133,26 @@ def load_config(path: str) -> Dict[str, object]:
 # a key's type -> (its name in errors, the config values it accepts)
 _KINDS = {float: ("a number", (int, float)), int: ("an integer", int),
           str: ("a string", str)}
+# a range rule's name is its error text; every float key is also held finite
+_RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0,
+          "at least 1": lambda v: v >= 1, "finite": np.isfinite}
 
 
 def resolve(keys: Dict[str, object], values: Dict[str, object],
             experiment: str) -> Dict[str, object]:
     """Each declared key at its config value or else its default, type-checked:
     the default fixes the type (float, int, str, or a non-empty list of one;
-    a scalar value reads as a one-item list).  A key declared by its bare type
-    is present only when set.  A config key the table lacks is an error."""
+    a scalar value reads as a one-item list).  A key declared as
+    `(default, rule)` holds every item to that `_RULES` entry, and every float
+    must be finite.  A key declared by its bare type is present only when set.
+    A config key the table lacks is an error."""
     unknown = [key for key in values if key not in keys]
     if unknown:
         raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unknown))} "
                           f"for experiment {experiment!r}; it reads {', '.join(keys)}")
     settings: Dict[str, object] = {}
-    for key, default in keys.items():
+    for key, entry in keys.items():
+        default, rule = entry if isinstance(entry, tuple) else (entry, None)
         if isinstance(default, type) and key not in values:
             continue
         value = values.get(key, default)
@@ -159,12 +165,16 @@ def resolve(keys: Dict[str, object], values: Dict[str, object],
                             for v in items):
             raise ConfigError(f"config key {key!r} must be {noun}"
                               f"{' list' if many else ''}, got {value!r}")
-        settings[key] = [kind(v) for v in items] if many else kind(value)
+        items = [kind(v) for v in items]
+        settings[key] = items if many else items[0]
+        for check in filter(None, (rule, "finite" if kind is float else None)):
+            if not all(_RULES[check](v) for v in items):
+                raise ConfigError(f"{key} must be {check}, got {settings[key]}")
     return settings
 
 
 def _grid_keys(half_extent: float, points: int) -> Dict[str, object]:
-    return {"grid.dim": 1, "grid.L": half_extent, "grid.M": points}
+    return {"grid.dim": 1, "grid.L": (half_extent, "positive"), "grid.M": points}
 
 
 def _grid_from(config: dict):
@@ -191,14 +201,6 @@ def _check_chirp(grid, t: float):
             f"chirp aliasing bound violated: L/(2T) = "
             f"{grid.half_extent / (2 * t):.4g} exceeds Nyquist {grid.nyquist:.4g}"
         )
-
-
-def _check_positive(config: dict, *keys: str):
-    """Each key's value (a number or a list of them) must be positive; a NaN
-    is not."""
-    for key in keys:
-        if not np.all(np.asarray(config[key]) > 0):
-            raise ConfigError(f"{key} must be positive, got {config[key]}")
 
 
 def _map_ordered(fn: Callable, items: Sequence, threads: int) -> List:
@@ -386,11 +388,6 @@ def _run_spectral_ineq(config: dict, seed: int, threads: int) -> ExperimentResul
     grid = _grid_from(config)
     bands, samples = config["spectral.bands"], config["spectral.samples"]
     radii = config["spectral.radii"]
-    for key, ok, rule in (("spectral.bands", all(n > 0 for n in bands), "positive"),
-                          ("spectral.radii", all(r >= 0 for r in radii), "non-negative"),
-                          ("spectral.samples", samples >= 1, "at least 1")):
-        if not ok:
-            raise ConfigError(f"{key} must be {rule}, got {config[key]}")
     try:
         check_band_radius(grid, max(bands))
     except ValueError as exc:
@@ -507,7 +504,6 @@ def _run_control_solve(config: dict, seed: int, threads: int) -> ExperimentResul
     if variant not in VARIANTS:
         raise ConfigError(f"unknown control variant {variant!r}; "
                           f"expected one of {', '.join(VARIANTS)}")
-    _check_positive(config, "control.cg_tolerance")
     grid = _grid_from({"grid.L": VARIANTS[variant]["L"],
                        "grid.M": VARIANTS[variant]["M"], **config})
     # the registry fills in every parameter the config leaves unset
@@ -560,8 +556,6 @@ def _run_cost_scaling(config: dict, seed: int, threads: int) -> ExperimentResult
     if len(gaps) < 2:
         raise ConfigError("cost.gaps needs at least two gaps for the log-cost fit, "
                           f"got {len(gaps)}")
-    _check_positive(config, "cost.gaps", "cost.fixed_gap", "cost.radius",
-                    "cost.penalty", "cost.error_target", "cost.cg_tolerance")
     try:
         study = cost_scaling_study(
             grid, u0, target, gaps, config["cost.radius"],
@@ -628,7 +622,7 @@ class Experiment:
     keys: Dict[str, object]
 
 
-_TAIL = {"tail_tolerance": 1e-10}
+_TAIL = {"tail_tolerance": (1e-10, "non-negative")}
 # the union of the variants' problem parameters; L and M size the grid
 _CONTROL_PARAMS = tuple(dict.fromkeys(
     key for params in VARIANTS.values() for key in params if key not in ("L", "M")))
@@ -637,85 +631,95 @@ EXPERIMENTS = {
     "propagate": Experiment(
         "flow conservation and Gaussian oracle errors", "free flow, conservation law",
         # box sized so the t=10 state still fits without wrap-around
-        _run_propagate, {**_grid_keys(100.0, 2048), **_TAIL, "propagate.sigma": 1.0,
+        _run_propagate, {**_grid_keys(100.0, 2048), **_TAIL,
+                         "propagate.sigma": (1.0, "positive"),
                          "propagate.times": [0.1, 1.0, 10.0]}),
     "verify-identity": Experiment(
         "chirp/rescale map vs oracle vs spectral flow", "Fresnel identity",
         _run_verify_identity, {
-            **_grid_keys(40.0, 2048), **_TAIL, "fresnel.sigma": 1.0,
-            "fresnel.times": [0.5, 1.0, 2.0], "fresnel.compare_box_fraction": 0.95}),
+            **_grid_keys(40.0, 2048), **_TAIL, "fresnel.sigma": (1.0, "positive"),
+            "fresnel.times": ([0.5, 1.0, 2.0], "positive"),
+            "fresnel.compare_box_fraction": (0.95, "non-negative")}),
     "bridge": Experiment(
         "chirp invariance and the spectral/flow energy bridge",
         "uncertainty-observability equivalence", _run_bridge, {
-            **_grid_keys(20.0, 1024), "bridge.T": 1.0, "bridge.radius": 6.0,
-            "bridge.samples": 20}),
+            **_grid_keys(20.0, 1024), "bridge.T": (1.0, "positive"),
+            "bridge.radius": (6.0, "non-negative"),
+            "bridge.samples": (20, "at least 1")}),
     "uncertainty": Experiment(
         "two-ball concentration quotients", "uncertainty principle", _run_uncertainty,
-        {**_grid_keys(40.0, 2048), **_TAIL, "uncertainty.sigma": 1.0,
-         "uncertainty.radii": [0.5, 1.0, 2.0, 4.0]}),
+        {**_grid_keys(40.0, 2048), **_TAIL, "uncertainty.sigma": (1.0, "positive"),
+         "uncertainty.radii": ([0.5, 1.0, 2.0, 4.0], "non-negative")}),
     "two-time-observability": Experiment(
         "recover vs two-time observation energies", "two-time observability",
         _run_two_time, {
-            **_grid_keys(40.0, 2048), **_TAIL, "observability.sigma": 1.0,
-            "observability.radius": 2.0, "observability.S": 0.0,
-            "observability.gaps": [0.25, 0.5, 1.0, 2.0]}),
+            **_grid_keys(40.0, 2048), **_TAIL, "observability.sigma": (1.0, "positive"),
+            "observability.radius": (2.0, "non-negative"),
+            "observability.S": (0.0, "non-negative"),
+            "observability.gaps": ([0.25, 0.5, 1.0, 2.0], "positive")}),
     "empirical-constant": Experiment(
         "Gramian smallest eigenvalue vs time gap", "two-time observability constant",
         _run_empirical_constant, {
-            **_grid_keys(20.0, 512), "observability.radius": 2.0,
-            "observability.gaps": [0.25, 0.5, 1.0, 2.0]}),
+            **_grid_keys(20.0, 512), "observability.radius": (2.0, "non-negative"),
+            "observability.gaps": ([0.25, 0.5, 1.0, 2.0], "positive")}),
     "interpolation-12": Experiment(
         "bump family fit of the interpolation inequality",
         "one-time interpolation estimate", _run_interpolation_12, {
-            **_grid_keys(20.0, 1024), **_TAIL, "interpolation.r": 1.0,
-            "interpolation.a": 1.0, "interpolation.T": 1.0,
-            "interpolation.scales": np.linspace(0.5, 3.0, 20).tolist()}),
+            **_grid_keys(20.0, 1024), **_TAIL, "interpolation.r": (1.0, "positive"),
+            "interpolation.a": (1.0, "positive"), "interpolation.T": (1.0, "positive"),
+            "interpolation.scales": (np.linspace(0.5, 3.0, 20).tolist(), "positive")}),
     "two-ball-13": Experiment(
         "ball-to-ball terminal estimates", "two-ball unique continuation",
         _run_two_ball_13, {
-            **_grid_keys(40.0, 2048), **_TAIL, "two_ball.sigma": 1.0,
-            "two_ball.r1": 1.0, "two_ball.r2": 1.0, "two_ball.a": 1.0,
-            "two_ball.T": 1.0, "two_ball.separations": [0.0, 2.0, 4.0, 6.0]}),
+            **_grid_keys(40.0, 2048), **_TAIL, "two_ball.sigma": (1.0, "positive"),
+            "two_ball.r1": (1.0, "positive"), "two_ball.r2": (1.0, "positive"),
+            "two_ball.a": (1.0, "positive"), "two_ball.T": (1.0, "positive"),
+            "two_ball.separations": [0.0, 2.0, 4.0, 6.0]}),
     "spectral-ineq-27": Experiment(
         "band-limited whole/outside energy ratios", "spectral inequality",
         _run_spectral_ineq, {
-            **_grid_keys(10.0, 512), "spectral.radii": [0.5, 1.0, 2.0],
-            "spectral.bands": [1.0, 2.0, 4.0, 8.0], "spectral.samples": 50}),
+            **_grid_keys(10.0, 512), "spectral.radii": ([0.5, 1.0, 2.0], "non-negative"),
+            "spectral.bands": ([1.0, 2.0, 4.0, 8.0], "positive"),
+            "spectral.samples": (50, "at least 1")}),
     "moment-34": Experiment(
         "moment growth of the flow", "moment propagation", _run_moment_34, {
             # box sized for the T=16 flow of the sigma=2 state; the wider
             # Gaussian keeps the finite-range secant slope under the 2k budget
-            **_grid_keys(80.0, 2048), **_TAIL, "moment.sigma": 2.0,
-            "moment.times": [1.0, 2.0, 4.0, 8.0, 16.0]}),
+            **_grid_keys(80.0, 2048), **_TAIL, "moment.sigma": (2.0, "positive"),
+            "moment.times": ([1.0, 2.0, 4.0, 8.0, 16.0], "non-negative")}),
     "euler-21": Experiment(
         "weighted moment integrals vs factorial bound", "Euler-integral bound",
-        _run_euler_21, {"euler.amplitudes": [0.5, 1.0, 2.0]}),
+        _run_euler_21, {"euler.amplitudes": ([0.5, 1.0, 2.0], "positive")}),
     "counterexample": Experiment(
         "decay rates of the sharpness families", "sharpness counterexamples",
         _run_counterexample, {
             "counterexample.family": "concentrating", **_grid_keys(15.0, 4096),
-            "counterexample.k": [1, 2, 4, 8, 16, 32], "counterexample.T": 1.0,
+            "counterexample.k": [1, 2, 4, 8, 16, 32],
+            "counterexample.T": (1.0, "positive"),
             "counterexample.profile": "gaussian", "counterexample.x_prime": 0.0,
-            "counterexample.x_dprime": 0.0, "counterexample.r1": 1.0,
-            "counterexample.r2": float, "counterexample.S1": 0.5,
-            "counterexample.S2": 0.5, "counterexample.a": 1.0,
+            "counterexample.x_dprime": 0.0, "counterexample.r1": (1.0, "non-negative"),
+            "counterexample.r2": (float, "non-negative"), "counterexample.S1": 0.5,
+            "counterexample.S2": 0.5, "counterexample.a": (1.0, "positive"),
             "counterexample.time_slices": 48}),
     "control-solve": Experiment(
         "penalized dual control synthesis", "impulse control duality",
         _run_control_solve, {
-            # grid.L, grid.M and the problem parameters default per variant
-            "control.variant": "two_impulse", "grid.dim": 1, "grid.L": float,
-            "grid.M": int, **_TAIL, **{f"control.{k}": float for k in _CONTROL_PARAMS},
-            "control.cg_tolerance": 1e-10, "control.max_iterations": 5000}),
+            # grid.L, grid.M and the problem parameters default per variant;
+            # variant_problem range-checks every parameter but sigma
+            "control.variant": "two_impulse", "grid.dim": 1,
+            "grid.L": (float, "positive"), "grid.M": int, **_TAIL,
+            **{f"control.{k}": float for k in _CONTROL_PARAMS},
+            "control.sigma": (float, "positive"),
+            "control.cg_tolerance": (1e-10, "positive"), "control.max_iterations": 5000}),
     "cost-scaling": Experiment(
         "control cost against the exponential budget", "control cost bound",
         _run_cost_scaling, {
-            **_grid_keys(20.0, 256), "control.sigma": 0.8,
-            "cost.gaps": [0.25, 0.5, 1.0, 2.0], "cost.radius": 2.0,
-            "cost.fixed_gap": 0.5, "cost.penalty": 1e-6, "cost.error_target": 1e-3,
-            "cost.cg_tolerance": 1e-8}),
+            **_grid_keys(20.0, 256), "control.sigma": (0.8, "positive"),
+            "cost.gaps": ([0.25, 0.5, 1.0, 2.0], "positive"),
+            "cost.radius": (2.0, "positive"), "cost.fixed_gap": (0.5, "positive"),
+            "cost.penalty": (1e-6, "positive"), "cost.error_target": (1e-3, "positive"),
+            "cost.cg_tolerance": (1e-8, "positive")}),
 }
-
 
 def list_experiments() -> str:
     lines = ["available experiments:"]
@@ -797,6 +801,10 @@ def main(argv: Sequence[str] = None) -> int:
         print(f"error: --seed must be a non-negative integer, got {args.seed}",
               file=sys.stderr)
         return 2
+    if args.threads < 1:
+        print(f"error: --threads must be at least 1, got {args.threads}",
+              file=sys.stderr)
+        return 2
 
     out_path = Path(args.out) if args.out else Path(f"{args.experiment}.csv")
     if not out_path.parent.is_dir():
@@ -808,7 +816,7 @@ def main(argv: Sequence[str] = None) -> int:
     try:
         values = load_config(args.config) if args.config else {}
         config = resolve(entry.keys, values, args.experiment)
-        result = entry.runner(config, args.seed, max(1, args.threads))
+        result = entry.runner(config, args.seed, args.threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

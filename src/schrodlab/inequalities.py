@@ -306,7 +306,7 @@ def two_ball_report_13(u0: Field, x_prime, x_dprime, r1: float, r2: float,
                        a: float, t: float) -> InequalityReport:
     """One-time ball-to-ball estimate: energy of u(.,T) on B_{r2}(x'') against
     its energy on B_{r1}(x') and the e^{a|x|} prior, with the exponent budget
-    p = 1 + (|x'-x''| + r1 + r2)/((aT) ^ r1) recorded."""
+    p = 1 + (|x'-x''| + r1 + r2)/min(aT, r1) recorded."""
     if min(r1, r2, a, t) <= 0:
         raise ValueError("r1, r2, a, T must all be positive")
     grid = u0.grid
@@ -562,7 +562,7 @@ def decay_window_report_15(u0: Field, x0, x_prime, r: float, a: float, b: float,
     """Decay-windowed recovery: e^{-b|x-x'|}-weighted terminal energy against
     the e^{a|x|} prior and the ball observation, swept over the epsilon
     tradeoff with observation coefficient exp(eps^{-1-kappa}),
-    kappa = b^{-1}/((aT) ^ r) (structural constant set to 1)."""
+    kappa = b^{-1}/min(aT, r) (structural constant set to 1)."""
     if min(r, a, b, t) <= 0:
         raise ValueError("r, a, b, T must all be positive")
     grid = u0.grid

@@ -39,6 +39,13 @@ def forbid_run(monkeypatch, experiment):
                         replace(EXPERIMENTS[experiment], runner=no_run))
 
 
+def is_float_key(default) -> bool:
+    """Whether a key-table default (a value, list or bare type) is a float's."""
+    if isinstance(default, list):
+        default = default[0]
+    return default is float or isinstance(default, float)
+
+
 class TestConfigParsing:
     def test_key_value_with_comments(self, tmp_path):
         path = write(tmp_path, "a.cfg", "grid.M = 2048  # fine\n\nx = 1.5\n")
@@ -147,6 +154,13 @@ class TestExitCodes:
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert "--seed must be a non-negative integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, monkeypatch, threads):
+        forbid_run(monkeypatch, "uncertainty")
+        assert main(["uncertainty", "--threads", threads,
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert f"--threads must be at least 1, got {threads}" in capsys.readouterr().err
+
     def test_band_beyond_nyquist_rejected_before_solving(self, tmp_path, capsys,
                                                          monkeypatch):
         for name in ("bandlimited_sample", "extremal_bandlimited_concentration"):
@@ -175,6 +189,41 @@ class TestExitCodes:
                      "--out", str(tmp_path / "s.csv")]) == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("experiment, line", [
+        ("two-time-observability", "observability.gaps = 0.0, 1.0"),
+        ("two-time-observability", "observability.S = -1.0"),
+        ("two-time-observability", "observability.radius = -1.0"),
+        ("empirical-constant", "observability.gaps = 0.0, 1.0"),
+        ("empirical-constant", "observability.radius = -1.0"),
+        ("uncertainty", "uncertainty.radii = -1.0, 1.0"),
+        ("moment-34", "moment.times = -1.0, 1.0"),
+        ("moment-34", "moment.sigma = 0.0"),
+        ("interpolation-12", "interpolation.r = 0.0"),
+        ("interpolation-12", "interpolation.scales = 0.0, 1.0"),
+        ("two-ball-13", "two_ball.r1 = 0.0"),
+        ("two-ball-13", "two_ball.separations = inf"),
+        ("propagate", "propagate.sigma = 0.0"),
+        ("propagate", "propagate.times = nan"),
+        ("propagate", "tail_tolerance = -1.0"),
+        ("bridge", "bridge.samples = 0"),
+        ("bridge", "bridge.T = 0.0"),
+        ("bridge", "bridge.radius = -1.0"),
+        ("euler-21", "euler.amplitudes = 0.0"),
+        ("euler-21", "euler.amplitudes = nan"),
+        ("verify-identity", "fresnel.times = 0.0"),
+        ("verify-identity", "fresnel.times = -1.0"),
+        ("counterexample", "counterexample.T = 0.0"),
+    ])
+    def test_out_of_range_value_named_before_run(self, tmp_path, capsys, monkeypatch,
+                                                 experiment, line):
+        # each of these used to end in a traceback, a misnamed exit 2 or,
+        # for the infinite separation, an Infinity written to the JSON
+        forbid_run(monkeypatch, experiment)
+        cfg = write(tmp_path, "r.cfg", f"{line}\n")
+        assert main([experiment, "--config", cfg,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"{line.split(' = ')[0]} must be" in capsys.readouterr().err
 
     def test_unresolved_empirical_constant_is_exit_3(self, tmp_path, capsys):
         # gaps 0.05 and 0.1 leave lambda_min below its own residual
@@ -350,6 +399,42 @@ class TestKeyTables:
                      "--out", str(tmp_path / "v.csv")]) == 2
         err = capsys.readouterr().err
         assert "ball_null" in err and "'tau1'" in err
+
+    @pytest.mark.parametrize("experiment, key, value, rule", [
+        (experiment, key, value, spec[1])
+        for experiment, entry in EXPERIMENTS.items()
+        for key, spec in entry.keys.items() if isinstance(spec, tuple)
+        for value in ("-1" if spec[1] == "non-negative" else "0",
+                      *(["nan"] if is_float_key(spec[0]) else []))])
+    def test_ranged_key_violation_named_before_run(self, tmp_path, capsys, monkeypatch,
+                                                   experiment, key, value, rule):
+        forbid_run(monkeypatch, experiment)
+        cfg = write(tmp_path, "r.cfg", f"{key} = {value}\n")
+        assert main([experiment, "--config", cfg,
+                     "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"{key} must be {rule}, got" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("experiment, key", [
+        (experiment, key) for experiment, entry in EXPERIMENTS.items()
+        for key, spec in entry.keys.items()
+        if not isinstance(spec, tuple) and is_float_key(spec)])
+    def test_unranged_float_must_be_finite(self, tmp_path, capsys, monkeypatch,
+                                           experiment, key):
+        forbid_run(monkeypatch, experiment)
+        cfg = write(tmp_path, "f.cfg", f"{key} = inf\n")
+        assert main([experiment, "--config", cfg,
+                     "--out", str(tmp_path / "f.csv")]) == 2
+        assert f"{key} must be finite, got" in capsys.readouterr().err
+
+    def test_defaults_obey_their_rules_and_shared_keys_agree(self):
+        rules = {}
+        for experiment, entry in EXPERIMENTS.items():
+            cli.resolve(entry.keys, {}, experiment)  # every default passes
+            for key, spec in entry.keys.items():
+                rules.setdefault(key, set()).add(
+                    spec[1] if isinstance(spec, tuple) else None)
+        assert {key: found for key, found in rules.items() if len(found) > 1} == {}
 
     def test_tail_tolerance_only_where_the_tail_is_checked(self):
         tail = {"propagate", "verify-identity", "uncertainty", "two-time-observability",
