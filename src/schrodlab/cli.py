@@ -699,7 +699,8 @@ EXPERIMENTS = {
             "counterexample.profile": "gaussian", "counterexample.x_prime": 0.0,
             "counterexample.x_dprime": 0.0, "counterexample.r1": (1.0, "non-negative"),
             "counterexample.r2": (float, "non-negative"), "counterexample.S1": 0.5,
-            "counterexample.S2": 0.5, "counterexample.a": (1.0, "positive"),
+            "counterexample.S2": (0.5, "positive"),
+            "counterexample.a": (1.0, "positive"),
             "counterexample.time_slices": 48}),
     "control-solve": Experiment(
         "penalized dual control synthesis", "impulse control duality",

@@ -40,7 +40,6 @@ from .field import (Field, Grid, Region, Weight, ball, ball_complement,
                     gaussian_state, l2_norm, make_grid, weighted_energy_flagged,
                     whole_space)
 from .fitting import FitResult, affine_fit
-from .inequalities import prior_sobolev_order
 from .solvers import CGResult, Operator, conjugate_gradient, lanczos_smallest
 from .transform import (fft_symbol, flow_observation, propagate_values,
                         spectral_multiply)
@@ -172,8 +171,9 @@ def variant_problem(name: str, grid: Optional[Grid] = None, **params) -> Impulse
 
 
 def _sobolev_symbol(grid: Grid, power: float = 1.0) -> np.ndarray:
-    """(1+|xi|^2)^{power * (n+3)} in FFT order, for spectral_multiply."""
-    order = prior_sobolev_order(grid.dim)
+    """(1+|xi|^2)^{power * (n+3)} in FFT order, for spectral_multiply; n + 3 is
+    the Sobolev order of the augmented prior in estimate (1.6)."""
+    order = grid.dim + 3
     return fft_symbol(grid, (1.0 + grid.dual().radius_sq()) ** (power * order))
 
 

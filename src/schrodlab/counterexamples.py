@@ -57,6 +57,8 @@ class SequenceSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
+        if self.s2 <= 0:
+            raise ValueError("the time integral over (0, S2) needs S2 > 0")
 
 
 def _profile_values(profile: str, scaled_rsq: np.ndarray) -> np.ndarray:

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 from math import factorial
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .field import (
     Field,
@@ -28,7 +27,6 @@ from .field import (
     radial_moment,
     weighted_energy_flagged,
 )
-from .fitting import FitResult, affine_fit  # re-exported: fits live with reports
 from .solvers import LanczosResult, lanczos_smallest
 from .transform import (chirp_aliasing_ok, dft, fft_symbol, flow_observation,
                         idft, propagate, spectral_multiply)
@@ -36,13 +34,6 @@ from .transform import (chirp_aliasing_ok, dft, fft_symbol, flow_observation,
 
 class AliasingError(ValueError):
     """The quadratic chirp is not resolvable on this grid at this time."""
-
-
-def _as_point(p, dim: int) -> Tuple[float, ...]:
-    arr = np.atleast_1d(np.asarray(p, dtype=float))
-    if arr.size == 1 and dim > 1:
-        arr = np.full(dim, float(arr[0]))
-    return tuple(float(v) for v in arr)
 
 
 @dataclass
@@ -519,97 +510,3 @@ def smallest_euler_constant(cases: Sequence[Tuple[float, Sequence[int]]]) -> flo
     if best == 0.0:
         raise ValueError("no case with |beta| > 0 given")
     return best
-
-
-# ---------------------------------------------------------------------------
-# decay-weighted and Sobolev-augmented one-time estimates (epsilon sweeps)
-
-
-@dataclass
-class EpsilonSweepReport:
-    theorem: str
-    lhs: float
-    terms: Dict[str, float]
-    rows: List[Dict[str, float]]  # per-epsilon: eps, log_rhs
-    log_constant: float           # smallest log C with lhs <= C * rhs(eps) for all eps
-    has_interior_minimum: bool
-    flags: Dict[str, bool]
-
-
-def _epsilon_sweep(theorem: str, lhs: float, terms: Dict[str, float],
-                   prior: float, obs: float, eps_values: Sequence[float],
-                   log_obs_coeff) -> EpsilonSweepReport:
-    rows = []
-    log_rhs_values = []
-    tiny = np.finfo(float).tiny
-    for eps in eps_values:
-        if not 0.0 < eps < 1.0:
-            raise ValueError("epsilon values must lie in (0, 1)")
-        pieces = [np.log(eps) + np.log(max(prior, tiny)),
-                  np.log(eps) + log_obs_coeff(eps) + np.log(max(obs, tiny))]
-        log_rhs = float(logsumexp(pieces))
-        rows.append({"eps": float(eps), "log_rhs": log_rhs})
-        log_rhs_values.append(log_rhs)
-    log_rhs_values = np.asarray(log_rhs_values)
-    log_constant = float(np.log(max(lhs, tiny)) - np.min(log_rhs_values))
-    interior = bool(np.argmin(log_rhs_values) not in (0, len(log_rhs_values) - 1))
-    return EpsilonSweepReport(theorem, lhs, terms, rows, log_constant, interior,
-                              flags={"zero_lhs": lhs == 0.0})
-
-
-def decay_window_report_15(u0: Field, x0, x_prime, r: float, a: float, b: float,
-                           t: float, eps_values: Sequence[float]) -> EpsilonSweepReport:
-    """Decay-windowed recovery: e^{-b|x-x'|}-weighted terminal energy against
-    the e^{a|x|} prior and the ball observation, swept over the epsilon
-    tradeoff with observation coefficient exp(eps^{-1-kappa}),
-    kappa = b^{-1}/min(aT, r) (structural constant set to 1)."""
-    if min(r, a, b, t) <= 0:
-        raise ValueError("r, a, b, T must all be positive")
-    grid = u0.grid
-    u_t = propagate(u0, t)
-    lhs, lhs_capped = weighted_energy_flagged(
-        u_t, Weight(b, 1.0, "decay", center=_as_point(x_prime, grid.dim)))
-    obs = masked_energy(u_t, ball(x0, r, dim=grid.dim))
-    prior, capped = weighted_energy_flagged(u0, Weight(a, 1.0, "grow"))
-    kappa = (1.0 / b) / min(a * t, r)
-
-    def log_obs_coeff(eps: float) -> float:
-        return min(eps ** (-1.0 - kappa), 700.0)
-
-    report = _epsilon_sweep("decay-window-15", lhs,
-                            {"observation": obs, "prior": prior},
-                            prior, obs, eps_values, log_obs_coeff)
-    report.flags["weight_capped"] = capped or lhs_capped
-    return report
-
-
-def prior_sobolev_order(dim: int) -> int:
-    """The Sobolev order n + 3 of the augmented prior in estimate (1.6)."""
-    return dim + 3
-
-
-def sobolev_prior_report_16(u0: Field, x0, r: float, a: float, t: float,
-                            eps_values: Sequence[float]) -> EpsilonSweepReport:
-    """Full-recovery estimate with Sobolev-augmented prior and the
-    double-exponential observation coefficient exp(exp(eps^{-2})); the
-    coefficient is handled in log space (log coeff = exp(eps^{-2})), which
-    keeps it representable down to eps ~ 0.2; sweep eps >= 0.3 in practice
-    since below that the reciprocal cost weight underflows any budget."""
-    if min(r, a, t) <= 0:
-        raise ValueError("r, a, T must all be positive")
-    grid = u0.grid
-    lhs = l2_norm(u0) ** 2
-    obs = masked_energy(propagate(u0, t), ball(x0, r, dim=grid.dim))
-    weighted, capped = weighted_energy_flagged(u0, Weight(a, 1.0, "grow"))
-    sobolev = sobolev_norm_sq(u0, prior_sobolev_order(grid.dim))
-    prior = weighted + sobolev
-
-    def log_obs_coeff(eps: float) -> float:
-        return float(np.exp(eps ** -2.0))
-
-    report = _epsilon_sweep("sobolev-prior-16", lhs,
-                            {"observation": obs, "prior_weighted": weighted,
-                             "prior_sobolev": sobolev},
-                            prior, obs, eps_values, log_obs_coeff)
-    report.flags["weight_capped"] = capped
-    return report

@@ -211,14 +211,3 @@ def bandlimited_interpolate(f: Field, points: np.ndarray) -> np.ndarray:
     e0 = np.exp(1j * np.outer(pts[:, 0], xi))
     e1 = np.exp(1j * np.outer(pts[:, 1], xi))
     return scale * np.einsum("km,mn,kn->k", e0, fmat, e1)
-
-
-def stencil_laplacian(f: Field) -> Field:
-    """3-point (1D) / 5-point (2D) periodic central Laplacian; diagnostic only."""
-    grid = f.grid
-    m = grid.points_per_dim
-    v = f.values.reshape((m,) * grid.dim)
-    out = -2.0 * grid.dim * v.astype(np.complex128)
-    for axis in range(grid.dim):
-        out = out + np.roll(v, 1, axis=axis) + np.roll(v, -1, axis=axis)
-    return Field(grid, (out / grid.spacing ** 2).ravel())

@@ -1,12 +1,16 @@
 """Runner contract: config parsing, exit codes, determinism, output format."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import schrodlab
 from schrodlab import cli
 from schrodlab.cli import (ConfigError, EXPERIMENTS, list_experiments,
                            load_config, main)
@@ -214,6 +218,7 @@ class TestExitCodes:
         ("verify-identity", "fresnel.times = 0.0"),
         ("verify-identity", "fresnel.times = -1.0"),
         ("counterexample", "counterexample.T = 0.0"),
+        ("counterexample", "counterexample.S2 = -1.0"),
     ])
     def test_out_of_range_value_named_before_run(self, tmp_path, capsys, monkeypatch,
                                                  experiment, line):
@@ -518,3 +523,17 @@ class TestCatalog:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "control-solve" in out
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # start-up cost: scipy.special and scipy.integrate load only where a run
+    # needs them, so a fresh `import schrodlab.cli` must not pull them in
+    code = ("import sys, schrodlab.cli; "
+            "print(' '.join(m for m in ('scipy.special', 'scipy.integrate') "
+            "if m in sys.modules))")
+    src = str(Path(schrodlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -138,6 +138,13 @@ class TestDecayStudy:
         with pytest.raises(ValueError):
             decay_study(spec, GRID, [1], time_slices=16)
 
+    def test_rejects_nonpositive_s2(self):
+        # the inside-ball energy is integrated over (0, S2): S2 <= 0 used to
+        # yield negative or zero integrals
+        for s2 in (0.0, -1.0):
+            with pytest.raises(ValueError, match="S2 > 0"):
+                SequenceSpec("time_reversed", s2=s2)
+
     def test_returns_study_type(self):
         spec = SequenceSpec("modulated")
         study = decay_study(spec, GRID, [0, 1])

@@ -10,14 +10,13 @@ from schrodlab.field import (Field, ball, ball_complement, field_from_function,
                              whole_space, zero_field)
 from schrodlab.fitting import affine_fit
 from schrodlab.inequalities import (AliasingError, bandlimited_sample,
-                                    decay_window_report_15, empirical_constant,
+                                    empirical_constant,
                                     equivalence_bridge_check, euler_bound,
                                     euler_integral,
                                     extremal_bandlimited_concentration,
                                     fit_interpolation_12, gramian_apply,
                                     interpolation_report_12, moment_check_34,
                                     smallest_euler_constant,
-                                    sobolev_prior_report_16,
                                     spectral_inequality_report,
                                     two_ball_report_13, two_time_quotient,
                                     uncertainty_quotient)
@@ -417,23 +416,3 @@ class TestEulerBound:
     def test_rejects_large_multiindex(self):
         with pytest.raises(ValueError):
             euler_integral(1.0, (3, 2))
-
-
-class TestEpsilonSweeps:
-    def test_decay_window_shape(self):
-        grid = make_grid(1, 20.0, 512)
-        u0 = gaussian(grid)
-        eps = list(np.linspace(0.05, 0.98, 25))
-        report = decay_window_report_15(u0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, eps)
-        assert np.isfinite(report.log_constant)
-        assert len(report.rows) == len(eps)
-        assert report.has_interior_minimum
-
-    def test_sobolev_prior_log_space(self):
-        grid = make_grid(1, 20.0, 512)
-        u0 = gaussian(grid)
-        eps = list(np.linspace(0.3, 0.9, 13))
-        report = sobolev_prior_report_16(u0, 0.0, 1.0, 1.0, 1.0, eps)
-        assert np.isfinite(report.log_constant)
-        assert all(np.isfinite(row["log_rhs"]) for row in report.rows)
-        assert report.terms["prior_sobolev"] >= report.lhs
