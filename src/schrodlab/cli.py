@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence
 
@@ -329,8 +329,7 @@ def _run_empirical_constant(config: dict, seed: int, threads: int) -> Experiment
                 f"residual {row['residual']:.3e}" for row in failing))
     fit = affine_fit([1.0 / row["gap"] for row in rows],
                      [np.log(row["constant"]) for row in rows])
-    summary = {"fit_log_constant_vs_inverse_gap": {
-        "slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}}
+    summary = {"fit_log_constant_vs_inverse_gap": asdict(fit)}
     return ExperimentResult(rows, summary)
 
 
@@ -349,7 +348,7 @@ def _run_interpolation_12(config: dict, seed: int, threads: int) -> ExperimentRe
     validity = _check_tail(config, member(max(scales)))
 
     def one(scale: float) -> Dict[str, object]:
-        report = interpolation_report_12(member(scale), r, a, t, variant="i")
+        report = interpolation_report_12(member(scale), r, a, t)
         return {"scale": scale, "lhs": report.lhs,
                 "observation": report.terms["observation"],
                 "prior": report.terms["prior"],
@@ -378,7 +377,7 @@ def _run_two_ball_13(config: dict, seed: int, threads: int) -> ExperimentResult:
         report = two_ball_report_13(u0, -sep / 2.0, sep / 2.0, r1, r2, a, t)
         return {"separation": sep, "lhs": report.lhs,
                 "observation": report.terms["observation"],
-                "prior": report.terms["prior"], "p": report.params["p"]}
+                "prior": report.terms["prior"], "p": report.terms["p"]}
 
     rows = _map_ordered(one, separations, threads)
     return ExperimentResult(rows, {"validity": validity})
@@ -416,9 +415,7 @@ def _run_spectral_ineq(config: dict, seed: int, threads: int) -> ExperimentResul
     fit = affine_fit([row["rN"] for row in rows],
                      [row["max_log_ratio"] for row in rows])
     summary = {"all_ratios_ge_1": bool(all(row["min_ratio"] >= 1.0 for row in rows)),
-               "fit_max_log_ratio_vs_rN": {
-                   "slope": fit.slope, "intercept": fit.intercept,
-                   "r_squared": fit.r_squared},
+               "fit_max_log_ratio_vs_rN": asdict(fit),
                "samples_per_tuple": samples}
     return ExperimentResult(rows, summary)
 
@@ -571,9 +568,7 @@ def _run_cost_scaling(config: dict, seed: int, threads: int) -> ExperimentResult
         doubling_increase = bool(study.doubling_rows[1]["normalized_cost"]
                                  > study.doubling_rows[0]["normalized_cost"])
     summary = {
-        "fit_log_cost_vs_stress": {"slope": study.fit.slope,
-                                   "intercept": study.fit.intercept,
-                                   "r_squared": study.fit.r_squared},
+        "fit_log_cost_vs_stress": asdict(study.fit),
         "excluded_runs": study.excluded,
         "doubling_rows": study.doubling_rows,
         "cost_increases_when_radius_doubles": doubling_increase,

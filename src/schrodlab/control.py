@@ -161,7 +161,7 @@ def variant_problem(name: str, grid: Optional[Grid] = None, **params) -> Impulse
     if name == "ball_null":
         return ImpulseProblem(grid, horizon, ((0.0, inside_r1),), u0, None, eps0,
                               1.0, weighted, reach_region=ball(0.0, p["r2"], dim=dim))
-    decay = Weight(p["b"], 1.0, "grow", center=(p["target_shift"],) * dim)
+    decay = Weight(p["b"], "grow", center=(p["target_shift"],) * dim)
     return ImpulseProblem(grid, horizon, ((0.0, inside_r1),), u0, None, eps0, 1.0,
                           weighted, datum_weight=decay)
 
@@ -234,7 +234,7 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     if norm.kind == "l2":
         weight, precondition = (lambda v: v.copy()), None
     else:
-        diag, _ = Weight(norm.amplitude, 1.0, "grow").evaluate(grid)  # e^{a|x|}, capped
+        diag, _ = Weight(norm.amplitude, "grow").evaluate(grid)  # e^{a|x|}, capped
         if norm.kind == "dual_weighted":
             inv = 1.0 / (c0 + eps0 * diag)
             weight, precondition = (lambda v: diag * v), (lambda v: inv * v)
@@ -405,7 +405,7 @@ def _error_diagnostics(problem: ImpulseProblem, error_field: Field) -> Dict[str,
         values = spectral_multiply(grid, values, _sobolev_symbol(grid, -0.5))
         key = "simulated_error_dual_approx"
     energy, _ = weighted_energy_flagged(Field(grid, values),
-                                        Weight(norm.amplitude, 1.0, "decay"))
+                                        Weight(norm.amplitude, "decay"))
     out[key] = float(np.sqrt(energy))
     return out
 

@@ -229,31 +229,28 @@ def whole_space() -> Region:
 
 @dataclass(frozen=True)
 class Weight:
-    """Exponential weight exp(+-a |x|^beta) with an overflow cap on the exponent.
+    """Exponential weight exp(+-a |x|) with an overflow cap on the exponent.
 
-    sign="grow" is e^{a|x|^beta}, sign="decay" is e^{-a|x|^beta}.  An optional
+    sign="grow" is e^{a|x|}, sign="decay" is e^{-a|x|}.  An optional
     center shifts |x| to |x - center| (the e^{-b|x-x'|} weights of the decay
     estimates).  The exponent is capped at EXPONENT_CAP before exponentiating;
     evaluate() reports whether the cap was hit.
     """
 
     amplitude: float
-    exponent: float = 1.0
     sign: str = "grow"
     center: Tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.amplitude > 0:
             raise ValueError("weight amplitude must be positive")
-        if self.exponent < 1.0:
-            raise ValueError("weight exponent must be >= 1")
         if self.sign not in ("grow", "decay"):
             raise ValueError(f"weight sign must be grow or decay, got {self.sign!r}")
 
     def evaluate(self, grid: Grid) -> Tuple[np.ndarray, bool]:
         """Weight values on the grid and whether the exponent cap tripped."""
         rsq = grid.radius_sq(self.center if self.center else None)
-        arg = self.amplitude * rsq ** (self.exponent / 2.0)
+        arg = self.amplitude * rsq ** 0.5
         capped = bool(np.any(arg > EXPONENT_CAP))
         arg = np.minimum(arg, EXPONENT_CAP)
         if self.sign == "decay":

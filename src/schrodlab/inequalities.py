@@ -9,8 +9,8 @@ Gramian, computed matrix-free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from math import factorial
+from dataclasses import dataclass
+from math import factorial, gamma, prod
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -38,12 +38,10 @@ class AliasingError(ValueError):
 
 @dataclass
 class InequalityReport:
-    theorem: str
     lhs: float
     terms: Dict[str, float]
     quotient: float
-    params: Dict[str, float] = dataclass_field(default_factory=dict)
-    flags: Dict[str, bool] = dataclass_field(default_factory=dict)
+    flags: Dict[str, bool]
 
 
 def _quotient(lhs: float, denominator: float, flags: Dict[str, bool]) -> float:
@@ -75,14 +73,8 @@ def two_time_quotient(u0: Field, s: float, t: float,
     obs_t = masked_energy(propagate(u0, t), region_b)
     flags: Dict[str, bool] = {}
     quotient = _quotient(lhs, obs_s + obs_t, flags)
-    return InequalityReport(
-        "two-time-observability",
-        lhs,
-        {"observation_S": obs_s, "observation_T": obs_t},
-        quotient,
-        params={"S": s, "T": t, "gap": t - s},
-        flags=flags,
-    )
+    return InequalityReport(lhs, {"observation_S": obs_s, "observation_T": obs_t},
+                            quotient, flags)
 
 
 def uncertainty_quotient(f: Field, space_ball: Region, freq_ball: Region) -> InequalityReport:
@@ -97,13 +89,8 @@ def uncertainty_quotient(f: Field, space_ball: Region, freq_ball: Region) -> Ine
     flags: Dict[str, bool] = {}
     quotient = _quotient(lhs, outside_space + outside_freq, flags)
     return InequalityReport(
-        "uncertainty-principle",
-        lhs,
-        {"outside_space": outside_space, "outside_frequency": outside_freq},
-        quotient,
-        params={"space_radius": space_ball.radius, "freq_radius": freq_ball.radius},
-        flags=flags,
-    )
+        lhs, {"outside_space": outside_space, "outside_frequency": outside_freq},
+        quotient, flags)
 
 
 @dataclass
@@ -207,54 +194,34 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
 # one-time interpolation inequalities (exponential-decay priors)
 
 
-def interpolation_report_12(u0: Field, r: float, a: float, t: float,
-                            variant: str = "i", theta: float = 0.5,
-                            beta: float = None, gamma: float = None) -> InequalityReport:
-    """One-time unique continuation with weighted prior.
+def _interpolation_shape(theta: float, r: float, a: float, t: float,
+                         dim: int) -> Tuple[float, float]:
+    """Exponent p = theta^{1 + r/(aT)} and prefactor 1 + (r/(aT))^n of the
+    interpolation estimate with the e^{a|x|} prior."""
+    ratio = r / (a * t)
+    return theta ** (1.0 + ratio), 1.0 + ratio ** dim
 
-    variant "i": prior weight e^{a|x|}, exponent p = theta^{1 + r/(aT)};
-    variant "ii": prior weight e^{a|x|^beta} (beta > 1), exponent p = gamma.
-    The report records observation^p * prior^(1-p) so families can be fitted.
-    """
+
+def interpolation_report_12(u0: Field, r: float, a: float, t: float,
+                            theta: float = 0.5) -> InequalityReport:
+    """One-time unique continuation with the e^{a|x|} prior:
+    ||u0||^2 <= (1 + (r/(aT))^n) obs^p prior^(1-p), p = theta^{1 + r/(aT)},
+    where obs is the energy of u(.,T) outside B_r.  The report records
+    obs^p * prior^(1-p) as the product so families can be fitted."""
     if min(r, a, t) <= 0:
         raise ValueError("r, a, T must all be positive")
+    if not 0.0 < theta < 1.0:
+        raise ValueError("theta must lie in (0, 1)")
     grid = u0.grid
-    if variant == "i":
-        weight = Weight(a, 1.0, "grow")
-        if not 0.0 < theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        p = theta ** (1.0 + r / (a * t))
-        prefactor = 1.0 + (r / (a * t)) ** grid.dim
-    elif variant == "ii":
-        if beta is None or beta <= 1.0:
-            raise ValueError("variant ii needs beta > 1")
-        if gamma is None or not 0.0 < gamma < 1.0:
-            raise ValueError("variant ii needs gamma in (0, 1)")
-        weight = Weight(a, beta, "grow")
-        p = gamma
-        prefactor = (r ** beta / (a * (1.0 - gamma) * t ** beta)) ** (1.0 / (beta - 1.0))
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
+    p, prefactor = _interpolation_shape(theta, r, a, t, grid.dim)
     lhs = l2_norm(u0) ** 2
     obs = masked_energy(propagate(u0, t), ball_complement(0.0, r, dim=grid.dim))
-    prior, capped = weighted_energy_flagged(u0, weight)
+    prior, capped = weighted_energy_flagged(u0, Weight(a, "grow"))
     product = 0.0 if (obs == 0.0 and lhs == 0.0) else obs ** p * prior ** (1.0 - p)
     flags = {"weight_capped": capped, "valid": not capped}
-    quotient = _quotient(lhs, product, flags)
-    params = {"r": r, "a": a, "T": t, "p": p, "prefactor": prefactor}
-    if variant == "ii":
-        params.update({"beta": beta, "gamma": gamma})
-    else:
-        params["theta"] = theta
+    quotient = _quotient(lhs, prefactor * product, flags)
     return InequalityReport(
-        f"interpolation-12-{variant}",
-        lhs,
-        {"observation": obs, "prior": prior, "product": product},
-        quotient,
-        params=params,
-        flags=flags,
-    )
+        lhs, {"observation": obs, "prior": prior, "product": product}, quotient, flags)
 
 
 @dataclass
@@ -266,7 +233,7 @@ class InterpolationFit:
 
 def fit_interpolation_12(samples: Sequence[Tuple[float, float, float, float, float, float]],
                          dim: int) -> InterpolationFit:
-    """Fit (C, theta) for the variant-(i) inequality over a report family.
+    """Fit (C, theta) for the interpolation inequality over a report family.
 
     samples: tuples (lhs, observation, prior, r, a, T).  theta is chosen to
     minimize the variance of the log residuals, then C is the smallest
@@ -279,9 +246,8 @@ def fit_interpolation_12(samples: Sequence[Tuple[float, float, float, float, flo
     def residuals(theta: float) -> np.ndarray:
         out = []
         for lhs, obs, prior, r, a, t in data:
-            p = theta ** (1.0 + r / (a * t))
-            bound = p * np.log(obs) + (1.0 - p) * np.log(prior) \
-                + np.log(1.0 + (r / (a * t)) ** dim)
+            p, prefactor = _interpolation_shape(theta, r, a, t, dim)
+            bound = p * np.log(obs) + (1.0 - p) * np.log(prior) + np.log(prefactor)
             out.append(np.log(lhs) - bound)
         return np.asarray(out)
 
@@ -297,14 +263,15 @@ def two_ball_report_13(u0: Field, x_prime, x_dprime, r1: float, r2: float,
                        a: float, t: float) -> InequalityReport:
     """One-time ball-to-ball estimate: energy of u(.,T) on B_{r2}(x'') against
     its energy on B_{r1}(x') and the e^{a|x|} prior, with the exponent budget
-    p = 1 + (|x'-x''| + r1 + r2)/min(aT, r1) recorded."""
+    p = 1 + (|x'-x''| + r1 + r2)/min(aT, r1) and the separation |x'-x''|
+    recorded among the terms."""
     if min(r1, r2, a, t) <= 0:
         raise ValueError("r1, r2, a, T must all be positive")
     grid = u0.grid
     u_t = propagate(u0, t)
     lhs = masked_energy(u_t, ball(x_dprime, r2, dim=grid.dim))
     obs = masked_energy(u_t, ball(x_prime, r1, dim=grid.dim))
-    prior, capped = weighted_energy_flagged(u0, Weight(a, 1.0, "grow"))
+    prior, capped = weighted_energy_flagged(u0, Weight(a, "grow"))
     separation = float(np.linalg.norm(
         np.atleast_1d(np.asarray(x_prime, dtype=float))
         - np.atleast_1d(np.asarray(x_dprime, dtype=float))))
@@ -312,14 +279,8 @@ def two_ball_report_13(u0: Field, x_prime, x_dprime, r1: float, r2: float,
     flags = {"weight_capped": capped, "valid": not capped}
     quotient = _quotient(lhs, obs + prior, flags)
     return InequalityReport(
-        "two-ball-13",
-        lhs,
-        {"observation": obs, "prior": prior},
-        quotient,
-        params={"r1": r1, "r2": r2, "a": a, "T": t, "p": p,
-                "separation": separation},
-        flags=flags,
-    )
+        lhs, {"observation": obs, "prior": prior, "p": p, "separation": separation},
+        quotient, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +359,8 @@ def spectral_inequality_report(f: Field, r: float, band_radius: float) -> Inequa
     lhs = l2_norm(projected) ** 2
     outside = masked_energy(projected, ball_complement(0.0, r, dim=grid.dim))
     flags: Dict[str, bool] = {"degenerate_denominator": bool(outside < 1e-300)}
-    quotient = _quotient(lhs, outside, flags)
-    log_ratio = float(np.log(quotient)) if 0.0 < quotient < float("inf") else float("nan")
-    return InequalityReport(
-        "spectral-inequality-27",
-        lhs,
-        {"outside_energy": outside},
-        quotient,
-        params={"r": r, "N": band_radius, "rN": r * band_radius,
-                "log_ratio": log_ratio},
-        flags=flags,
-    )
+    return InequalityReport(lhs, {"outside_energy": outside},
+                            _quotient(lhs, outside, flags), flags)
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +408,9 @@ def moment_check_34(u0: Field, t: float, k: int) -> MomentCheck:
 
 
 def euler_integral(a: float, beta: Sequence[int]) -> float:
-    """int |xi^{2 beta}| e^{-a|xi|} d xi, exact Gamma reduction in 1D and
-    radial x angular quadrature in 2D."""
+    """int |xi^{2 beta}| e^{-a|xi|} d xi in closed form: a Gamma reduction in
+    1D; in 2D the radial Gamma (2|beta|+1)!/a^{2|beta|+2} times the angular
+    Beta integral 2 Gamma(b1+1/2) Gamma(b2+1/2)/Gamma(|beta|+1)."""
     if a <= 0:
         raise ValueError("a must be positive")
     beta = tuple(int(b) for b in beta)
@@ -467,28 +420,18 @@ def euler_integral(a: float, beta: Sequence[int]) -> float:
     if n == 1:
         b = beta[0]
         return 2.0 * a ** (-(2 * b + 1)) * float(factorial(2 * b))
-    # imported here: scipy.integrate costs ~0.3 s at import, and nothing
-    # else in the package needs it
-    from scipy.integrate import quad
-
     b1, b2 = beta
     total = b1 + b2
-    radial, _ = quad(lambda rho: rho ** (2 * total + 1) * np.exp(-a * rho),
-                     0.0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
-    angular, _ = quad(lambda th: abs(np.cos(th)) ** (2 * b1) * abs(np.sin(th)) ** (2 * b2),
-                      0.0, 2.0 * np.pi, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return float(radial * angular)
+    return factorial(2 * total + 1) / a ** (2 * total + 2) \
+        * 2.0 * gamma(b1 + 0.5) * gamma(b2 + 0.5) / gamma(total + 1)
 
 
 def euler_bound(a: float, beta: Sequence[int], constant: float) -> float:
     """Square of (2n/a)^{n/2} beta! (Cn/a)^{|beta|}, bounding the integral."""
     beta = tuple(int(b) for b in beta)
     n = len(beta)
-    total = sum(beta)
-    fact = 1.0
-    for b in beta:
-        fact *= factorial(b)
-    return (2.0 * n / a) ** n * fact ** 2 * (constant * n / a) ** (2 * total)
+    fact = prod(factorial(b) for b in beta)
+    return (2.0 * n / a) ** n * fact ** 2 * (constant * n / a) ** (2 * sum(beta))
 
 
 def smallest_euler_constant(cases: Sequence[Tuple[float, Sequence[int]]]) -> float:
@@ -501,9 +444,7 @@ def smallest_euler_constant(cases: Sequence[Tuple[float, Sequence[int]]]) -> flo
             continue
         n = len(beta)
         integral = euler_integral(a, beta)
-        fact = 1.0
-        for b in beta:
-            fact *= factorial(b)
+        fact = prod(factorial(b) for b in beta)
         needed = (a / n) * (np.sqrt(integral) / ((2.0 * n / a) ** (n / 2.0) * fact)) \
             ** (1.0 / total)
         best = max(best, float(needed))

@@ -6,14 +6,13 @@ calibration.
 """
 
 import numpy as np
-import pytest
 
 from schrodlab.control import (VARIANTS, calibrate_observation_weight,
                                cost_scaling_study, problem_operators,
                                solve_control, variant_problem)
 from schrodlab.counterexamples import SequenceSpec, decay_study
 from schrodlab.field import (Field, ball, ball_complement, dot, gaussian_state,
-                             l2_norm, make_grid, masked_energy)
+                             l2_norm, make_grid)
 from schrodlab.fitting import affine_fit
 from schrodlab.inequalities import (empirical_constant, equivalence_bridge_check,
                                     euler_bound, euler_integral,

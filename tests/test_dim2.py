@@ -5,8 +5,8 @@ import pytest
 
 from schrodlab.control import ErrorNorm, ImpulseProblem, datum_field, solve_control
 from schrodlab.counterexamples import SequenceSpec, decay_study
-from schrodlab.field import (Field, ball, ball_complement, field_from_function,
-                             l2_norm, make_grid, masked_energy, whole_space)
+from schrodlab.field import (Field, ball, field_from_function, make_grid,
+                             masked_energy, whole_space)
 from schrodlab.inequalities import (empirical_constant, two_time_quotient,
                                     uncertainty_quotient)
 

@@ -179,8 +179,6 @@ class TestWeightedEnergy:
         with pytest.raises(ValueError):
             Weight(-1.0)
         with pytest.raises(ValueError):
-            Weight(1.0, exponent=0.5)
-        with pytest.raises(ValueError):
             Weight(1.0, sign="up")
 
 

@@ -3,6 +3,7 @@ homogeneity / conservation invariants."""
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.linalg import dft as dense_dft_matrix
 
 from schrodlab.field import (Field, ball, ball_complement, field_from_function,
@@ -20,7 +21,7 @@ from schrodlab.inequalities import (AliasingError, bandlimited_sample,
                                     spectral_inequality_report,
                                     two_ball_report_13, two_time_quotient,
                                     uncertainty_quotient)
-from schrodlab.transform import dft, propagate
+from schrodlab.transform import dft
 
 SQRT_PI = float(np.sqrt(np.pi))
 
@@ -237,20 +238,12 @@ class TestInterpolation12:
         report = interpolation_report_12(u0, 1.0, 1.0, 1.0)
         assert report.terms["prior"] >= report.lhs
 
-    def test_variant_ii_validation(self):
-        grid = make_grid(1, 20.0, 128)
-        u0 = gaussian(grid)
-        with pytest.raises(ValueError):
-            interpolation_report_12(u0, 1.0, 1.0, 1.0, variant="ii", beta=0.9,
-                                    gamma=0.5)
-        with pytest.raises(ValueError):
-            interpolation_report_12(u0, 1.0, 1.0, 1.0, variant="ii", beta=2.0,
-                                    gamma=1.5)
-
-    def test_bump_family_fit(self):
+    @staticmethod
+    def bump_family_fit():
+        """The interpolation-12 CLI family at its defaults, and its fit."""
         grid = make_grid(1, 20.0, 1024)
         rsq = grid.radius_sq()
-        samples = []
+        members, samples = [], []
         for scale in np.linspace(0.5, 3.0, 20):
             values = np.zeros(grid.node_count)
             inside = rsq < scale ** 2
@@ -258,11 +251,25 @@ class TestInterpolation12:
             member = Field(grid, values.astype(complex))
             member = Field(grid, member.values / l2_norm(member))
             report = interpolation_report_12(member, 1.0, 1.0, 1.0)
+            members.append(member)
             samples.append((report.lhs, report.terms["observation"],
                             report.terms["prior"], 1.0, 1.0, 1.0))
-        fit = fit_interpolation_12(samples, dim=1)
+        return members, fit_interpolation_12(samples, dim=1)
+
+    def test_bump_family_fit(self):
+        _, fit = self.bump_family_fit()
         assert np.isfinite(fit.constant) and fit.constant > 0
         assert 0.0 < fit.theta < 1.0
+
+    def test_report_quotient_is_fitted_constant(self):
+        # the report and the fit state the same inequality: at the fitted
+        # theta the largest quotient is the fitted C, which bounds the rest
+        members, fit = self.bump_family_fit()
+        quotients = [interpolation_report_12(member, 1.0, 1.0, 1.0,
+                                             theta=fit.theta).quotient
+                     for member in members]
+        assert max(quotients) == pytest.approx(fit.constant, rel=1e-12)
+        assert all(q <= fit.constant * (1.0 + 1e-12) for q in quotients)
 
 
 class TestTwoBall13:
@@ -277,7 +284,7 @@ class TestTwoBall13:
         report = two_ball_report_13(u0, 0.5, 0.5, 1.0, 1.0, 1.0, 1.0)
         assert report.lhs == pytest.approx(report.terms["observation"], rel=1e-14)
         # p = 1 + (0 + r1 + r2) / ((aT) ^ r1) = 1 + 2
-        assert report.params["p"] == pytest.approx(3.0, rel=1e-12)
+        assert report.terms["p"] == pytest.approx(3.0, rel=1e-12)
 
     def test_energies_against_dense_oracle(self):
         grid = make_grid(1, 40.0, 2048)
@@ -288,7 +295,7 @@ class TestTwoBall13:
             masked_energy(u_t, ball(3.0, 1.0)), rel=1e-8)
         assert report.terms["observation"] == pytest.approx(
             masked_energy(u_t, ball(-3.0, 1.0)), rel=1e-8)
-        assert report.params["separation"] == 6.0
+        assert report.terms["separation"] == 6.0
 
 
 class TestSpectralInequality:
@@ -400,6 +407,21 @@ class TestEulerBound:
 
     def test_2d_radial_quadrature_base(self):
         assert euler_integral(1.0, (0, 0)) == pytest.approx(2.0 * np.pi, rel=1e-10)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    def test_2d_closed_form_against_quadrature(self, a):
+        # reference: radial x angular quadrature of |xi1|^{2 b1} |xi2|^{2 b2} e^{-a|xi|}
+        betas = [(b1, b2) for b1 in range(5) for b2 in range(5) if b1 + b2 <= 4]
+        assert len(betas) == 15
+        for b1, b2 in betas:
+            total = b1 + b2
+            radial, _ = quad(lambda rho: rho ** (2 * total + 1) * np.exp(-a * rho),
+                             0.0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=200)
+            angular, _ = quad(
+                lambda th: abs(np.cos(th)) ** (2 * b1) * abs(np.sin(th)) ** (2 * b2),
+                0.0, 2.0 * np.pi, epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert euler_integral(a, (b1, b2)) == pytest.approx(radial * angular,
+                                                                rel=1e-13)
 
     def test_fitted_constant_covers_test_set(self):
         cases = []
