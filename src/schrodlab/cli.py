@@ -244,6 +244,9 @@ def _run_propagate(config: dict, seed: int, threads: int) -> ExperimentResult:
 
 def _run_verify_identity(config: dict, seed: int, threads: int) -> ExperimentResult:
     grid = _grid_from(config)
+    if grid.dim != 1:
+        raise ConfigError("verify-identity interpolates on one-dimensional nodes; "
+                          f"grid.dim must be 1, got {grid.dim}")
     sigma, times = config["fresnel.sigma"], config["fresnel.times"]
     compare_within = config["fresnel.compare_box_fraction"]
     u0 = gaussian_state(grid, sigma)
@@ -403,7 +406,10 @@ def _run_spectral_ineq(config: dict, seed: int, threads: int) -> ExperimentResul
         ratios = np.asarray(ratios)
         # iid samples verify ratio >= 1 but their maxima carry no rN trend;
         # the growth shape lives on the extremal concentrated field
-        extremal = extremal_bandlimited_concentration(grid, r, band, seed=seed)
+        try:
+            extremal = extremal_bandlimited_concentration(grid, r, band, seed=seed)
+        except RuntimeError as exc:
+            raise SolverFailure(str(exc)) from exc
         extremal_ratio = spectral_inequality_report(extremal, r, band).quotient
         return {"r": r, "N": band, "rN": r * band,
                 "min_ratio": float(ratios.min()),
@@ -548,14 +554,13 @@ def _run_control_solve(config: dict, seed: int, threads: int) -> ExperimentResul
 def _run_cost_scaling(config: dict, seed: int, threads: int) -> ExperimentResult:
     grid = _grid_from(config)
     u0 = gaussian_state(grid, config["control.sigma"])
-    target = Field(grid, np.zeros(grid.node_count, dtype=complex))
     gaps = config["cost.gaps"]
     if len(gaps) < 2:
         raise ConfigError("cost.gaps needs at least two gaps for the log-cost fit, "
                           f"got {len(gaps)}")
     try:
         study = cost_scaling_study(
-            grid, u0, target, gaps, config["cost.radius"],
+            grid, u0, gaps, config["cost.radius"],
             eps0=config["cost.penalty"], error_target=config["cost.error_target"],
             fixed_gap=config["cost.fixed_gap"], tol=config["cost.cg_tolerance"],
             seed=seed)

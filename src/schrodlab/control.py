@@ -38,9 +38,10 @@ import numpy as np
 
 from .field import (Field, Grid, Region, Weight, ball, ball_complement,
                     gaussian_state, l2_norm, make_grid, weighted_energy_flagged,
-                    whole_space)
+                    whole_space, zero_field)
 from .fitting import FitResult, affine_fit
-from .solvers import CGResult, Operator, conjugate_gradient, lanczos_smallest
+from .solvers import (CGResult, LanczosResult, Operator, conjugate_gradient,
+                      lanczos_smallest)
 from .transform import (fft_symbol, flow_observation, propagate_values,
                         spectral_multiply)
 
@@ -71,7 +72,7 @@ class ImpulseProblem:
     identity); `target` None is null control (datum u0, reach map the
     backward flow to time 0).  `reach_region` restricts either one: exact
     control to L2(region), with Z projected onto it, and null control to
-    data supported in the region."""
+    data supported in the region; the whole space restricts nothing."""
 
     grid: Grid
     horizon: float
@@ -81,7 +82,7 @@ class ImpulseProblem:
     penalty: float              # eps0
     observation_weight: float   # C0
     error_norm: ErrorNorm
-    reach_region: Optional[Region] = None
+    reach_region: Region = whole_space()
     datum_weight: Optional[Weight] = None  # X*-side density for the budget norm
 
     def __post_init__(self):
@@ -197,8 +198,8 @@ class ProblemOperators:
     precondition: Optional[Operator]   # approximate inverse of `normal`
     reach: Operator                    # R
     reach_star: Operator               # R*
-    projection: Optional[np.ndarray]   # indicator of Z; None when Z is all of L2
-    density: Optional[np.ndarray]      # X*-side datum density; None for plain L2
+    projection: np.ndarray             # indicator of Z; all ones when Z is all of L2
+    density: np.ndarray                # X*-side datum density; all ones for plain L2
 
 
 def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
@@ -209,7 +210,7 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     factor belongs to the physical simulation, not to the adjoint).  The
     reach map R is one more flow observation: chi_reach P(-T) for null
     control, chi_reach for exact control (the inclusion of Z), with chi_reach
-    the indicator of reach_region, or 1 without one.
+    the indicator of reach_region.
 
     This is where the error-norm kind picks W: the identity for "l2", the
     capped density e^{a|x|} for "dual_weighted", and that
@@ -225,12 +226,9 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     observe, observe_star, gram = flow_observation(
         grid, [(tau - problem.horizon, region) for tau, region in problem.impulses])
     exact = problem.target is not None
-    reach_region = problem.reach_region
-    projection = reach_region.indicator(grid) \
-        if exact and reach_region is not None else None
+    projection = (problem.reach_region if exact else whole_space()).indicator(grid)
     reach_observe, reach_observe_star, _ = flow_observation(
-        grid, [(0.0 if exact else -problem.horizon,
-                whole_space() if reach_region is None else reach_region)])
+        grid, [(0.0 if exact else -problem.horizon, problem.reach_region)])
     if norm.kind == "l2":
         weight, precondition = (lambda v: v.copy()), None
     else:
@@ -243,12 +241,11 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
             inv = 1.0 / (c0 + eps0 * symbol)
             weight = (lambda v: diag * v + spectral_multiply(grid, v, symbol))
             precondition = (lambda v: spectral_multiply(grid, v, inv))
-    density = None if problem.datum_weight is None \
+    density = np.ones(grid.node_count) if problem.datum_weight is None \
         else problem.datum_weight.evaluate(grid)[0]
 
     def normal(v: np.ndarray) -> np.ndarray:
-        out = c0 * gram(v) + eps0 * weight(v)
-        return projection * out if projection is not None else out
+        return projection * (c0 * gram(v) + eps0 * weight(v))
 
     return ProblemOperators(observe, observe_star, gram, weight, normal, precondition,
                             lambda v: reach_observe(v)[0],
@@ -256,16 +253,14 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
 
 
 def datum_field(problem: ImpulseProblem) -> Field:
-    """The datum f: u_T - flow(u0) for exact control, the (masked) initial
-    state for null control."""
+    """The datum f: u_T - flow(u0) for exact control, the initial state
+    masked by the reach region for null control."""
     grid = problem.grid
     if problem.target is not None:
         drift = propagate_values(grid, problem.initial_state.values, problem.horizon)
         return Field(grid, problem.target.values - drift)
-    values = problem.initial_state.values
-    if problem.reach_region is not None:
-        values = problem.reach_region.indicator(grid) * values
-    return Field(grid, values)
+    mask = problem.reach_region.indicator(grid)
+    return Field(grid, mask * problem.initial_state.values)
 
 
 def datum_norm_sq(problem: ImpulseProblem, f: Field) -> float:
@@ -329,12 +324,9 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
     grid = problem.grid
     h_scale = grid.spacing ** grid.dim
     ops = problem_operators(problem)
-    projection = ops.projection
     c0, eps0 = problem.observation_weight, problem.penalty
 
-    rhs = ops.reach_star(f.values)
-    if projection is not None:
-        rhs = projection * rhs
+    rhs = ops.reach_star(f.values)  # R* already maps into Z
     cg = conjugate_gradient(ops.normal, rhs, tol=tol, max_iter=max_iter,
                             precondition=ops.precondition)
     z_star = cg.solution
@@ -358,7 +350,7 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
     optimality = float(np.linalg.norm(residual_vec) * np.sqrt(h_scale)
                        / max(rhs_norm, np.finfo(float).tiny))
     o_star_y = ops.observe_star([y.values for y in y_star])
-    defect = rhs - (projection * o_star_y if projection is not None else o_star_y)
+    defect = rhs - ops.projection * o_star_y
     gap_vec = defect - eps0 * w_z
     duality_gap = float(np.linalg.norm(gap_vec) * np.sqrt(h_scale)
                         / max(rhs_norm, np.finfo(float).tiny))
@@ -366,10 +358,7 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
     terminal_state = simulate_forward(problem, controls)
     goal = problem.target.values if problem.target is not None \
         else np.zeros(grid.node_count, dtype=np.complex128)
-    error_values = goal - terminal_state.values
-    if projection is not None:
-        error_values = projection * error_values
-    error_field = Field(grid, error_values)
+    error_field = Field(grid, ops.projection * (goal - terminal_state.values))
     diagnostics = _error_diagnostics(problem, error_field)
 
     return ControlSolution(
@@ -414,24 +403,17 @@ def _error_diagnostics(problem: ImpulseProblem, error_field: Field) -> Dict[str,
 # calibration of the observation weight
 
 
-class Margin(float):
-    """An observability margin, carrying the Ritz residual of the Lanczos
-    pair it came from: an eigenvalue of the margin operator lies within
-    `residual` of it."""
-
-    def __new__(cls, value: float, residual: float):
-        margin = super().__new__(cls, value)
-        margin.residual = residual
-        return margin
+_MAX_DOUBLINGS = 48  # C0 stays below 2^48
 
 
 def observability_margin(problem: ImpulseProblem, seed: int = 0,
-                         stop_below: float = None) -> Margin:
-    """Smallest eigenvalue of C0 O*O + eps0 W - R* V R on the Z subspace.
+                         stop_below: float = -np.inf) -> LanczosResult:
+    """Smallest eigenvalue of C0 O*O + eps0 W - R* V R on the Z subspace, as
+    the Lanczos pair it came from (an eigenvalue lies within its `residual`).
 
     Nonnegative margin is exactly the discrete observability inequality at
     the problem's constants, hence the validity of the budget bound.  With
-    `stop_below` set, the solve stops as soon as it proves the margin is
+    `stop_below` finite, the solve stops as soon as it proves the margin is
     below it, and returns that Ritz value, an upper bound on the margin
     (see `lanczos_smallest`)."""
     ops = problem_operators(problem)
@@ -439,27 +421,17 @@ def observability_margin(problem: ImpulseProblem, seed: int = 0,
     eps0 = problem.penalty
 
     def apply_h(v: np.ndarray) -> np.ndarray:
-        zv = projection * v if projection is not None else v
-        rv = ops.reach(zv)
-        if density is not None:
-            # X-norm density for R z is the dual of the datum density
-            rv = rv / density
-        # R* already maps into Z (for exact control it masks by Z's own
-        # region), so only the normal operator needs the projection
-        out = ops.normal(zv) - ops.reach_star(rv)
-        if projection is None:
-            return out
-        # off-subspace directions are not part of Z; give them a positive
-        # placeholder so they cannot masquerade as the smallest eigenvalue
-        return out + eps0 * (v - zv)
+        # the X-norm density for R z is the dual of the datum density; R*
+        # already maps into Z, and the directions off Z get the positive
+        # placeholder eps0 so they cannot masquerade as the smallest eigenvalue
+        zv = projection * v
+        return ops.normal(zv) - ops.reach_star(ops.reach(zv) / density) + eps0 * (v - zv)
 
-    result = lanczos_smallest(apply_h, problem.grid.node_count, seed=seed, tol=1e-8,
-                              stop_below=stop_below)
-    return Margin(result.eigenvalue, result.residual)
+    return lanczos_smallest(apply_h, problem.grid.node_count, seed=seed, tol=1e-8,
+                            stop_below=stop_below)
 
 
-def calibrate_observation_weight(problem: ImpulseProblem, seed: int = 0,
-                                 max_doublings: int = 48) -> ImpulseProblem:
+def calibrate_observation_weight(problem: ImpulseProblem, seed: int = 0) -> ImpulseProblem:
     """Return the problem with C0 doubled from 1 until the discrete
     observability inequality holds, then doubled once more for safety.
 
@@ -469,16 +441,16 @@ def calibrate_observation_weight(problem: ImpulseProblem, seed: int = 0,
     whose margin is nonnegative never meets that stop, so the accepting
     solve runs exactly as a full one.
     The margin is nondecreasing in C0, so doubling terminates whenever a
-    valid C0 exists below 2^max_doublings.  Beyond that the penalty
+    valid C0 exists below 2^48.  Beyond that the penalty
     is too small for the observation pattern (on a truncated box the hidden
     states have weighted norms capped near e^{aL}, which floors the
     admissible penalty), and the failure is reported rather than forcing an
     ill-conditioned solve."""
     c0 = 1.0
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         candidate = replace(problem, observation_weight=c0)
         margin = observability_margin(candidate, seed=seed, stop_below=0.0)
-        if margin >= margin.residual:
+        if margin.eigenvalue >= margin.residual:
             return replace(problem, observation_weight=2.0 * c0)
         c0 *= 2.0
     raise RuntimeError(
@@ -500,13 +472,11 @@ class CostScalingStudy:
     excluded: int
 
 
-def cost_scaling_study(grid: Grid, u0: Field, target: Field,
-                       gaps: Sequence[float], radius: float,
-                       eps0: float = 1e-6, error_target: float = 1e-3,
-                       fixed_gap: float = None, tol: float = 1e-8,
-                       seed: int = 0) -> CostScalingStudy:
+def cost_scaling_study(grid: Grid, u0: Field, gaps: Sequence[float], radius: float,
+                       eps0: float, error_target: float, fixed_gap: float,
+                       tol: float, seed: int) -> CostScalingStudy:
     """Normalized control cost against r1 r2 / gap for two-impulse problems
-    with r1 = r2 = radius.
+    with r1 = r2 = radius, steering u0 to zero.
 
     Each configuration is calibrated (C0 from the matrix-free margin), solved,
     and kept only if its relative terminal error meets `error_target`; the
@@ -516,8 +486,7 @@ def cost_scaling_study(grid: Grid, u0: Field, target: Field,
     rows: List[Dict[str, float]] = []
     excluded = 0
     for gap in gaps:
-        row = _solve_scaled(grid, u0, target, gap, radius, radius, eps0, error_target,
-                            tol, seed)
+        row = _solve_scaled(grid, u0, gap, radius, radius, eps0, error_target, tol, seed)
         if row is None:
             excluded += 1
             continue
@@ -527,19 +496,18 @@ def cost_scaling_study(grid: Grid, u0: Field, target: Field,
     fit = affine_fit([row["stress"] for row in rows],
                      [np.log(row["normalized_cost"]) for row in rows])
     doubling_rows: List[Dict[str, float]] = []
-    if fixed_gap is not None:
-        for factor in (1.0, np.sqrt(2.0)):
-            row = _solve_scaled(grid, u0, target, fixed_gap, radius * factor,
-                                radius * factor, eps0, error_target, tol, seed)
-            if row is not None:
-                doubling_rows.append(row)
+    for factor in (1.0, np.sqrt(2.0)):
+        row = _solve_scaled(grid, u0, fixed_gap, radius * factor, radius * factor,
+                            eps0, error_target, tol, seed)
+        if row is not None:
+            doubling_rows.append(row)
     return CostScalingStudy(rows, fit, doubling_rows, excluded)
 
 
-def _solve_scaled(grid, u0, target, gap, r1, r2, eps0, error_target, tol, seed):
+def _solve_scaled(grid, u0, gap, r1, r2, eps0, error_target, tol, seed):
     problem = replace(variant_problem("two_impulse", grid, T=gap, r1=r1, r2=r2,
                                       penalty=eps0),
-                      initial_state=u0, target=target)
+                      initial_state=u0, target=zero_field(grid))
     problem = calibrate_observation_weight(problem, seed=seed)
     solution = solve_control(problem, tol=tol)
     f_norm = np.sqrt(solution.datum_norm_sq)

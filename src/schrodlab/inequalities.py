@@ -326,7 +326,11 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float,
     Computes the top eigenvector of K = P_band M_ball P_band matrix-free; the
     returned unit-norm field realizes the worst (largest) whole/outside energy
     ratio among band-limited fields on this grid, which is the discrete
-    analogue of the spectral-inequality constant."""
+    analogue of the spectral-inequality constant.
+
+    Raises RuntimeError unless the Lanczos pair is certified: converged,
+    with the eigenvalue 1 - mu of I - K at least its own Ritz residual (the
+    rule `empirical_constant` applies)."""
     check_band_radius(grid, band_radius)
     band = _band_symbol(grid, band_radius)
     ball_mask = ball(0.0, r, dim=grid.dim).indicator(grid)
@@ -337,6 +341,10 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float,
         return v - spectral_multiply(grid, ball_mask * banded, band)
 
     result = lanczos_smallest(apply_residual, grid.node_count, seed=seed, tol=1e-12)
+    if not result.converged or result.eigenvalue < result.residual:
+        raise RuntimeError(
+            f"extremal concentration not resolved at r {r:g}, N {band_radius:g}: "
+            f"lambda {result.eigenvalue:.3e}, residual {result.residual:.3e}")
     extremizer = Field(grid, spectral_multiply(grid, result.eigenvector, band))
     norm = l2_norm(extremizer)
     if norm == 0.0:

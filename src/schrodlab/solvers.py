@@ -81,7 +81,7 @@ class LanczosResult:
 
 
 def lanczos_smallest(apply_op: Operator, size: int, seed: int = 0,
-                     tol: float = 1e-11, stop_below: float = None) -> LanczosResult:
+                     tol: float = 1e-11, stop_below: float = -np.inf) -> LanczosResult:
     """Smallest eigenvalue of a Hermitian operator, definite or not.
 
     Runs Lanczos with full reorthogonalization on apply_op itself, for at
@@ -92,7 +92,7 @@ def lanczos_smallest(apply_op: Operator, size: int, seed: int = 0,
     is below 1e-14 of the largest |alpha_j| seen (at least 1), a scale the
     run measures itself.
 
-    With `stop_below` set, the run also stops at the first 16-step check
+    With `stop_below` finite, the run also stops at the first 16-step check
     whose smallest Ritz value is below it.  Ritz values bound lambda_min
     from above and only decrease as steps are added (Cauchy interlacing),
     so that value proves lambda_min < stop_below; it is returned as it
@@ -145,7 +145,7 @@ def lanczos_smallest(apply_op: Operator, size: int, seed: int = 0,
             # residual bound |beta_next * s_last| with beta_next ~ ||w||
             if np.linalg.norm(w) * abs(s[-1]) <= 0.05 * tol:
                 break
-            if stop_below is not None and lam < stop_below:
+            if lam < stop_below:
                 break  # Ritz values only fall: lambda_min < stop_below is proven
 
     lam, s = _smallest_ritz(alphas[:steps], betas[: steps - 1])

@@ -191,23 +191,17 @@ def gaussian_oracle(grid: Grid, t: float, sigma: float = 1.0) -> Field:
 
 
 def bandlimited_interpolate(f: Field, points: np.ndarray) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of f at arbitrary points.
-
-    points: shape (K,) for dim 1 or (K, 2) for dim 2.  Cost O(K * M^dim);
-    meant for cross-lattice comparisons, not bulk resampling.
+    """Evaluate the trigonometric interpolant of a 1D field f at the points
+    (shape (K,)).  Cost O(K * M); meant for cross-lattice comparisons, not
+    bulk resampling.
     """
     grid = f.grid
+    if grid.dim != 1:
+        raise ValueError("band-limited interpolation is one-dimensional; "
+                         f"got dim {grid.dim}")
     spec = dft(f)
     xi = grid.freq_axis_nodes()
-    scale = (grid.freq_spacing / _SQRT_2PI) ** grid.dim
+    scale = grid.freq_spacing / _SQRT_2PI
     pts = np.atleast_1d(np.asarray(points, dtype=float))
-    if grid.dim == 1:
-        phases = np.exp(1j * np.outer(pts.ravel(), xi))
-        return scale * phases @ spec.values
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("dim-2 interpolation expects points of shape (K, 2)")
-    m = grid.points_per_dim
-    fmat = spec.values.reshape(m, m)
-    e0 = np.exp(1j * np.outer(pts[:, 0], xi))
-    e1 = np.exp(1j * np.outer(pts[:, 1], xi))
-    return scale * np.einsum("km,mn,kn->k", e0, fmat, e1)
+    phases = np.exp(1j * np.outer(pts.ravel(), xi))
+    return scale * phases @ spec.values

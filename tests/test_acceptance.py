@@ -196,8 +196,7 @@ def test_criterion_7_control_duality():
 def test_criterion_8_cost_scaling():
     grid = make_grid(1, 20.0, 256)
     u0 = gaussian_state(grid, sigma=0.8)
-    target = Field(grid, np.zeros(grid.node_count, dtype=complex))
-    study = cost_scaling_study(grid, u0, target, [0.25, 0.5, 1.0, 2.0], 2.0,
+    study = cost_scaling_study(grid, u0, [0.25, 0.5, 1.0, 2.0], 2.0,
                                eps0=1e-6, error_target=1e-3, fixed_gap=0.5,
                                tol=1e-8, seed=8)
     doubling_ok = (len(study.doubling_rows) == 2

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import schrodlab
-from schrodlab import cli
+from schrodlab import cli, inequalities
 from schrodlab.cli import (ConfigError, EXPERIMENTS, list_experiments,
                            load_config, main)
 from schrodlab.control import VARIANTS
@@ -339,6 +339,33 @@ class TestExitCodes:
         assert main(["bridge", "--config", cfg,
                      "--out", str(tmp_path / "b.csv")]) == 2
         assert "grid.dim must be 1" in capsys.readouterr().err
+
+    def test_verify_identity_rejects_dim_2_before_any_work(self, tmp_path, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(cli, "fresnel_map", lambda *a, **k: pytest.fail(
+            "the dimension must be checked before the Fresnel map runs"))
+        # this 2D grid passes the chirp check; the comparison is 1D only
+        cfg = write(tmp_path, "v2.cfg", "grid.dim = 2\ngrid.M = 256\ngrid.L = 20.0\n"
+                    "fresnel.times = 2.0\n")
+        assert main(["verify-identity", "--config", cfg,
+                     "--out", str(tmp_path / "v.csv")]) == 2
+        assert "grid.dim must be 1, got 2" in capsys.readouterr().err
+        assert not (tmp_path / "v.csv").exists()
+
+    def test_uncertified_extremal_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        real = inequalities.lanczos_smallest
+
+        def unconverged(*args, **kwargs):
+            return replace(real(*args, **kwargs), converged=False)
+
+        monkeypatch.setattr(inequalities, "lanczos_smallest", unconverged)
+        cfg = write(tmp_path, "s.cfg", "grid.M = 64\nspectral.bands = 1.0, 2.0\n"
+                    "spectral.radii = 1.0\nspectral.samples = 2\n")
+        assert main(["spectral-ineq-27", "--config", cfg,
+                     "--out", str(tmp_path / "s.csv")]) == 3
+        assert re.search(r"not resolved at r 1, N 1: lambda \S+, residual \S+",
+                         capsys.readouterr().err)
+        assert not (tmp_path / "s.csv").exists()
 
     def test_tail_violation_named(self, tmp_path, capsys):
         cfg = write(tmp_path, "tail.cfg",

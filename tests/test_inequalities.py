@@ -1,11 +1,14 @@
 """Inequality evaluators: frozen oracle examples, dense cross-checks and the
 homogeneity / conservation invariants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import dft as dense_dft_matrix
 
+from schrodlab import inequalities
 from schrodlab.field import (Field, ball, ball_complement, field_from_function,
                              l2_norm, make_grid, masked_energy, radial_moment,
                              whole_space, zero_field)
@@ -329,6 +332,20 @@ class TestSpectralInequality:
         overlap = synth.conj().T @ synth
         lam_dense = np.linalg.eigvalsh(np.linalg.solve(overlap, gram))[-1].real
         assert lam == pytest.approx(lam_dense, abs=1e-9)
+
+    @pytest.mark.parametrize("spoil", [
+        {"converged": False},                    # unconverged pair
+        {"eigenvalue": 1e-16, "residual": 1e-15},  # converged, below its residual
+    ])
+    def test_uncertified_extremal_pair_raises(self, monkeypatch, spoil):
+        real = inequalities.lanczos_smallest
+
+        def uncertified(*args, **kwargs):
+            return replace(real(*args, **kwargs), **spoil)
+
+        monkeypatch.setattr(inequalities, "lanczos_smallest", uncertified)
+        with pytest.raises(RuntimeError, match=r"r 1\.5, N 2: lambda \S+, residual "):
+            extremal_bandlimited_concentration(make_grid(1, 8.0, 64), 1.5, 2.0, seed=3)
 
     def test_extremal_ratio_grows_affinely_in_rn(self):
         grid = make_grid(1, 10.0, 256)

@@ -38,9 +38,6 @@ def flowed_observation_gram(problem, v):
 
 def flow_reachability(problem):
     grid, horizon = problem.grid, problem.horizon
-    if problem.reach_region is None:
-        return (lambda v: propagate_values(grid, v, -horizon),
-                lambda v: propagate_values(grid, v, horizon))
     mask = problem.reach_region.indicator(grid)
     return (lambda v: mask * propagate_values(grid, v, -horizon),
             lambda v: propagate_values(grid, mask * v, horizon))

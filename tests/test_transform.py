@@ -259,3 +259,10 @@ def test_bandlimited_interpolation_reproduces_nodes():
     f = Field(grid, rng.standard_normal(128) + 1j * rng.standard_normal(128))
     values = bandlimited_interpolate(f, grid.axis_nodes())
     assert np.abs(values - f.values).max() <= 1e-10 * np.abs(f.values).max()
+
+
+def test_bandlimited_interpolation_rejects_dim_2():
+    grid = make_grid(2, 10.0, 16)
+    f = Field(grid, np.ones(grid.node_count, dtype=complex))
+    with pytest.raises(ValueError, match="one-dimensional; got dim 2"):
+        bandlimited_interpolate(f, np.zeros((3, 2)))
