@@ -4,8 +4,8 @@ Output contract: each run writes one CSV (header row, one line per parameter
 tuple, shortest round-trip float formatting) and one JSON summary (config
 echo, seed, versions, validity flags, fitted constants).  Identical config
 and seed produce byte-identical output.  Exit codes: 0 success, 2 validation
-failure (each with a message naming the violated constraint), 3 solver
-non-convergence.
+failure (each with a message naming the violated constraint), 3 unresolved
+solve (non-convergence, or an eigenvalue below its rounding floor).
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ class ConfigError(ValueError):
 
 
 class SolverFailure(RuntimeError):
-    """An iterative solve did not reach its tolerance."""
+    """A solve left its answer unresolved: an iterative solve missed its
+    tolerance, or an eigenvalue is below its rounding floor."""
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +318,20 @@ def _run_empirical_constant(config: dict, seed: int, threads: int) -> Experiment
     region = ball_complement(0.0, radius, dim=grid.dim)
 
     def one(gap: float) -> Dict[str, object]:
-        result = empirical_constant(0.0, gap, region, region, grid, seed=seed)
-        return {"gap": gap, "lambda_min": result.lambda_min,
-                "constant": result.constant, "iterations": result.iterations,
-                "residual": result.residual, "converged": result.converged}
+        try:
+            result = empirical_constant(0.0, gap, region, region, grid)
+        except ValueError as exc:
+            raise ConfigError(f"observability.radius = {radius:g}: {exc}") from exc
+        return {"gap": gap, "lambda_min": result.lambda_min, "constant": result.constant,
+                "floor": result.floor, "converged": result.converged}
 
     rows = _map_ordered(one, gaps, threads)
     failing = [row for row in rows if not row["converged"]]
     if failing:
         raise SolverFailure(
-            "Gramian eigenvalue not resolved (unconverged, or below its own "
-            "residual) at " + "; ".join(
-                f"gap {row['gap']:g}: lambda_min {row['lambda_min']:.3e}, "
-                f"residual {row['residual']:.3e}" for row in failing))
+            "Gramian eigenvalue not resolved (below its rounding floor) at "
+            + "; ".join(f"gap {row['gap']:g}: lambda_min {row['lambda_min']:.3e}, "
+                        f"floor {row['floor']:.3e}" for row in failing))
     fit = affine_fit([1.0 / row["gap"] for row in rows],
                      [np.log(row["constant"]) for row in rows])
     summary = {"fit_log_constant_vs_inverse_gap": asdict(fit)}
@@ -407,7 +409,10 @@ def _run_spectral_ineq(config: dict, seed: int, threads: int) -> ExperimentResul
         # iid samples verify ratio >= 1 but their maxima carry no rN trend;
         # the growth shape lives on the extremal concentrated field
         try:
-            extremal = extremal_bandlimited_concentration(grid, r, band, seed=seed)
+            extremal = extremal_bandlimited_concentration(grid, r, band)
+        except ValueError as exc:
+            raise ConfigError(f"spectral.radii {r:g}, spectral.bands {band:g}: "
+                              f"{exc}") from exc
         except RuntimeError as exc:
             raise SolverFailure(str(exc)) from exc
         extremal_ratio = spectral_inequality_report(extremal, r, band).quotient

@@ -4,7 +4,7 @@ Each evaluator measures both sides of one inequality on concrete fields and
 returns an InequalityReport; nothing here asserts a theoretical constant.
 Constants are estimated empirically, either by fitting report families
 (affine log-fits) or as the inverse smallest eigenvalue of the observation
-Gramian, computed matrix-free.
+Gramian, computed exactly from one dense lattice block.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from math import factorial, gamma, prod
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .field import (
     Field,
@@ -27,9 +28,10 @@ from .field import (
     radial_moment,
     weighted_energy_flagged,
 )
-from .solvers import LanczosResult, lanczos_smallest
-from .transform import (chirp_aliasing_ok, dft, fft_symbol, flow_observation,
-                        idft, propagate, spectral_multiply)
+from .transform import (chirp_aliasing_ok, dft, fft_symbol, flow_observation, idft,
+                        lattice_block, propagate, propagator_symbol, spectral_multiply)
+
+MAX_BLOCK_ORDER = 4096  # 256 MiB of complex entries; refused before it is built
 
 
 class AliasingError(ValueError):
@@ -147,8 +149,7 @@ class EmpiricalConstant:
     lambda_min: float
     constant: float
     extremizer: Field
-    iterations: int
-    residual: float
+    floor: float
     converged: bool
 
 
@@ -160,34 +161,44 @@ def gramian_apply(grid: Grid, s: float, t: float,
     return flow_observation(grid, [(0.0, region_a), (t - s, region_b)])[2]
 
 
+def _top_eigenpair(order: int, build) -> Tuple[float, np.ndarray, float]:
+    """Top eigenpair of the Hermitian block build() and its rounding floor
+    eps * order; an order outside 1..MAX_BLOCK_ORDER is refused unbuilt."""
+    if not 0 < order <= MAX_BLOCK_ORDER:
+        raise ValueError(f"dense block of order {order} is outside 1..{MAX_BLOCK_ORDER}")
+    values, vectors = eigh(build(), subset_by_index=[order - 1, order - 1])
+    return float(values[0]), vectors[:, 0], float(np.finfo(float).eps * order)
+
+
 def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
-                       grid: Grid, seed: int = 0) -> EmpiricalConstant:
+                       grid: Grid) -> EmpiricalConstant:
     """Best discrete two-time observability constant 1/lambda_min(G).
 
-    G is Hermitian PSD with spectrum in [0, 2]; its smallest eigenvalue is
-    computed by Lanczos with full reorthogonalization after a dot-product
-    self-adjointness check (which would expose a propagator/adjoint bug).
-    Converged also requires lambda_min >= its Ritz residual: an eigenvalue
-    below its own residual is not resolved, and neither is its inverse.
+    G = M_A + P* M_B P is a sum of two projections, so 2 - G = X X* with
+    X = [E_a, P* E_b], E_a and E_b embedding the nodes off A and off B, and
+    lambda_min(G) = 2 - lambda_max([[I, C*], [C, I]]) with C = E_b* P E_a, a
+    lattice block of the flow.  Converged means lambda_min is at least the
+    block's rounding floor; below it, neither it nor its inverse is resolved.
     """
-    apply_g = gramian_apply(grid, s, t, region_a, region_b)
-    rng = np.random.default_rng(seed)
-    n = grid.node_count
-    for _ in range(3):
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        lhs = np.vdot(g, apply_g(f))
-        rhs = np.vdot(apply_g(g), f)
-        if abs(lhs - rhs) > 1e-11 * np.linalg.norm(f) * np.linalg.norm(g):
-            raise RuntimeError(
-                f"Gramian failed the self-adjointness test: |<Gf,g>-<f,Gg>| = {abs(lhs - rhs):.3e}"
-            )
-    result: LanczosResult = lanczos_smallest(apply_g, n, seed=seed, tol=1e-11)
-    lam = max(result.eigenvalue, 0.0)
+    if not t > s:
+        raise ValueError("need T > S for the observability Gramian")
+    cols = np.flatnonzero(region_a.indicator(grid) == 0.0)
+    rows = np.flatnonzero(region_b.indicator(grid) == 0.0)
+    if cols.size + rows.size == 0:  # A and B hold every node: G = 2I
+        unit = Field(grid, np.eye(1, grid.node_count)[0])
+        return EmpiricalConstant(2.0, 0.5, unit, 0.0, True)
+    forward, backward = propagator_symbol(grid, t - s), propagator_symbol(grid, s - t)
+    top, vector, floor = _top_eigenpair(cols.size + rows.size, lambda: np.block([
+        [np.eye(cols.size), lattice_block(grid, backward, cols, rows)],
+        [lattice_block(grid, forward, rows, cols), np.eye(rows.size)]]))
+    lam = max(2.0 - top, 0.0)
+    extremizer = np.zeros(grid.node_count, dtype=np.complex128)
+    extremizer[rows] = vector[cols.size:]
+    extremizer = spectral_multiply(grid, extremizer, backward)
+    extremizer[cols] += vector[:cols.size]
     constant = float("inf") if lam == 0.0 else 1.0 / lam
-    converged = result.converged and lam >= result.residual
-    return EmpiricalConstant(lam, constant, Field(grid, result.eigenvector),
-                             result.iterations, result.residual, converged)
+    extremizer = Field(grid, extremizer / np.linalg.norm(extremizer))
+    return EmpiricalConstant(lam, constant, extremizer, floor, lam >= floor)
 
 
 # ---------------------------------------------------------------------------
@@ -319,37 +330,34 @@ def _band_symbol(grid: Grid, band_radius: float) -> np.ndarray:
     return fft_symbol(grid, ball(0.0, band_radius, dim=grid.dim).indicator(grid.dual()))
 
 
-def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float,
-                                       seed: int = 0) -> Field:
+def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float) -> Field:
     """The band-limited field most concentrated on B_r(0) (discrete prolate).
 
-    Computes the top eigenvector of K = P_band M_ball P_band matrix-free; the
-    returned unit-norm field realizes the worst (largest) whole/outside energy
-    ratio among band-limited fields on this grid, which is the discrete
-    analogue of the spectral-inequality constant.
-
-    Raises RuntimeError unless the Lanczos pair is certified: converged,
-    with the eigenvalue 1 - mu of I - K at least its own Ritz residual (the
-    rule `empirical_constant` applies)."""
+    It is the top eigenvector of K = P_band M_ball P_band and realizes the
+    worst (largest) whole/outside energy ratio 1/(1 - mu) among band-limited
+    fields on this grid.  mu comes from a dense block on the smaller node set:
+    M_ball P_band M_ball on the ball, or F M_ball F^-1 on the band, whose
+    kernel fftn(mask)/N is conj(ifftn(mask)) for the real mask: the lattice
+    block is its conjugate, with the same mu and conjugate eigenvectors.
+    Raises RuntimeError when 1 - mu is below the rounding floor.
+    """
     check_band_radius(grid, band_radius)
     band = _band_symbol(grid, band_radius)
     ball_mask = ball(0.0, r, dim=grid.dim).indicator(grid)
-
-    def apply_residual(v: np.ndarray) -> np.ndarray:
-        # I - K, so the smallest eigenvalue pairs with the top of K
-        banded = spectral_multiply(grid, v, band)
-        return v - spectral_multiply(grid, ball_mask * banded, band)
-
-    result = lanczos_smallest(apply_residual, grid.node_count, seed=seed, tol=1e-12)
-    if not result.converged or result.eigenvalue < result.residual:
+    ball_idx, band_idx = np.flatnonzero(ball_mask), np.flatnonzero(band)
+    on_ball = 0 < ball_idx.size < band_idx.size  # with no ball node, K = 0 on the band
+    nodes, symbol = (ball_idx, band) if on_ball else (band_idx, ball_mask)
+    mu, vector, floor = _top_eigenpair(
+        nodes.size, lambda: lattice_block(grid, symbol, nodes, nodes))
+    if 1.0 - mu < floor:
         raise RuntimeError(
             f"extremal concentration not resolved at r {r:g}, N {band_radius:g}: "
-            f"lambda {result.eigenvalue:.3e}, residual {result.residual:.3e}")
-    extremizer = Field(grid, spectral_multiply(grid, result.eigenvector, band))
-    norm = l2_norm(extremizer)
-    if norm == 0.0:
-        raise ValueError("band contains no frequency nodes")
-    return Field(grid, extremizer.values / norm)
+            f"1 - mu {1.0 - mu:.3e} below the floor {floor:.3e}")
+    embedded = np.zeros(grid.node_count, dtype=np.complex128)
+    embedded[nodes] = vector
+    values = spectral_multiply(grid, embedded, band) if on_ball else \
+        np.fft.ifftn(embedded.conj().reshape((grid.points_per_dim,) * grid.dim)).ravel()
+    return Field(grid, values / l2_norm(Field(grid, values)))
 
 
 def spectral_inequality_report(f: Field, r: float, band_radius: float) -> InequalityReport:

@@ -80,8 +80,8 @@ class LanczosResult:
     converged: bool
 
 
-def lanczos_smallest(apply_op: Operator, size: int, seed: int = 0,
-                     tol: float = 1e-11, stop_below: float = -np.inf) -> LanczosResult:
+def lanczos_smallest(apply_op: Operator, size: int, seed: int, tol: float,
+                     stop_below: float = -np.inf) -> LanczosResult:
     """Smallest eigenvalue of a Hermitian operator, definite or not.
 
     Runs Lanczos with full reorthogonalization on apply_op itself, for at

@@ -70,6 +70,16 @@ def spectral_multiply(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.
     return out.ravel()
 
 
+def lattice_block(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
+                  cols: np.ndarray) -> np.ndarray:
+    """Rows `rows`, columns `cols` (flat node indices) of the circulant
+    v -> spectral_multiply(grid, v, symbol): ifftn(symbol) at (x - y) mod M."""
+    shape = (grid.points_per_dim,) * grid.dim
+    offsets = tuple((x[:, None] - y) % grid.points_per_dim for x, y in
+                    zip(np.unravel_index(rows, shape), np.unravel_index(cols, shape)))
+    return np.fft.ifftn(symbol.reshape(shape))[offsets]
+
+
 def propagator_symbol(grid: Grid, t: float) -> np.ndarray:
     """The free-flow multiplier e^{-i|xi|^2 t} in FFT order, for spectral_multiply.
 

@@ -231,17 +231,43 @@ class TestExitCodes:
         assert f"{line.split(' = ')[0]} must be" in capsys.readouterr().err
 
     def test_unresolved_empirical_constant_is_exit_3(self, tmp_path, capsys):
-        # gaps 0.05 and 0.1 leave lambda_min below its own residual
+        # gaps 0.05 and 0.1 leave lambda_min below the block's rounding floor
         cfg = write(tmp_path, "gaps.cfg",
                     "grid.L = 20.0\ngrid.M = 512\nobservability.radius = 2.0\n"
                     "observability.gaps = 0.05, 0.1, 0.25\n")
         assert main(["empirical-constant", "--config", cfg,
                      "--out", str(tmp_path / "e.csv")]) == 3
         err = capsys.readouterr().err
-        failing = re.findall(r"gap ([0-9.]+): lambda_min (\S+), residual ([0-9.e+-]+)", err)
+        failing = re.findall(r"gap ([0-9.]+): lambda_min (\S+), floor ([0-9.e+-]+)", err)
         assert [gap for gap, _, _ in failing] == ["0.05", "0.1"]
-        assert all(float(lam) < float(res) for _, lam, res in failing)
+        assert all(float(lam) < float(floor) for _, lam, floor in failing)
         assert not (tmp_path / "e.csv").exists()
+
+    def test_radius_covering_the_box_is_exit_3(self, tmp_path, capsys):
+        # the ball holds every node, so G = 0: lambda_min 0 is below the
+        # floor (this used to write constant inf and a NaN fit slope)
+        cfg = write(tmp_path, "r.cfg", "grid.M = 128\nobservability.radius = 30.0\n")
+        assert main(["empirical-constant", "--config", cfg,
+                     "--out", str(tmp_path / "e.csv")]) == 3
+        assert "gap 0.25: lambda_min 0.000e+00, floor" in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("experiment, config, named", [
+        ("empirical-constant", "grid.M = 4096\nobservability.radius = 30.0\n",
+         "observability.radius = 30: dense block of order 8192 is outside 1..4096"),
+        ("spectral-ineq-27", "grid.dim = 2\ngrid.M = 128\nspectral.radii = 8.0\n"
+         "spectral.bands = 16.0\nspectral.samples = 1\n",
+         "spectral.radii 8, spectral.bands 16: dense block of order"),
+    ])
+    def test_block_above_the_cap_is_exit_2_before_it_is_built(
+            self, tmp_path, capsys, monkeypatch, experiment, config, named):
+        monkeypatch.setattr(inequalities, "lattice_block", lambda *a, **k: pytest.fail(
+            "the block order must be checked before the block is built"))
+        cfg = write(tmp_path, "cap.cfg", config)
+        assert main([experiment, "--config", cfg,
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_counterexample_k_must_be_integers(self, tmp_path, capsys):
         cfg = write(tmp_path, "k.cfg", "grid.M = 64\ncounterexample.k = 1.5, 2, 4\n")
@@ -352,18 +378,14 @@ class TestExitCodes:
         assert "grid.dim must be 1, got 2" in capsys.readouterr().err
         assert not (tmp_path / "v.csv").exists()
 
-    def test_uncertified_extremal_is_exit_3(self, tmp_path, capsys, monkeypatch):
-        real = inequalities.lanczos_smallest
-
-        def unconverged(*args, **kwargs):
-            return replace(real(*args, **kwargs), converged=False)
-
-        monkeypatch.setattr(inequalities, "lanczos_smallest", unconverged)
-        cfg = write(tmp_path, "s.cfg", "grid.M = 64\nspectral.bands = 1.0, 2.0\n"
-                    "spectral.radii = 1.0\nspectral.samples = 2\n")
+    def test_uncertified_extremal_is_exit_3(self, tmp_path, capsys):
+        # at rN = 24 the top of K is 1 to rounding: 1 - mu is not resolved
+        cfg = write(tmp_path, "s.cfg", "grid.M = 512\ngrid.L = 10.0\n"
+                    "spectral.bands = 12.0\nspectral.radii = 2.0\n"
+                    "spectral.samples = 1\n")
         assert main(["spectral-ineq-27", "--config", cfg,
                      "--out", str(tmp_path / "s.csv")]) == 3
-        assert re.search(r"not resolved at r 1, N 1: lambda \S+, residual \S+",
+        assert re.search(r"not resolved at r 2, N 12: 1 - mu \S+ below the floor \S+",
                          capsys.readouterr().err)
         assert not (tmp_path / "s.csv").exists()
 
@@ -517,6 +539,22 @@ class TestDeterminism:
                          "--threads", str(threads)]) == 0
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_extremal_outputs_do_not_depend_on_the_seed(self, tmp_path):
+        cfg = write(tmp_path, "s.cfg", "spectral.samples = 1\n")
+        empirical, extremal = [], []
+        for seed in ("0", "7"):
+            out = tmp_path / f"e{seed}.csv"
+            assert main(["empirical-constant", "--out", str(out), "--seed", seed]) == 0
+            empirical.append(out.read_bytes())
+            out = tmp_path / f"s{seed}.csv"
+            assert main(["spectral-ineq-27", "--config", cfg, "--out", str(out),
+                         "--seed", seed]) == 0
+            lines = out.read_text().splitlines()
+            column = lines[0].split(",").index("extremal_ratio")
+            extremal.append([line.split(",")[column] for line in lines[1:]])
+        assert empirical[0] == empirical[1]
+        assert extremal[0] == extremal[1]
 
     def test_csv_floats_round_trip(self, tmp_path):
         cfg = write(tmp_path, "u.cfg", FAST_UNCERTAINTY)

@@ -1,14 +1,11 @@
 """Inequality evaluators: frozen oracle examples, dense cross-checks and the
 homogeneity / conservation invariants."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import dft as dense_dft_matrix
 
-from schrodlab import inequalities
 from schrodlab.field import (Field, ball, ball_complement, field_from_function,
                              l2_norm, make_grid, masked_energy, radial_moment,
                              whole_space, zero_field)
@@ -187,17 +184,28 @@ class TestEmpiricalConstant:
         exact = np.linalg.eigvalsh(dense)[0]
         assert result.lambda_min == pytest.approx(exact, abs=1e-8)
 
-    def test_eigenvalue_below_its_residual_is_not_converged(self):
-        # at gap 0.05 lambda_min sits at the rounding floor, below its own
-        # Ritz residual, so its inverse is no constant
+    def test_matches_dense_eigendecomposition_2d_off_centre(self):
+        grid = make_grid(2, 6.0, 16)
+        region_a = ball_complement((0.5, -0.75), 1.5)
+        region_b = ball_complement((-1.0, 0.5), 2.0)
+        result = empirical_constant(0.0, 0.5, region_a, region_b, grid)
+        assert result.converged
+        apply_g = gramian_apply(grid, 0.0, 0.5, region_a, region_b)
+        n = grid.node_count
+        dense = np.array([apply_g(col) for col in np.eye(n, dtype=complex)]).T
+        assert result.lambda_min == pytest.approx(np.linalg.eigvalsh(dense)[0],
+                                                  abs=1e-12)
+
+    @pytest.mark.parametrize("gap, resolved", [(0.05, False), (0.1, False),
+                                               (0.25, True)])
+    def test_eigenvalue_below_its_floor_is_not_converged(self, gap, resolved):
+        # at gaps 0.05 and 0.1 lambda_min is below the block's rounding
+        # floor, so its inverse is no constant
         grid = make_grid(1, 20.0, 512)
         region = ball_complement(0.0, 2.0)
-        floor = empirical_constant(0.0, 0.05, region, region, grid)
-        assert floor.lambda_min < floor.residual
-        assert not floor.converged
-        resolved = empirical_constant(0.0, 0.25, region, region, grid)
-        assert resolved.residual <= resolved.lambda_min
-        assert resolved.converged
+        result = empirical_constant(0.0, gap, region, region, grid)
+        assert (result.lambda_min >= result.floor) is resolved
+        assert result.converged is resolved
 
     def test_extremizer_achieves_eigenvalue(self):
         grid = make_grid(1, 20.0, 256)
@@ -314,10 +322,14 @@ class TestSpectralInequality:
         report = spectral_inequality_report(f, 0.0, 2.0)
         assert report.quotient == pytest.approx(1.0, rel=1e-14)
 
-    def test_extremal_concentration_against_dense(self):
-        grid = make_grid(1, 8.0, 64)
-        r, band = 1.5, 2.0
-        extremal = extremal_bandlimited_concentration(grid, r, band, seed=3)
+    @pytest.mark.parametrize("half_extent, points, r, band", [
+        (8.0, 64, 1.5, 2.0),   # band side (11 band nodes, 13 ball nodes)
+        (4.5, 100, 0.9, 6.0),  # band side; rounding puts x = 0.9 in, x = -0.9 out
+        (8.0, 64, 1.5, 6.0),   # ball side (13 ball nodes, 31 band nodes)
+    ])
+    def test_extremal_concentration_against_dense(self, half_extent, points, r, band):
+        grid = make_grid(1, half_extent, points)
+        extremal = extremal_bandlimited_concentration(grid, r, band)
         lam = masked_energy(extremal, ball(0.0, r)) / l2_norm(extremal) ** 2
         # dense concentration operator on the band subspace
         dual = grid.dual()
@@ -333,26 +345,21 @@ class TestSpectralInequality:
         lam_dense = np.linalg.eigvalsh(np.linalg.solve(overlap, gram))[-1].real
         assert lam == pytest.approx(lam_dense, abs=1e-9)
 
-    @pytest.mark.parametrize("spoil", [
-        {"converged": False},                    # unconverged pair
-        {"eigenvalue": 1e-16, "residual": 1e-15},  # converged, below its residual
+    @pytest.mark.parametrize("r, band, pattern", [
+        (2.0, 12.0, r"r 2, N 12: 1 - mu \S+ below the floor 1\.710e-14"),  # band side
+        (1.0, 24.0, r"r 1, N 24: 1 - mu \S+ below the floor 1\.132e-14"),  # ball side
     ])
-    def test_uncertified_extremal_pair_raises(self, monkeypatch, spoil):
-        real = inequalities.lanczos_smallest
-
-        def uncertified(*args, **kwargs):
-            return replace(real(*args, **kwargs), **spoil)
-
-        monkeypatch.setattr(inequalities, "lanczos_smallest", uncertified)
-        with pytest.raises(RuntimeError, match=r"r 1\.5, N 2: lambda \S+, residual "):
-            extremal_bandlimited_concentration(make_grid(1, 8.0, 64), 1.5, 2.0, seed=3)
+    def test_uncertified_extremal_pair_raises(self, r, band, pattern):
+        # at rN = 24 the top of K is 1 to rounding: 1 - mu is not resolved
+        with pytest.raises(RuntimeError, match=pattern):
+            extremal_bandlimited_concentration(make_grid(1, 10.0, 512), r, band)
 
     def test_extremal_ratio_grows_affinely_in_rn(self):
         grid = make_grid(1, 10.0, 256)
         rows = []
         for r in (0.5, 1.0, 2.0):
             for band in (1.0, 2.0, 4.0):
-                f = extremal_bandlimited_concentration(grid, r, band, seed=0)
+                f = extremal_bandlimited_concentration(grid, r, band)
                 report = spectral_inequality_report(f, r, band)
                 rows.append((r * band, np.log(report.quotient)))
         fit = affine_fit([x for x, _ in rows], [y for _, y in rows])

@@ -80,8 +80,8 @@ def test_lanczos_deterministic_in_seed():
     rng = np.random.default_rng(4)
     a = random_hpd(60, rng, shift=0.0)
     a /= np.linalg.norm(a, 2)
-    r1 = lanczos_smallest(lambda v: a @ v, 60, seed=11)
-    r2 = lanczos_smallest(lambda v: a @ v, 60, seed=11)
+    r1 = lanczos_smallest(lambda v: a @ v, 60, seed=11, tol=1e-11)
+    r2 = lanczos_smallest(lambda v: a @ v, 60, seed=11, tol=1e-11)
     assert r1.eigenvalue == r2.eigenvalue
     assert np.array_equal(r1.eigenvector, r2.eigenvector)
 
