@@ -153,13 +153,10 @@ def resolve(keys: Dict[str, object], values: Dict[str, object],
                           f"for experiment {experiment!r}; it reads {', '.join(keys)}")
     settings: Dict[str, object] = {}
     for key, entry in keys.items():
-        default, rule = entry if isinstance(entry, tuple) else (entry, None)
+        default, kind, many, checks = _declared(entry)
         if isinstance(default, type) and key not in values:
             continue
         value = values.get(key, default)
-        many = isinstance(default, list)
-        kind = type(default[0]) if many else \
-            default if isinstance(default, type) else type(default)
         items = value if many and isinstance(value, list) else [value]
         noun, accepted = _KINDS[kind]
         if not items or any(isinstance(v, bool) or not isinstance(v, accepted)
@@ -168,10 +165,23 @@ def resolve(keys: Dict[str, object], values: Dict[str, object],
                               f"{' list' if many else ''}, got {value!r}")
         items = [kind(v) for v in items]
         settings[key] = items if many else items[0]
-        for check in filter(None, (rule, "finite" if kind is float else None)):
+        for check in checks:
             if not all(_RULES[check](v) for v in items):
                 raise ConfigError(f"{key} must be {check}, got {settings[key]}")
     return settings
+
+
+def _declared(entry):
+    """A key-table entry as (default, kind, many, checks): the default (a
+    value, a non-empty list, or a bare type for a key read only when set),
+    the item type, whether the key is a list, and the `_RULES` names every
+    item is held to."""
+    default, rule = entry if isinstance(entry, tuple) else (entry, None)
+    many = isinstance(default, list)
+    kind = type(default[0]) if many else \
+        default if isinstance(default, type) else type(default)
+    checks = [check for check in (rule, "finite" if kind is float else None) if check]
+    return default, kind, many, checks
 
 
 def _grid_keys(half_extent: float, points: int) -> Dict[str, object]:
@@ -735,6 +745,23 @@ def list_experiments() -> str:
     return "\n".join(lines)
 
 
+def describe_experiment(name: str) -> str:
+    """One experiment's key table in config-file syntax: each key at its
+    default, followed by the rules `resolve` holds it to; a key read only
+    when set is commented out, with its type in place of a value."""
+    entry = EXPERIMENTS[name]
+    lines = [f"# {name}: {entry.description} [{entry.theorem}]"]
+    for key, declared in entry.keys.items():
+        default, kind, many, checks = _declared(declared)
+        if isinstance(default, type):
+            line = f"# {key} = <{kind.__name__}>"
+        else:
+            line = f"{key} = " + ", ".join(
+                _format_cell(v) for v in (default if many else [default]))
+        lines.append(f"{line}  # {', '.join(checks)}" if checks else line)
+    return "\n".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # output
 
@@ -788,6 +815,9 @@ def main(argv: Sequence[str] = None) -> int:
         description="numerical experiments for free-flow observability and "
                     "impulse control")
     parser.add_argument("experiment", help="experiment name, or 'list'")
+    parser.add_argument("listed", nargs="?", metavar="EXPERIMENT",
+                        help="after 'list': print this experiment's keys, "
+                             "defaults and rules")
     parser.add_argument("--config", default=None, help="key-value or JSON config file")
     parser.add_argument("--out", default=None, help="CSV output path "
                         "(JSON summary written alongside)")
@@ -796,13 +826,21 @@ def main(argv: Sequence[str] = None) -> int:
                         help="worker threads for parameter sweeps")
     args = parser.parse_args(argv)
 
-    if args.experiment == "list":
+    if args.experiment == "list" and args.listed is None:
         print(list_experiments())
         return 0
-    if args.experiment not in EXPERIMENTS:
-        print(f"error: unknown experiment {args.experiment!r}; "
+    if args.experiment != "list" and args.listed is not None:
+        print(f"error: unexpected argument {args.listed!r}; only 'list' takes "
+              f"an experiment name", file=sys.stderr)
+        return 2
+    name = args.listed if args.experiment == "list" else args.experiment
+    if name not in EXPERIMENTS:
+        print(f"error: unknown experiment {name!r}; "
               f"run 'schrodlab list' for the catalog", file=sys.stderr)
         return 2
+    if args.experiment == "list":
+        print(describe_experiment(name))
+        return 0
     if args.seed < 0:
         print(f"error: --seed must be a non-negative integer, got {args.seed}",
               file=sys.stderr)

@@ -20,7 +20,11 @@ With y* = C0 O z* the controls satisfy R*f - O*y* = eps0 W z*, and
 so the budget bound cost/C0 + error^2/eps0 <= ||f||_X*^2 holds exactly when
 the *discrete* observability inequality ||Rz||_X^2 <= C0||Oz||^2 + eps0<Wz,z>
 does; `calibrate_observation_weight` finds such a C0 by a matrix-free
-eigenvalue check instead of trusting the continuum constants.
+eigenvalue check instead of trusting the continuum constants.  By Sylvester's
+law of inertia it decides the sign of the margin H on S H S, S the square root
+of CG's preconditioner, to Lanczos tol 1e-8/C0; for l2 exact control with an
+unweighted datum S H S is O*O shifted by -(1 - eps0)/C0, so one O*O solve
+scores every candidate C0.
 
 Jump convention: the impulse delta(t - tau) chi_w h advances the state by
 u(tau+) = u(tau-) - i chi_w h (constant kappa = -i).  The source equation
@@ -196,6 +200,7 @@ class ProblemOperators:
     weight: Operator                   # W, the Z-norm operator (Hermitian, PD)
     normal: Operator                   # C0 O*O + eps0 W, projected onto Z
     precondition: Optional[Operator]   # approximate inverse of `normal`
+    congruence: Operator               # S = (C0 + eps0 Sigma)^{-1/2}, Hermitian PD
     reach: Operator                    # R
     reach_star: Operator               # R*
     projection: np.ndarray             # indicator of Z; all ones when Z is all of L2
@@ -217,9 +222,11 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     density plus the H^{n+3} multiplier (1+|xi|^2)^{n+3} for "sobolev_dual".
     The preconditioner inverts C0 + eps0 Sigma, with Sigma the part of W
     that stretches the spectrum (e^{a|x|} reaches e^{aL}, the Sobolev
-    multiplier ~1e12).  Sigma is diagonal in x (resp. xi), so its inverse
-    restores CG's reach to tight residuals; the observation part is kept as
-    the constant C0 (its symbol is at most 1 per impulse)."""
+    multiplier ~1e12; Sigma = 0 for "l2").  Sigma is diagonal in x (resp.
+    xi), so its inverse restores CG's reach to tight residuals; the
+    observation part is kept as the constant C0 (its symbol is at most 1 per
+    impulse).  The congruence S is the square root of that inverse, which
+    calibration wraps around the margin operator."""
     grid = problem.grid
     norm = problem.error_norm
     c0, eps0 = problem.observation_weight, problem.penalty
@@ -230,17 +237,23 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     reach_observe, reach_observe_star, _ = flow_observation(
         grid, [(0.0 if exact else -problem.horizon, problem.reach_region)])
     if norm.kind == "l2":
+        root = c0 ** -0.5
         weight, precondition = (lambda v: v.copy()), None
+        congruence = (lambda v: root * v)
     else:
         diag, _ = Weight(norm.amplitude, "grow").evaluate(grid)  # e^{a|x|}, capped
         if norm.kind == "dual_weighted":
-            inv = 1.0 / (c0 + eps0 * diag)
+            spread = c0 + eps0 * diag
+            inv, root = 1.0 / spread, spread ** -0.5
             weight, precondition = (lambda v: diag * v), (lambda v: inv * v)
+            congruence = (lambda v: root * v)
         else:  # sobolev_dual: e^{a|x|} 'plus' the H^{n+3} spectral multiplier
             symbol = _sobolev_symbol(grid)
-            inv = 1.0 / (c0 + eps0 * symbol)
+            spread = c0 + eps0 * symbol
+            inv, root = 1.0 / spread, spread ** -0.5
             weight = (lambda v: diag * v + spectral_multiply(grid, v, symbol))
             precondition = (lambda v: spectral_multiply(grid, v, inv))
+            congruence = (lambda v: spectral_multiply(grid, v, root))
     density = np.ones(grid.node_count) if problem.datum_weight is None \
         else problem.datum_weight.evaluate(grid)[0]
 
@@ -248,7 +261,7 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
         return projection * (c0 * gram(v) + eps0 * weight(v))
 
     return ProblemOperators(observe, observe_star, gram, weight, normal, precondition,
-                            lambda v: reach_observe(v)[0],
+                            congruence, lambda v: reach_observe(v)[0],
                             lambda v: reach_observe_star([v]), projection, density)
 
 
@@ -404,18 +417,12 @@ def _error_diagnostics(problem: ImpulseProblem, error_field: Field) -> Dict[str,
 
 
 _MAX_DOUBLINGS = 48  # C0 stays below 2^48
+_MARGIN_TOL = 1e-8   # absolute Lanczos tolerance on the unscaled margin
 
 
-def observability_margin(problem: ImpulseProblem, seed: int = 0,
-                         stop_below: float = -np.inf) -> LanczosResult:
-    """Smallest eigenvalue of C0 O*O + eps0 W - R* V R on the Z subspace, as
-    the Lanczos pair it came from (an eigenvalue lies within its `residual`).
-
-    Nonnegative margin is exactly the discrete observability inequality at
-    the problem's constants, hence the validity of the budget bound.  With
-    `stop_below` finite, the solve stops as soon as it proves the margin is
-    below it, and returns that Ritz value, an upper bound on the margin
-    (see `lanczos_smallest`)."""
+def _margin_operator(problem: ImpulseProblem) -> Tuple[Operator, ProblemOperators]:
+    """H = C0 O*O + eps0 W - R* V R on the Z subspace, with the operators of
+    the problem it is built from."""
     ops = problem_operators(problem)
     projection, density = ops.projection, ops.density
     eps0 = problem.penalty
@@ -427,30 +434,70 @@ def observability_margin(problem: ImpulseProblem, seed: int = 0,
         zv = projection * v
         return ops.normal(zv) - ops.reach_star(ops.reach(zv) / density) + eps0 * (v - zv)
 
-    return lanczos_smallest(apply_h, problem.grid.node_count, seed=seed, tol=1e-8,
-                            stop_below=stop_below)
+    return apply_h, ops
+
+
+def observability_margin(problem: ImpulseProblem, seed: int = 0) -> LanczosResult:
+    """Smallest eigenvalue of C0 O*O + eps0 W - R* V R on the Z subspace, as
+    the Lanczos pair it came from (an eigenvalue lies within its `residual`).
+
+    Nonnegative margin is exactly the discrete observability inequality at
+    the problem's constants, hence the validity of the budget bound."""
+    apply_h, _ = _margin_operator(problem)
+    return lanczos_smallest(apply_h, problem.grid.node_count, seed=seed,
+                            tol=_MARGIN_TOL)
 
 
 def calibrate_observation_weight(problem: ImpulseProblem, seed: int = 0) -> ImpulseProblem:
     """Return the problem with C0 doubled from 1 until the discrete
     observability inequality holds, then doubled once more for safety.
 
-    A candidate is admissible when its margin is at least its own Ritz
-    residual, so the eigenvalue it approximates is certainly nonnegative.
-    Each margin solve stops once it proves the margin negative; a solve
-    whose margin is nonnegative never meets that stop, so the accepting
-    solve runs exactly as a full one.
+    Only the sign of the margin H = C0 O*O + eps0 W - R* V R decides, and by
+    Sylvester's law of inertia S H S has the sign of H for the Hermitian
+    positive-definite congruence S = (C0 + eps0 Sigma)^{-1/2} of
+    `problem_operators` (the square root of CG's preconditioner; C0^{-1/2}
+    for the l2 norm).  S H S is near the identity scale where H is stretched
+    by Sigma, so each candidate is decided on it, with the Lanczos tolerance
+    1e-8 / C0 that matches the unscaled 1e-8 (S^2 ~ 1/C0).  When W = I and
+    R* V R is the projection onto Z (l2 error norm, exact control, no datum
+    weight), S H S is the Z part of O*O shifted by -(1 - eps0)/C0; Krylov
+    spaces ignore shifts, so one Lanczos solve on O*O, to the first
+    candidate's 1e-8, scores every candidate as lambda - (1 - eps0)/C0 with
+    the same residual.
+
+    A candidate is admissible when its (scaled) margin is at least its own
+    Ritz residual, so the eigenvalue it approximates is certainly
+    nonnegative.  Each scaled margin solve stops once it proves the margin
+    negative; a solve whose margin is nonnegative never meets that stop, so
+    the accepting solve runs exactly as a full one.
     The margin is nondecreasing in C0, so doubling terminates whenever a
     valid C0 exists below 2^48.  Beyond that the penalty
     is too small for the observation pattern (on a truncated box the hidden
     states have weighted norms capped near e^{aL}, which floors the
     admissible penalty), and the failure is reported rather than forcing an
     ill-conditioned solve."""
+    size, eps0 = problem.grid.node_count, problem.penalty
+    if (problem.error_norm.kind == "l2" and problem.target is not None
+            and problem.datum_weight is None):
+        ops = problem_operators(problem)
+        z = ops.projection
+        # off Z the placeholder 1 exceeds every shift (1 - eps0)/C0 <= 1 - eps0
+        gram = lanczos_smallest(lambda v: z * ops.gram(z * v) + (v - z * v), size,
+                                seed=seed, tol=_MARGIN_TOL)
+
+        def certified(c0: float) -> bool:
+            return gram.eigenvalue - (1.0 - eps0) / c0 >= gram.residual
+    else:
+        def certified(c0: float) -> bool:
+            apply_h, ops = _margin_operator(replace(problem, observation_weight=c0))
+            scale = ops.congruence
+            margin = lanczos_smallest(lambda v: scale(apply_h(scale(v))), size,
+                                      seed=seed, tol=_MARGIN_TOL / c0, stop_below=0.0)
+            return margin.eigenvalue >= margin.residual
+
     c0 = 1.0
     for _ in range(_MAX_DOUBLINGS):
-        candidate = replace(problem, observation_weight=c0)
-        margin = observability_margin(candidate, seed=seed, stop_below=0.0)
-        if margin.eigenvalue >= margin.residual:
+        if certified(c0):
             return replace(problem, observation_weight=2.0 * c0)
         c0 *= 2.0
     raise RuntimeError(

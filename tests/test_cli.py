@@ -589,6 +589,34 @@ class TestCatalog:
         out = capsys.readouterr().out
         assert "control-solve" in out
 
+    @pytest.mark.parametrize("experiment", list(EXPERIMENTS))
+    def test_list_experiment_is_its_default_config(self, experiment, tmp_path, capsys):
+        # `list <experiment>` prints every key with its default and rules in
+        # config syntax; read back as a config it resolves to the defaults
+        assert main(["list", experiment]) == 0
+        listing = capsys.readouterr().out
+        keys = EXPERIMENTS[experiment].keys
+        assert listing.startswith(f"# {experiment}: ")
+        assert [line.lstrip("# ").split(" = ")[0]
+                for line in listing.splitlines()[1:]] == list(keys)
+        config = load_config(write(tmp_path, "listed.cfg", listing))
+        assert cli.resolve(keys, config, experiment) == cli.resolve(keys, {}, experiment)
+
+    def test_list_experiment_shows_rules(self, capsys):
+        assert main(["list", "counterexample"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("# counterexample: decay rates of the sharpness "
+                            "families [sharpness counterexamples]")
+        assert "counterexample.S2 = 0.5  # positive, finite" in lines
+        assert "# counterexample.r2 = <float>  # non-negative, finite" in lines
+        assert "counterexample.k = 1, 2, 4, 8, 16, 32" in lines
+
+    def test_list_argument_misuse_exits_2(self, capsys):
+        assert main(["list", "nonsense"]) == 2
+        assert "unknown experiment 'nonsense'" in capsys.readouterr().err
+        assert main(["propagate", "bridge"]) == 2
+        assert "only 'list' takes an experiment name" in capsys.readouterr().err
+
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     # start-up cost: scipy.special and scipy.integrate load only where a run

@@ -198,22 +198,41 @@ class TestCalibration:
         problem = calibrate_observation_weight(variant_problem("two_impulse"), seed=11)
         assert observability_margin(problem, seed=12).eigenvalue >= 0.0
 
-    @pytest.mark.parametrize("name", ["two_impulse", "band_restricted", "ball_null"])
-    def test_early_stop_keeps_the_calibrated_weight(self, name):
-        # calibration stops each rejected margin solve once it is proven
-        # negative; doubling on full solves must land on the same C0
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_early_stop_keeps_the_calibrated_weight(self, name, seed):
+        # calibration decides each candidate on the congruence-scaled margin,
+        # stopped once proven negative, or scores every candidate from one
+        # O*O solve; doubling on full unscaled margins must land on the same C0
         problem = variant_problem(name)
         c0 = 1.0
-        while observability_margin(
-                replace(problem, observation_weight=c0)).eigenvalue < 0.0:
+        while observability_margin(replace(problem, observation_weight=c0),
+                                   seed=seed).eigenvalue < 0.0:
             c0 *= 2.0
-        calibrated = calibrate_observation_weight(problem)
+        calibrated = calibrate_observation_weight(problem, seed=seed)
         assert calibrated.observation_weight == 2.0 * c0
+
+    def test_scaled_margin_certifies_sobolev_variant(self, monkeypatch):
+        # unscaled, the (1+|xi|^2)^4 multiplier puts a residual floor near
+        # eps*||H|| under the accepting margin; the congruence removes it
+        solves, tols = [], []
+
+        def recorded(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            solves.append(lanczos_smallest(*args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(control, "lanczos_smallest", recorded)
+        calibrate_observation_weight(variant_problem("sobolev_dual_approx"))
+        accepting = solves[-1]
+        assert accepting.eigenvalue >= 1e3 * accepting.residual
+        # S H S ~ H / C0, so candidate C0 = 2^k is solved to the unscaled 1e-8 / C0
+        assert tols == [1e-8 / 2.0 ** k for k in range(len(tols))]
 
     def test_margin_below_its_residual_is_not_accepted(self, monkeypatch):
         # a nonnegative margin that is smaller than its own Ritz residual does
         # not prove the inequality: calibration must double past it
-        problem = variant_problem("two_impulse")
+        problem = variant_problem("complement_approx")
         reference = calibrate_observation_weight(problem).observation_weight
         spoiled = []
 
@@ -229,6 +248,36 @@ class TestCalibration:
         calibrated = calibrate_observation_weight(problem)
         assert len(spoiled) == 1
         assert calibrated.observation_weight == 2.0 * reference
+
+    @pytest.mark.parametrize("name", ["two_impulse", "band_restricted"])
+    @pytest.mark.parametrize("fraction", [0.5, 0.9, 2.0])
+    def test_spoiled_gram_residual_is_not_accepted(self, name, fraction, monkeypatch):
+        # the shift-only variants score every candidate C0 from one O*O pair
+        # (lambda, residual) as lambda - (1 - eps0)/C0; with the residual
+        # spoiled, no candidate that the spoiled residual does not certify
+        # may be accepted, and without one calibration fails
+        problem = variant_problem(name)
+        reference = calibrate_observation_weight(problem).observation_weight
+        spoiled = []
+
+        def uncertain(*args, **kwargs):
+            result = lanczos_smallest(*args, **kwargs)
+            spoiled.append(result)
+            return replace(result, residual=fraction * result.eigenvalue,
+                           converged=False)
+
+        monkeypatch.setattr(control, "lanczos_smallest", uncertain)
+        if fraction >= 1.0:
+            with pytest.raises(RuntimeError, match="observation pattern"):
+                calibrate_observation_weight(problem)
+            return
+        c0 = calibrate_observation_weight(problem).observation_weight / 2.0
+        (gram,) = spoiled
+        shift = 1.0 - problem.penalty
+        assert gram.eigenvalue - shift / c0 >= fraction * gram.eigenvalue
+        assert c0 == 1.0 or gram.eigenvalue - shift / (c0 / 2.0) \
+            < fraction * gram.eigenvalue
+        assert 2.0 * c0 >= reference
 
     def test_infeasible_penalty_reported(self):
         problem = variant_problem("complement_approx", L=12.0, penalty=1e-6)
