@@ -19,12 +19,23 @@ With y* = C0 O z* the controls satisfy R*f - O*y* = eps0 W z*, and
 
 so the budget bound cost/C0 + error^2/eps0 <= ||f||_X*^2 holds exactly when
 the *discrete* observability inequality ||Rz||_X^2 <= C0||Oz||^2 + eps0<Wz,z>
-does; `calibrate_observation_weight` finds such a C0 by a matrix-free
-eigenvalue check instead of trusting the continuum constants.  By Sylvester's
-law of inertia it decides the sign of the margin H on S H S, S the square root
-of CG's preconditioner, to Lanczos tol 1e-8/C0; for l2 exact control with an
-unweighted datum S H S is O*O shifted by -(1 - eps0)/C0, so one O*O solve
-scores every candidate C0.
+does; `calibrate_observation_weight` finds such a C0 by an eigenvalue check
+on the margin H = C0 O*O + eps0 W - R* V R instead of trusting the continuum
+constants.
+
+Every observation and reach set is a ball or a ball complement at one time,
+so with a diagonal W (l2, dual_weighted) the normal operator is D + Y S Y* on
+Z: D diagonal, Y = [P(s_i) E_i]_i the flows from the k ball nodes, S = +-C0
+per observed node (`low_rank_form`).  For five variants (all but
+sobolev_dual_approx) CG is preconditioned by its exact Woodbury inverse and
+converges in one or two iterations.  The margin has that form too, the
+reach ball joining Y, for two_impulse, complement_approx, ball_null,
+band_restricted and cost scaling; there each candidate C0 is decided exactly
+by the inertia of the k x k capacitance S^-1 + Y* D^-1 Y (Haynsworth), or,
+for l2 exact control, by one eigvalsh of Y*Y for every candidate.
+shifted_decay_null (a whole-space reach term), sobolev_dual_approx (W not
+diagonal in x) and any form with k > MAX_BLOCK_ORDER = 4096 keep the
+diagonal preconditioner and Lanczos on the congruence-scaled margin S H S.
 
 Jump convention: the impulse delta(t - tau) chi_w h advances the state by
 u(tau+) = u(tau-) - i chi_w h (constant kappa = -i).  The source equation
@@ -36,18 +47,21 @@ ones, i.e. kappa^{-1} times the duality controls y*.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.linalg import eigvalsh
+from scipy.linalg import lu_factor, lu_solve
 
 from .field import (Field, Grid, Region, Weight, ball, ball_complement,
                     gaussian_state, l2_norm, make_grid, weighted_energy_flagged,
                     whole_space, zero_field)
 from .fitting import FitResult, affine_fit
-from .solvers import (CGResult, LanczosResult, Operator, conjugate_gradient,
-                      lanczos_smallest)
-from .transform import (fft_symbol, flow_observation, propagate_values,
-                        spectral_multiply)
+from .inequalities import MAX_BLOCK_ORDER
+from .solvers import CGResult, Operator, conjugate_gradient, lanczos_smallest
+from .transform import (fft_symbol, flow_observation, lattice_block,
+                        propagate_values, propagator_symbol, spectral_multiply)
 
 IMPULSE_JUMP = -1j
 
@@ -182,6 +196,13 @@ def _sobolev_symbol(grid: Grid, power: float = 1.0) -> np.ndarray:
     return fft_symbol(grid, (1.0 + grid.dual().radius_sq()) ** (power * order))
 
 
+def _weight_diagonal(grid: Grid, norm: ErrorNorm) -> np.ndarray:
+    """The part of W diagonal in x: 1 for "l2", the capped e^{a|x|} otherwise."""
+    if norm.kind == "l2":
+        return np.ones(grid.node_count)
+    return Weight(norm.amplitude, "grow").evaluate(grid)[0]
+
+
 def _quad(values: np.ndarray, applied: np.ndarray, grid: Grid) -> float:
     return float(np.vdot(applied, values).real * grid.spacing ** grid.dim)
 
@@ -199,7 +220,7 @@ class ProblemOperators:
     gram: Operator                     # O*O
     weight: Operator                   # W, the Z-norm operator (Hermitian, PD)
     normal: Operator                   # C0 O*O + eps0 W, projected onto Z
-    precondition: Optional[Operator]   # approximate inverse of `normal`
+    precondition: Optional[Operator]   # (C0 + eps0 Sigma)^-1, approximately `normal`^-1
     congruence: Operator               # S = (C0 + eps0 Sigma)^{-1/2}, Hermitian PD
     reach: Operator                    # R
     reach_star: Operator               # R*
@@ -220,13 +241,14 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     This is where the error-norm kind picks W: the identity for "l2", the
     capped density e^{a|x|} for "dual_weighted", and that
     density plus the H^{n+3} multiplier (1+|xi|^2)^{n+3} for "sobolev_dual".
-    The preconditioner inverts C0 + eps0 Sigma, with Sigma the part of W
-    that stretches the spectrum (e^{a|x|} reaches e^{aL}, the Sobolev
-    multiplier ~1e12; Sigma = 0 for "l2").  Sigma is diagonal in x (resp.
-    xi), so its inverse restores CG's reach to tight residuals; the
-    observation part is kept as the constant C0 (its symbol is at most 1 per
-    impulse).  The congruence S is the square root of that inverse, which
-    calibration wraps around the margin operator."""
+    `precondition` inverts C0 + eps0 Sigma, with Sigma the part of W that
+    stretches the spectrum (e^{a|x|} reaches e^{aL}, the Sobolev multiplier
+    ~1e12; Sigma = 0 for "l2"), keeping the observation part as the constant
+    C0.  It is CG's preconditioner only where `low_rank_form` finds no
+    D + Y S Y* structure (sobolev_dual_approx, or k above the cap); elsewhere
+    solve_control uses that form's exact Woodbury inverse.  The congruence S
+    is the square root of `precondition`, which Lanczos calibration wraps
+    around the margin operator."""
     grid = problem.grid
     norm = problem.error_norm
     c0, eps0 = problem.observation_weight, problem.penalty
@@ -241,7 +263,7 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
         weight, precondition = (lambda v: v.copy()), None
         congruence = (lambda v: root * v)
     else:
-        diag, _ = Weight(norm.amplitude, "grow").evaluate(grid)  # e^{a|x|}, capped
+        diag = _weight_diagonal(grid, norm)
         if norm.kind == "dual_weighted":
             spread = c0 + eps0 * diag
             inv, root = 1.0 / spread, spread ** -0.5
@@ -263,6 +285,167 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     return ProblemOperators(observe, observe_star, gram, weight, normal, precondition,
                             congruence, lambda v: reach_observe(v)[0],
                             lambda v: reach_observe_star([v]), projection, density)
+
+
+# ---------------------------------------------------------------------------
+# the low-rank structure: D + Y S Y* on Z
+
+
+@dataclass(frozen=True)
+class LowRankForm:
+    """An operator on the nodes of Z as D + Y S Y*, at every C0.
+
+    D = C0 m + base is diagonal, m the number of complement observation
+    terms; S = C0 signs + fixed is diagonal, with signs +1 on the nodes of an
+    observed ball, -1 on those off an observed complement and 0 on the reach
+    ball, where `fixed` holds -1/density.  Y = [P(s_i) E_i]_i restricted to
+    Z is kept as its terms (symbol of P(s_i), nodes E_i); it does not depend
+    on C0, is applied by FFTs, and is formed densely only when needed.
+    """
+
+    grid: Grid
+    nodes: np.ndarray       # flat indices of the Z nodes
+    terms: Tuple[Tuple[np.ndarray, np.ndarray], ...]
+    signs: np.ndarray
+    fixed: np.ndarray
+    complements: int
+    base: np.ndarray        # eps0 W on Z, minus V for an exact-control margin
+
+    def diagonal(self, c0: float) -> np.ndarray:
+        return c0 * self.complements + self.base
+
+    def core(self, c0: float) -> np.ndarray:
+        return c0 * self.signs + self.fixed
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Y as a dense (#Z nodes) x k matrix of lattice blocks."""
+        return np.hstack([lattice_block(self.grid, symbol, self.nodes, cols)
+                          for symbol, cols in self.terms])
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """Y u, on the Z nodes."""
+        acc = np.zeros(self.grid.node_count, dtype=np.complex128)
+        start = 0
+        for symbol, cols in self.terms:
+            part = np.zeros(self.grid.node_count, dtype=np.complex128)
+            part[cols] = u[start:start + cols.size]
+            acc += spectral_multiply(self.grid, part, symbol)
+            start += cols.size
+        return acc[self.nodes]
+
+    def apply_star(self, v: np.ndarray) -> np.ndarray:
+        """Y* v for v on the Z nodes."""
+        embedded = np.zeros(self.grid.node_count, dtype=np.complex128)
+        embedded[self.nodes] = v
+        return np.concatenate([spectral_multiply(self.grid, embedded, symbol.conj())[cols]
+                               for symbol, cols in self.terms])
+
+    def gram(self, weights: np.ndarray) -> np.ndarray:
+        """Y* diag(weights) Y.  With constant weights on the whole lattice,
+        Y_i* Y_j = E_i* P(s_j - s_i) E_j is a lattice block between ball
+        nodes, so Y is never formed."""
+        if not self.terms:  # every observation covers the whole lattice: k = 0
+            return np.zeros((0, 0))
+        if self.nodes.size < self.grid.node_count or np.any(weights != weights[0]):
+            scaled = self.basis.conj()
+            scaled *= weights[:, None]
+            return scaled.T @ self.basis
+        return weights[0] * np.block([[lattice_block(self.grid, left.conj() * right,
+                                                     rows, cols)
+                                       for right, cols in self.terms]
+                                      for left, rows in self.terms])
+
+    def capacitance(self, c0: float) -> np.ndarray:
+        """S^{-1} + Y* D^{-1} Y, Hermitian and k x k; indefinite when S is."""
+        return np.diag(1.0 / self.core(c0)) + self.gram(1.0 / self.diagonal(c0))
+
+    def inverse(self, c0: float) -> Operator:
+        """The Woodbury inverse D^-1 - D^-1 Y C^-1 Y* D^-1 (C the capacitance,
+        LU-factored since it may be indefinite), applied on Z and zero off it."""
+        d_inv = 1.0 / self.diagonal(c0)
+        factor = lu_factor(self.capacitance(c0)) if self.terms else None
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            on_z = d_inv * v[self.nodes]
+            if factor is not None:
+                on_z -= d_inv * self.apply(lu_solve(factor, self.apply_star(on_z)))
+            out = np.zeros_like(v)
+            out[self.nodes] = on_z
+            return out
+
+        return apply
+
+    def positive_definite(self, c0: float) -> bool:
+        """Whether D + Y S Y* is positive definite, D > 0 given.
+
+        Haynsworth inertia additivity on [[D, Y], [Y*, -S^-1]] gives
+        #neg(D + Y S Y*) = #pos(C) - #pos(S) for the capacitance C, so the
+        operator is definite exactly when C has as many negative eigenvalues
+        as S and none at zero.  Each eigenvalue must clear the rounding floor
+        eps * k * max|eigenvalue| of C, or its sign is not decided."""
+        values = eigvalsh(self.capacitance(c0))
+        if values.size == 0:
+            return True
+        floor = np.finfo(float).eps * values.size * np.abs(values).max()
+        return bool(np.abs(values).min() > floor and np.count_nonzero(values < 0)
+                    == np.count_nonzero(self.core(c0) < 0))
+
+
+def low_rank_form(problem: ImpulseProblem, margin: bool = False) -> Optional[LowRankForm]:
+    """The normal operator C0 O*O + eps0 W on Z (or, with `margin`, the
+    margin H = C0 O*O + eps0 W - R* V R) as D + Y S Y*, or None.
+
+    Each observation term (t_i, region_i), t_i = tau_i - T, contributes
+    P(-t_i) E_i, the backward flow from the nodes E_i of the smaller side of
+    region_i: a ball gives P(t_i)* M_i P(t_i) = Y_i Y_i* (sign +1), a
+    complement I - Y_i Y_i* (sign -1, one more C0 in D).  The exact-control
+    margin puts -V on D; the null-control margin adds the reach ball
+    P(T) E_reach with S = -1/density.
+
+    None when the structure is absent or no cheaper than the operator: the
+    sobolev_dual W (not diagonal in x), a rank k at or above the number of Z
+    nodes (the whole-space reach term of shifted_decay_null), k above
+    MAX_BLOCK_ORDER, a D that is not positive at the problem's C0 (D only
+    grows with C0), or a dense Y above MAX_BLOCK_ORDER^2 entries where Y*
+    D^-1 Y needs one (a weighted D, or Z short of the whole lattice)."""
+    grid, norm = problem.grid, problem.error_norm
+    if norm.kind == "sobolev_dual":
+        return None
+    c0, eps0 = problem.observation_weight, problem.penalty
+    exact = problem.target is not None
+    reach_mask = problem.reach_region.indicator(grid)
+    nodes = np.flatnonzero(reach_mask) if exact else np.arange(grid.node_count)
+    density = np.ones(grid.node_count) if problem.datum_weight is None \
+        else problem.datum_weight.evaluate(grid)[0]
+    terms, signs, fixed, complements = [], [], [], 0
+    for tau, region in problem.impulses:
+        mask = region.indicator(grid)
+        inside, outside = np.flatnonzero(mask), np.flatnonzero(mask == 0.0)
+        sign = 1.0 if inside.size <= outside.size else -1.0
+        cols = inside if sign > 0 else outside
+        complements += int(sign < 0)
+        terms.append((problem.horizon - tau, cols))
+        signs.append(np.full(cols.size, sign))
+        fixed.append(np.zeros(cols.size))
+    base = eps0 * _weight_diagonal(grid, norm)[nodes]
+    if margin and exact:
+        base = base - 1.0 / density[nodes]
+    elif margin:
+        reach = np.flatnonzero(reach_mask)
+        terms.append((problem.horizon, reach))
+        signs.append(np.zeros(reach.size))
+        fixed.append(-1.0 / density[reach])
+    k = sum(cols.size for _, cols in terms)
+    if (nodes.size <= k or k > MAX_BLOCK_ORDER
+            or not np.all(c0 * complements + base > 0.0)):
+        return None
+    dense = nodes.size < grid.node_count or np.any(base != base[0])
+    if dense and nodes.size * k > MAX_BLOCK_ORDER ** 2:
+        return None
+    return LowRankForm(grid, nodes, tuple((propagator_symbol(grid, t), cols)
+                                          for t, cols in terms if cols.size),
+                       np.concatenate(signs), np.concatenate(fixed), complements, base)
 
 
 def datum_field(problem: ImpulseProblem) -> Field:
@@ -340,8 +523,10 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
     c0, eps0 = problem.observation_weight, problem.penalty
 
     rhs = ops.reach_star(f.values)  # R* already maps into Z
+    form = low_rank_form(problem)
     cg = conjugate_gradient(ops.normal, rhs, tol=tol, max_iter=max_iter,
-                            precondition=ops.precondition)
+                            precondition=ops.precondition if form is None
+                            else form.inverse(c0))
     z_star = cg.solution
 
     y_star = [Field(grid, c0 * obs) for obs in ops.observe(z_star)]
@@ -437,56 +622,54 @@ def _margin_operator(problem: ImpulseProblem) -> Tuple[Operator, ProblemOperator
     return apply_h, ops
 
 
-def observability_margin(problem: ImpulseProblem, seed: int = 0) -> LanczosResult:
-    """Smallest eigenvalue of C0 O*O + eps0 W - R* V R on the Z subspace, as
-    the Lanczos pair it came from (an eigenvalue lies within its `residual`).
+def _structured_certificate(form: LowRankForm) -> Callable[[float], bool]:
+    """Decide each candidate C0 on the margin's D + Y S Y* form.
 
-    Nonnegative margin is exactly the discrete observability inequality at
-    the problem's constants, hence the validity of the budget bound."""
-    apply_h, _ = _margin_operator(problem)
-    return lanczos_smallest(apply_h, problem.grid.node_count, seed=seed,
-                            tol=_MARGIN_TOL)
+    When D is a scalar d(C0) and S = -C0 throughout (l2 exact control, no
+    datum weight), the margin is d - C0 Y Y*, definite exactly when
+    C0 mu_max < d for mu_max the top eigenvalue of Y*Y: one eigvalsh scores
+    every candidate, with mu_max raised by its rounding floor
+    eps * k * mu_max.  Otherwise each candidate takes the inertia test."""
+    if np.all(form.signs == -1.0) and np.all(form.base == form.base[0]):
+        mu = eigvalsh(form.gram(np.ones(form.nodes.size)))
+        top = mu[-1] * (1.0 + np.finfo(float).eps * mu.size) if mu.size else 0.0
+        return lambda c0: c0 * top < form.diagonal(c0)[0]
+    return form.positive_definite
 
 
 def calibrate_observation_weight(problem: ImpulseProblem, seed: int = 0) -> ImpulseProblem:
     """Return the problem with C0 doubled from 1 until the discrete
     observability inequality holds, then doubled once more for safety.
 
-    Only the sign of the margin H = C0 O*O + eps0 W - R* V R decides, and by
-    Sylvester's law of inertia S H S has the sign of H for the Hermitian
-    positive-definite congruence S = (C0 + eps0 Sigma)^{-1/2} of
-    `problem_operators` (the square root of CG's preconditioner; C0^{-1/2}
-    for the l2 norm).  S H S is near the identity scale where H is stretched
-    by Sigma, so each candidate is decided on it, with the Lanczos tolerance
-    1e-8 / C0 that matches the unscaled 1e-8 (S^2 ~ 1/C0).  When W = I and
-    R* V R is the projection onto Z (l2 error norm, exact control, no datum
-    weight), S H S is the Z part of O*O shifted by -(1 - eps0)/C0; Krylov
-    spaces ignore shifts, so one Lanczos solve on O*O, to the first
-    candidate's 1e-8, scores every candidate as lambda - (1 - eps0)/C0 with
-    the same residual.
+    Only the sign of the margin H = C0 O*O + eps0 W - R* V R decides.  Where
+    `low_rank_form` gives H as D + Y S Y* on Z (two_impulse,
+    complement_approx, ball_null, band_restricted and every cost-scaling
+    problem, within the caps of `low_rank_form`), the form is built once and
+    each candidate is decided exactly, with no seed, by the k x k test of
+    `_structured_certificate`: C0 is accepted when H is certainly positive
+    definite.
 
-    A candidate is admissible when its (scaled) margin is at least its own
-    Ritz residual, so the eigenvalue it approximates is certainly
-    nonnegative.  Each scaled margin solve stops once it proves the margin
-    negative; a solve whose margin is nonnegative never meets that stop, so
-    the accepting solve runs exactly as a full one.
+    Otherwise (shifted_decay_null, sobolev_dual_approx, or k above the cap)
+    the candidate is decided by Lanczos on S H S, which by Sylvester's law of
+    inertia has the sign of H for the Hermitian positive-definite congruence
+    S = (C0 + eps0 Sigma)^{-1/2} of `problem_operators`.  S H S is near the
+    identity scale where H is stretched by Sigma, and its Lanczos tolerance
+    1e-8 / C0 matches the unscaled 1e-8 (S^2 ~ 1/C0).  A candidate is
+    admissible when its scaled margin is at least its own Ritz residual, so
+    the eigenvalue it approximates is certainly nonnegative; each solve stops
+    once it proves the margin negative, and an accepting solve runs in full.
+
     The margin is nondecreasing in C0, so doubling terminates whenever a
     valid C0 exists below 2^48.  Beyond that the penalty
     is too small for the observation pattern (on a truncated box the hidden
     states have weighted norms capped near e^{aL}, which floors the
     admissible penalty), and the failure is reported rather than forcing an
     ill-conditioned solve."""
-    size, eps0 = problem.grid.node_count, problem.penalty
-    if (problem.error_norm.kind == "l2" and problem.target is not None
-            and problem.datum_weight is None):
-        ops = problem_operators(problem)
-        z = ops.projection
-        # off Z the placeholder 1 exceeds every shift (1 - eps0)/C0 <= 1 - eps0
-        gram = lanczos_smallest(lambda v: z * ops.gram(z * v) + (v - z * v), size,
-                                seed=seed, tol=_MARGIN_TOL)
-
-        def certified(c0: float) -> bool:
-            return gram.eigenvalue - (1.0 - eps0) / c0 >= gram.residual
+    size = problem.grid.node_count
+    # every candidate is at least 1, and D only grows with C0
+    form = low_rank_form(replace(problem, observation_weight=1.0), margin=True)
+    if form is not None:
+        certified = _structured_certificate(form)
     else:
         def certified(c0: float) -> bool:
             apply_h, ops = _margin_operator(replace(problem, observation_weight=c0))

@@ -398,9 +398,11 @@ class TestExitCodes:
         assert "tail tolerance" in capsys.readouterr().err
 
     def test_solver_nonconvergence_is_exit_3(self, tmp_path, capsys):
+        # the Woodbury-preconditioned variants converge in one iteration; the
+        # Sobolev variant keeps its diagonal-in-xi preconditioner and stalls
         cfg = write(tmp_path, "stall.cfg",
-                    "grid.M = 64\ngrid.L = 20.0\ncontrol.max_iterations = 1\n"
-                    "control.cg_tolerance = 1e-12\n")
+                    "grid.M = 64\ncontrol.variant = sobolev_dual_approx\n"
+                    "control.max_iterations = 1\ncontrol.cg_tolerance = 1e-12\n")
         assert main(["control-solve", "--config", cfg,
                      "--out", str(tmp_path / "c.csv")]) == 3
         assert "residual" in capsys.readouterr().err
