@@ -14,7 +14,7 @@ from math import factorial, gamma, prod
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, svd
 
 from .field import (
     Field,
@@ -28,7 +28,7 @@ from .field import (
     radial_moment,
     weighted_energy_flagged,
 )
-from .transform import (chirp_aliasing_ok, dft, fft_symbol, flow_observation, idft,
+from .transform import (chirp_aliasing_ok, dft, fft_symbol, idft,
                         lattice_block, propagate, propagator_symbol, spectral_multiply)
 
 MAX_BLOCK_ORDER = 4096  # 256 MiB of complex entries; refused before it is built
@@ -153,21 +153,19 @@ class EmpiricalConstant:
     converged: bool
 
 
-def gramian_apply(grid: Grid, s: float, t: float,
-                  region_a: Region, region_b: Region):
-    """Matrix-free G = M_A + P* M_B P with P the flow from time s to t."""
-    if not t > s:
-        raise ValueError("need T > S for the observability Gramian")
-    return flow_observation(grid, [(0.0, region_a), (t - s, region_b)])[2]
+def _block_floor(order: int) -> float:
+    """Rounding floor eps * order of a dense block of that order; an order
+    outside 1..MAX_BLOCK_ORDER is refused before the block is built."""
+    if not 0 < order <= MAX_BLOCK_ORDER:
+        raise ValueError(f"dense block of order {order} is outside 1..{MAX_BLOCK_ORDER}")
+    return float(np.finfo(float).eps * order)
 
 
 def _top_eigenpair(order: int, build) -> Tuple[float, np.ndarray, float]:
-    """Top eigenpair of the Hermitian block build() and its rounding floor
-    eps * order; an order outside 1..MAX_BLOCK_ORDER is refused unbuilt."""
-    if not 0 < order <= MAX_BLOCK_ORDER:
-        raise ValueError(f"dense block of order {order} is outside 1..{MAX_BLOCK_ORDER}")
+    """Top eigenpair of the Hermitian block build() and its rounding floor."""
+    floor = _block_floor(order)
     values, vectors = eigh(build(), subset_by_index=[order - 1, order - 1])
-    return float(values[0]), vectors[:, 0], float(np.finfo(float).eps * order)
+    return float(values[0]), vectors[:, 0], floor
 
 
 def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
@@ -176,9 +174,9 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
 
     G = M_A + P* M_B P is a sum of two projections, so 2 - G = X X* with
     X = [E_a, P* E_b], E_a and E_b embedding the nodes off A and off B, and
-    lambda_min(G) = 2 - lambda_max([[I, C*], [C, I]]) with C = E_b* P E_a, a
-    lattice block of the flow.  Converged means lambda_min is at least the
-    block's rounding floor; below it, neither it nor its inverse is resolved.
+    lambda_min(G) = 1 - sigma_max(C) at X (v; u), with C v = sigma_max u and
+    C = E_b* P E_a a lattice block of the flow.  Converged means lambda_min is
+    at least the rounding floor of X*X; below it, neither it nor its inverse is resolved.
     """
     if not t > s:
         raise ValueError("need T > S for the observability Gramian")
@@ -187,15 +185,17 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
     if cols.size + rows.size == 0:  # A and B hold every node: G = 2I
         unit = Field(grid, np.eye(1, grid.node_count)[0])
         return EmpiricalConstant(2.0, 0.5, unit, 0.0, True)
-    forward, backward = propagator_symbol(grid, t - s), propagator_symbol(grid, s - t)
-    top, vector, floor = _top_eigenpair(cols.size + rows.size, lambda: np.block([
-        [np.eye(cols.size), lattice_block(grid, backward, cols, rows)],
-        [lattice_block(grid, forward, rows, cols), np.eye(rows.size)]]))
-    lam = max(2.0 - top, 0.0)
+    floor = _block_floor(cols.size + rows.size)
+    sigma, u, v = 0.0, np.eye(1, rows.size)[0], np.eye(1, cols.size)[0]
+    if rows.size and cols.size:  # else C is empty and G is I plus a projection
+        c = lattice_block(grid, propagator_symbol(grid, t - s), rows, cols)
+        left, values, right = svd(c, full_matrices=False)
+        sigma, u, v = float(values[0]), left[:, 0], right[0].conj()
+    lam = max(1.0 - sigma, 0.0)
     extremizer = np.zeros(grid.node_count, dtype=np.complex128)
-    extremizer[rows] = vector[cols.size:]
-    extremizer = spectral_multiply(grid, extremizer, backward)
-    extremizer[cols] += vector[:cols.size]
+    extremizer[rows] = u
+    extremizer = spectral_multiply(grid, extremizer, propagator_symbol(grid, s - t))
+    extremizer[cols] += v
     constant = float("inf") if lam == 0.0 else 1.0 / lam
     extremizer = Field(grid, extremizer / np.linalg.norm(extremizer))
     return EmpiricalConstant(lam, constant, extremizer, floor, lam >= floor)

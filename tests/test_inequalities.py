@@ -15,13 +15,15 @@ from schrodlab.inequalities import (AliasingError, bandlimited_sample,
                                     equivalence_bridge_check, euler_bound,
                                     euler_integral,
                                     extremal_bandlimited_concentration,
-                                    fit_interpolation_12, gramian_apply,
+                                    fit_interpolation_12,
                                     interpolation_report_12, moment_check_34,
                                     smallest_euler_constant,
                                     spectral_inequality_report,
                                     two_ball_report_13, two_time_quotient,
                                     uncertainty_quotient)
-from schrodlab.transform import dft
+from schrodlab.transform import dft, lattice_block, propagator_symbol
+
+from reference import dense_gramian, reference_gramian
 
 SQRT_PI = float(np.sqrt(np.pi))
 
@@ -168,33 +170,56 @@ class TestEmpiricalConstant:
         assert result.lambda_min == pytest.approx(2.0, abs=1e-10)
         assert result.constant == pytest.approx(0.5, abs=1e-10)
 
-    def test_half_observation_lower_bound(self):
+    @pytest.mark.parametrize("whole", ["A", "B"])
+    def test_half_observation_gives_one(self, whole):
+        # one side holds every node, so C is empty and G = I + a projection
         grid = make_grid(1, 10.0, 64)
-        result = empirical_constant(0.0, 1.0, whole_space(),
-                                    ball_complement(0.0, 3.0), grid)
-        assert result.lambda_min >= 1.0 - 1e-10
+        half = ball_complement(0.0, 3.0)
+        region_a, region_b = (whole_space(), half) if whole == "A" else (half, whole_space())
+        result = empirical_constant(0.0, 1.0, region_a, region_b, grid)
+        assert result.lambda_min == 1.0
+        assert result.converged
+        v = result.extremizer.values
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        apply_g = reference_gramian(grid, 0.0, 1.0, region_a, region_b)
+        assert np.vdot(v, apply_g(v)).real == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_dense_eigendecomposition(self):
         grid = make_grid(1, 20.0, 256)
         region = ball_complement(0.0, 2.0)
         result = empirical_constant(0.0, 1.0, region, region, grid)
         assert result.converged
-        apply_g = gramian_apply(grid, 0.0, 1.0, region, region)
-        dense = np.array([apply_g(col) for col in np.eye(256, dtype=complex)]).T
-        exact = np.linalg.eigvalsh(dense)[0]
+        exact = np.linalg.eigvalsh(dense_gramian(grid, 0.0, 1.0, region, region))[0]
         assert result.lambda_min == pytest.approx(exact, abs=1e-8)
 
     def test_matches_dense_eigendecomposition_2d_off_centre(self):
         grid = make_grid(2, 6.0, 16)
         region_a = ball_complement((0.5, -0.75), 1.5)
         region_b = ball_complement((-1.0, 0.5), 2.0)
+        # C = E_b* P E_a is not square, so swapped singular vectors would
+        # not even embed
+        assert (np.count_nonzero(region_a.indicator(grid) == 0.0)
+                != np.count_nonzero(region_b.indicator(grid) == 0.0))
         result = empirical_constant(0.0, 0.5, region_a, region_b, grid)
         assert result.converged
-        apply_g = gramian_apply(grid, 0.0, 0.5, region_a, region_b)
-        n = grid.node_count
-        dense = np.array([apply_g(col) for col in np.eye(n, dtype=complex)]).T
+        dense = dense_gramian(grid, 0.0, 0.5, region_a, region_b)
         assert result.lambda_min == pytest.approx(np.linalg.eigvalsh(dense)[0],
                                                   abs=1e-12)
+        v = result.extremizer.values
+        rayleigh = np.vdot(v, dense @ v).real / np.vdot(v, v).real
+        assert rayleigh == pytest.approx(result.lambda_min, abs=1e-12)
+
+    @pytest.mark.parametrize("gap", [0.25, 0.5, 1.0, 2.0])
+    def test_matches_the_doubled_block(self, gap):
+        # two-subspace identity: 1 - sigma_max(C) = 2 - lambda_max([[I, C*], [C, I]])
+        grid = make_grid(1, 20.0, 512)
+        region = ball_complement(0.0, 2.0)
+        nodes = np.flatnonzero(region.indicator(grid) == 0.0)
+        c = lattice_block(grid, propagator_symbol(grid, gap), nodes, nodes)
+        eye = np.eye(nodes.size)
+        doubled = 2.0 - np.linalg.eigvalsh(np.block([[eye, c.conj().T], [c, eye]]))[-1]
+        result = empirical_constant(0.0, gap, region, region, grid)
+        assert result.lambda_min == pytest.approx(doubled, rel=1e-9)
 
     @pytest.mark.parametrize("gap, resolved", [(0.05, False), (0.1, False),
                                                (0.25, True)])
@@ -211,7 +236,7 @@ class TestEmpiricalConstant:
         grid = make_grid(1, 20.0, 256)
         region = ball_complement(0.0, 2.0)
         result = empirical_constant(0.0, 0.5, region, region, grid)
-        apply_g = gramian_apply(grid, 0.0, 0.5, region, region)
+        apply_g = reference_gramian(grid, 0.0, 0.5, region, region)
         v = result.extremizer.values
         rayleigh = np.vdot(v, apply_g(v)).real / np.vdot(v, v).real
         assert rayleigh == pytest.approx(result.lambda_min, abs=1e-9)
@@ -219,8 +244,8 @@ class TestEmpiricalConstant:
     def test_gramian_hermitian(self):
         rng = np.random.default_rng(2)
         grid = make_grid(1, 20.0, 128)
-        apply_g = gramian_apply(grid, 0.0, 0.7, ball_complement(0.0, 2.0),
-                                ball_complement(1.0, 1.5))
+        apply_g = reference_gramian(grid, 0.0, 0.7, ball_complement(0.0, 2.0),
+                                    ball_complement(1.0, 1.5))
         for _ in range(20):
             f, g = (rng.standard_normal(128) + 1j * rng.standard_normal(128)
                     for _ in range(2))
