@@ -533,7 +533,7 @@ def _run_control_solve(config: dict, seed: int, threads: int) -> ExperimentResul
         raise ConfigError(f"invalid control problem: {exc}") from exc
     validity = _check_tail(config, problem.initial_state)
     try:
-        problem = calibrate_observation_weight(problem, seed=seed)
+        problem = calibrate_observation_weight(problem)
     except RuntimeError as exc:
         raise ConfigError(str(exc)) from exc
     tol = config["control.cg_tolerance"]
@@ -577,8 +577,7 @@ def _run_cost_scaling(config: dict, seed: int, threads: int) -> ExperimentResult
         study = cost_scaling_study(
             grid, u0, gaps, config["cost.radius"],
             eps0=config["cost.penalty"], error_target=config["cost.error_target"],
-            fixed_gap=config["cost.fixed_gap"], tol=config["cost.cg_tolerance"],
-            seed=seed)
+            fixed_gap=config["cost.fixed_gap"], tol=config["cost.cg_tolerance"])
     except IndefiniteOperatorError:
         raise  # an adjoint bug, not a configuration the study cannot serve
     except RuntimeError as exc:

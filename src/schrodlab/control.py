@@ -47,7 +47,7 @@ ones, i.e. kappa^{-1} times the duality controls y*.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,9 +58,8 @@ from .field import (Field, Grid, Region, Weight, ball, ball_complement,
                     gaussian_state, l2_norm, make_grid, weighted_energy_flagged,
                     whole_space, zero_field)
 from .fitting import FitResult, affine_fit
-from .inequalities import MAX_BLOCK_ORDER
 from .solvers import CGResult, Operator, conjugate_gradient, lanczos_smallest
-from .transform import (fft_symbol, flow_observation, lattice_block,
+from .transform import (MAX_BLOCK_ORDER, fft_symbol, flow_observation, lattice_block,
                         propagate_values, propagator_symbol, spectral_multiply)
 
 IMPULSE_JUMP = -1j
@@ -203,33 +202,58 @@ def _weight_diagonal(grid: Grid, norm: ErrorNorm) -> np.ndarray:
     return Weight(norm.amplitude, "grow").evaluate(grid)[0]
 
 
-def _quad(values: np.ndarray, applied: np.ndarray, grid: Grid) -> float:
-    return float(np.vdot(applied, values).real * grid.spacing ** grid.dim)
-
-
 # ---------------------------------------------------------------------------
 # the operators of one problem (exact discrete adjoint pairs)
 
 
 @dataclass(frozen=True)
 class ProblemOperators:
-    """The matrix-free operators of one control problem, on raw arrays."""
+    """The matrix-free operators of one control problem, on raw arrays.  The
+    fields do not depend on C0; each method builds an operator at one C0."""
 
     observe: Callable[[np.ndarray], List[np.ndarray]]           # O, per impulse
     observe_star: Callable[[Sequence[np.ndarray]], np.ndarray]  # O*
     gram: Operator                     # O*O
     weight: Operator                   # W, the Z-norm operator (Hermitian, PD)
-    normal: Operator                   # C0 O*O + eps0 W, projected onto Z
-    precondition: Optional[Operator]   # (C0 + eps0 Sigma)^-1, approximately `normal`^-1
-    congruence: Operator               # S = (C0 + eps0 Sigma)^{-1/2}, Hermitian PD
     reach: Operator                    # R
     reach_star: Operator               # R*
     projection: np.ndarray             # indicator of Z; all ones when Z is all of L2
     density: np.ndarray                # X*-side datum density; all ones for plain L2
+    eps0: float                        # the penalty
+    sigma: Optional[np.ndarray]        # Sigma, the part of W that stretches the spectrum
+    multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (g(Sigma), v) -> g(Sigma) v
+
+    def normal(self, c0: float) -> Operator:
+        """C0 O*O + eps0 W, projected onto Z."""
+        return lambda v: self.projection * (c0 * self.gram(v) + self.eps0 * self.weight(v))
+
+    def precondition(self, c0: float) -> Optional[Operator]:
+        """(C0 + eps0 Sigma)^-1, approximately normal(c0)^-1; None for "l2"."""
+        return None if self.sigma is None else \
+            partial(self.multiply, 1.0 / (c0 + self.eps0 * self.sigma))
+
+    def congruence(self, c0: float) -> Operator:
+        """S = (C0 + eps0 Sigma)^{-1/2}, Hermitian positive definite."""
+        spread = c0 if self.sigma is None else c0 + self.eps0 * self.sigma
+        return partial(self.multiply, spread ** -0.5)
+
+    def margin(self, c0: float) -> Operator:
+        """H = C0 O*O + eps0 W - R* V R on the Z subspace."""
+        normal = self.normal(c0)
+
+        def apply(v: np.ndarray) -> np.ndarray:
+            # the X-norm density for R z is the dual of the datum density; R*
+            # already maps into Z, and the directions off Z get the positive
+            # placeholder eps0 so they cannot masquerade as the smallest eigenvalue
+            zv = self.projection * v
+            return normal(zv) - self.reach_star(self.reach(zv) / self.density) \
+                + self.eps0 * (v - zv)
+
+        return apply
 
 
 def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
-    """Build every operator of the problem once, propagator symbols included.
+    """Build the C0-free operators of the problem once, propagator symbols included.
 
     O observes the dual state at each impulse, O z = (chi_{w_i} phi(., tau_i;
     T, z))_i, and O* h flows each chi_{w_i} h_i from tau_i to T (the kappa
@@ -241,50 +265,37 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     This is where the error-norm kind picks W: the identity for "l2", the
     capped density e^{a|x|} for "dual_weighted", and that
     density plus the H^{n+3} multiplier (1+|xi|^2)^{n+3} for "sobolev_dual".
-    `precondition` inverts C0 + eps0 Sigma, with Sigma the part of W that
-    stretches the spectrum (e^{a|x|} reaches e^{aL}, the Sobolev multiplier
-    ~1e12; Sigma = 0 for "l2"), keeping the observation part as the constant
-    C0.  It is CG's preconditioner only where `low_rank_form` finds no
-    D + Y S Y* structure (sobolev_dual_approx, or k above the cap); elsewhere
-    solve_control uses that form's exact Woodbury inverse.  The congruence S
-    is the square root of `precondition`, which Lanczos calibration wraps
-    around the margin operator."""
+    Sigma is that density (e^{aL} at the box edge) or multiplier (~1e12), in
+    x or in xi; None for "l2", where it is 0.  `precondition(c0)` inverts
+    C0 + eps0 Sigma, keeping the observation part as the constant C0.  It is
+    CG's preconditioner only where `low_rank_form` finds no D + Y S Y*
+    structure (sobolev_dual_approx, or k above the cap); elsewhere
+    solve_control uses that form's exact Woodbury inverse.  Its square root
+    is the congruence S that Lanczos calibration wraps around `margin(c0)`."""
     grid = problem.grid
     norm = problem.error_norm
-    c0, eps0 = problem.observation_weight, problem.penalty
     observe, observe_star, gram = flow_observation(
         grid, [(tau - problem.horizon, region) for tau, region in problem.impulses])
     exact = problem.target is not None
     projection = (problem.reach_region if exact else whole_space()).indicator(grid)
     reach_observe, reach_observe_star, _ = flow_observation(
         grid, [(0.0 if exact else -problem.horizon, problem.reach_region)])
+    multiply = np.multiply
     if norm.kind == "l2":
-        root = c0 ** -0.5
-        weight, precondition = (lambda v: v.copy()), None
-        congruence = (lambda v: root * v)
+        weight, sigma = (lambda v: v.copy()), None
     else:
         diag = _weight_diagonal(grid, norm)
         if norm.kind == "dual_weighted":
-            spread = c0 + eps0 * diag
-            inv, root = 1.0 / spread, spread ** -0.5
-            weight, precondition = (lambda v: diag * v), (lambda v: inv * v)
-            congruence = (lambda v: root * v)
+            weight, sigma = (lambda v: diag * v), diag
         else:  # sobolev_dual: e^{a|x|} 'plus' the H^{n+3} spectral multiplier
-            symbol = _sobolev_symbol(grid)
-            spread = c0 + eps0 * symbol
-            inv, root = 1.0 / spread, spread ** -0.5
-            weight = (lambda v: diag * v + spectral_multiply(grid, v, symbol))
-            precondition = (lambda v: spectral_multiply(grid, v, inv))
-            congruence = (lambda v: spectral_multiply(grid, v, root))
+            sigma = _sobolev_symbol(grid)
+            weight = (lambda v: diag * v + spectral_multiply(grid, v, sigma))
+            multiply = (lambda factor, v: spectral_multiply(grid, v, factor))
     density = np.ones(grid.node_count) if problem.datum_weight is None \
         else problem.datum_weight.evaluate(grid)[0]
-
-    def normal(v: np.ndarray) -> np.ndarray:
-        return projection * (c0 * gram(v) + eps0 * weight(v))
-
-    return ProblemOperators(observe, observe_star, gram, weight, normal, precondition,
-                            congruence, lambda v: reach_observe(v)[0],
-                            lambda v: reach_observe_star([v]), projection, density)
+    return ProblemOperators(observe, observe_star, gram, weight,
+                            lambda v: reach_observe(v)[0], lambda v: reach_observe_star([v]),
+                            projection, density, problem.penalty, sigma, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +417,12 @@ def low_rank_form(problem: ImpulseProblem, margin: bool = False) -> Optional[Low
     None when the structure is absent or no cheaper than the operator: the
     sobolev_dual W (not diagonal in x), a rank k at or above the number of Z
     nodes (the whole-space reach term of shifted_decay_null), k above
-    MAX_BLOCK_ORDER, a D that is not positive at the problem's C0 (D only
-    grows with C0), or a dense Y above MAX_BLOCK_ORDER^2 entries where Y*
-    D^-1 Y needs one (a weighted D, or Z short of the whole lattice)."""
+    MAX_BLOCK_ORDER, a D that is not positive at C0 = 1, the least candidate
+    (D only grows with C0), or a dense Y above MAX_BLOCK_ORDER^2 entries where
+    Y* D^-1 Y needs one (a weighted D, or Z short of the whole lattice)."""
     grid, norm = problem.grid, problem.error_norm
     if norm.kind == "sobolev_dual":
         return None
-    c0, eps0 = problem.observation_weight, problem.penalty
     exact = problem.target is not None
     reach_mask = problem.reach_region.indicator(grid)
     nodes = np.flatnonzero(reach_mask) if exact else np.arange(grid.node_count)
@@ -428,7 +438,7 @@ def low_rank_form(problem: ImpulseProblem, margin: bool = False) -> Optional[Low
         terms.append((problem.horizon - tau, cols))
         signs.append(np.full(cols.size, sign))
         fixed.append(np.zeros(cols.size))
-    base = eps0 * _weight_diagonal(grid, norm)[nodes]
+    base = problem.penalty * _weight_diagonal(grid, norm)[nodes]
     if margin and exact:
         base = base - 1.0 / density[nodes]
     elif margin:
@@ -438,7 +448,7 @@ def low_rank_form(problem: ImpulseProblem, margin: bool = False) -> Optional[Low
         fixed.append(-1.0 / density[reach])
     k = sum(cols.size for _, cols in terms)
     if (nodes.size <= k or k > MAX_BLOCK_ORDER
-            or not np.all(c0 * complements + base > 0.0)):
+            or not np.all(complements + base > 0.0)):
         return None
     dense = nodes.size < grid.node_count or np.any(base != base[0])
     if dense and nodes.size * k > MAX_BLOCK_ORDER ** 2:
@@ -523,9 +533,9 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
     c0, eps0 = problem.observation_weight, problem.penalty
 
     rhs = ops.reach_star(f.values)  # R* already maps into Z
-    form = low_rank_form(problem)
-    cg = conjugate_gradient(ops.normal, rhs, tol=tol, max_iter=max_iter,
-                            precondition=ops.precondition if form is None
+    normal, form = ops.normal(c0), low_rank_form(problem)
+    cg = conjugate_gradient(normal, rhs, tol=tol, max_iter=max_iter,
+                            precondition=ops.precondition(c0) if form is None
                             else form.inverse(c0))
     z_star = cg.solution
 
@@ -537,14 +547,14 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
     controls = [Field(grid, sign * kappa_inv * y.values) for y in y_star]
 
     w_z = ops.weight(z_star)
-    quad_w = _quad(z_star, w_z, grid)              # <W z*, z*>
+    quad_w = float(np.vdot(w_z, z_star).real * h_scale)  # <W z*, z*>
     cost = sum(l2_norm(h) ** 2 for h in controls)
     terminal_error = eps0 * np.sqrt(max(quad_w, 0.0))
     bound_lhs = cost / c0 + terminal_error ** 2 / eps0
 
     # optimality and duality residuals (relative to ||R* f||)
     rhs_norm = np.linalg.norm(rhs) * np.sqrt(h_scale)
-    residual_vec = ops.normal(z_star) - rhs
+    residual_vec = normal(z_star) - rhs
     optimality = float(np.linalg.norm(residual_vec) * np.sqrt(h_scale)
                        / max(rhs_norm, np.finfo(float).tiny))
     o_star_y = ops.observe_star([y.values for y in y_star])
@@ -605,23 +615,6 @@ _MAX_DOUBLINGS = 48  # C0 stays below 2^48
 _MARGIN_TOL = 1e-8   # absolute Lanczos tolerance on the unscaled margin
 
 
-def _margin_operator(problem: ImpulseProblem) -> Tuple[Operator, ProblemOperators]:
-    """H = C0 O*O + eps0 W - R* V R on the Z subspace, with the operators of
-    the problem it is built from."""
-    ops = problem_operators(problem)
-    projection, density = ops.projection, ops.density
-    eps0 = problem.penalty
-
-    def apply_h(v: np.ndarray) -> np.ndarray:
-        # the X-norm density for R z is the dual of the datum density; R*
-        # already maps into Z, and the directions off Z get the positive
-        # placeholder eps0 so they cannot masquerade as the smallest eigenvalue
-        zv = projection * v
-        return ops.normal(zv) - ops.reach_star(ops.reach(zv) / density) + eps0 * (v - zv)
-
-    return apply_h, ops
-
-
 def _structured_certificate(form: LowRankForm) -> Callable[[float], bool]:
     """Decide each candidate C0 on the margin's D + Y S Y* form.
 
@@ -637,7 +630,7 @@ def _structured_certificate(form: LowRankForm) -> Callable[[float], bool]:
     return form.positive_definite
 
 
-def calibrate_observation_weight(problem: ImpulseProblem, seed: int = 0) -> ImpulseProblem:
+def calibrate_observation_weight(problem: ImpulseProblem) -> ImpulseProblem:
     """Return the problem with C0 doubled from 1 until the discrete
     observability inequality holds, then doubled once more for safety.
 
@@ -645,14 +638,14 @@ def calibrate_observation_weight(problem: ImpulseProblem, seed: int = 0) -> Impu
     `low_rank_form` gives H as D + Y S Y* on Z (two_impulse,
     complement_approx, ball_null, band_restricted and every cost-scaling
     problem, within the caps of `low_rank_form`), the form is built once and
-    each candidate is decided exactly, with no seed, by the k x k test of
+    each candidate is decided exactly by the k x k test of
     `_structured_certificate`: C0 is accepted when H is certainly positive
     definite.
 
     Otherwise (shifted_decay_null, sobolev_dual_approx, or k above the cap)
-    the candidate is decided by Lanczos on S H S, which by Sylvester's law of
-    inertia has the sign of H for the Hermitian positive-definite congruence
-    S = (C0 + eps0 Sigma)^{-1/2} of `problem_operators`.  S H S is near the
+    the operators are built once, and each candidate is decided by Lanczos on
+    S H S, which by Sylvester's law of inertia has the sign of H for the
+    congruence S = (C0 + eps0 Sigma)^{-1/2}.  S H S is near the
     identity scale where H is stretched by Sigma, and its Lanczos tolerance
     1e-8 / C0 matches the unscaled 1e-8 (S^2 ~ 1/C0).  A candidate is
     admissible when its scaled margin is at least its own Ritz residual, so
@@ -665,17 +658,16 @@ def calibrate_observation_weight(problem: ImpulseProblem, seed: int = 0) -> Impu
     states have weighted norms capped near e^{aL}, which floors the
     admissible penalty), and the failure is reported rather than forcing an
     ill-conditioned solve."""
-    size = problem.grid.node_count
-    # every candidate is at least 1, and D only grows with C0
-    form = low_rank_form(replace(problem, observation_weight=1.0), margin=True)
+    form = low_rank_form(problem, margin=True)
     if form is not None:
         certified = _structured_certificate(form)
     else:
+        ops, size = problem_operators(problem), problem.grid.node_count
+
         def certified(c0: float) -> bool:
-            apply_h, ops = _margin_operator(replace(problem, observation_weight=c0))
-            scale = ops.congruence
+            scale, apply_h = ops.congruence(c0), ops.margin(c0)
             margin = lanczos_smallest(lambda v: scale(apply_h(scale(v))), size,
-                                      seed=seed, tol=_MARGIN_TOL / c0, stop_below=0.0)
+                                      tol=_MARGIN_TOL / c0, stop_below=0.0)
             return margin.eigenvalue >= margin.residual
 
     c0 = 1.0
@@ -704,7 +696,7 @@ class CostScalingStudy:
 
 def cost_scaling_study(grid: Grid, u0: Field, gaps: Sequence[float], radius: float,
                        eps0: float, error_target: float, fixed_gap: float,
-                       tol: float, seed: int) -> CostScalingStudy:
+                       tol: float) -> CostScalingStudy:
     """Normalized control cost against r1 r2 / gap for two-impulse problems
     with r1 = r2 = radius, steering u0 to zero.
 
@@ -716,7 +708,7 @@ def cost_scaling_study(grid: Grid, u0: Field, gaps: Sequence[float], radius: flo
     rows: List[Dict[str, float]] = []
     excluded = 0
     for gap in gaps:
-        row = _solve_scaled(grid, u0, gap, radius, radius, eps0, error_target, tol, seed)
+        row = _solve_scaled(grid, u0, gap, radius, radius, eps0, error_target, tol)
         if row is None:
             excluded += 1
             continue
@@ -728,17 +720,17 @@ def cost_scaling_study(grid: Grid, u0: Field, gaps: Sequence[float], radius: flo
     doubling_rows: List[Dict[str, float]] = []
     for factor in (1.0, np.sqrt(2.0)):
         row = _solve_scaled(grid, u0, fixed_gap, radius * factor, radius * factor,
-                            eps0, error_target, tol, seed)
+                            eps0, error_target, tol)
         if row is not None:
             doubling_rows.append(row)
     return CostScalingStudy(rows, fit, doubling_rows, excluded)
 
 
-def _solve_scaled(grid, u0, gap, r1, r2, eps0, error_target, tol, seed):
+def _solve_scaled(grid, u0, gap, r1, r2, eps0, error_target, tol):
     problem = replace(variant_problem("two_impulse", grid, T=gap, r1=r1, r2=r2,
                                       penalty=eps0),
                       initial_state=u0, target=zero_field(grid))
-    problem = calibrate_observation_weight(problem, seed=seed)
+    problem = calibrate_observation_weight(problem)
     solution = solve_control(problem, tol=tol)
     f_norm = np.sqrt(solution.datum_norm_sq)
     if f_norm == 0.0 or not solution.cg.converged:

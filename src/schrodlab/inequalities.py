@@ -28,10 +28,8 @@ from .field import (
     radial_moment,
     weighted_energy_flagged,
 )
-from .transform import (chirp_aliasing_ok, dft, fft_symbol, idft,
+from .transform import (MAX_BLOCK_ORDER, chirp_aliasing_ok, dft, fft_symbol, idft,
                         lattice_block, propagate, propagator_symbol, spectral_multiply)
-
-MAX_BLOCK_ORDER = 4096  # 256 MiB of complex entries; refused before it is built
 
 
 class AliasingError(ValueError):

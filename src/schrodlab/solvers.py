@@ -80,17 +80,17 @@ class LanczosResult:
     converged: bool
 
 
-def lanczos_smallest(apply_op: Operator, size: int, seed: int, tol: float,
+def lanczos_smallest(apply_op: Operator, size: int, tol: float,
                      stop_below: float = -np.inf) -> LanczosResult:
     """Smallest eigenvalue of a Hermitian operator, definite or not.
 
     Runs Lanczos with full reorthogonalization on apply_op itself, for at
-    most `size` steps; deterministic in `seed`.  Converged means the Ritz
-    residual ||A v - lambda v|| of the returned pair is below the absolute
-    tolerance tol (the eigenvalue error of a Hermitian Ritz pair is bounded
-    by its residual).  The Krylov space is exhausted when the new direction
-    is below 1e-14 of the largest |alpha_j| seen (at least 1), a scale the
-    run measures itself.
+    most `size` steps, from the fixed start numpy's default_rng(0) draws.
+    Converged means the Ritz residual ||A v - lambda v|| of the returned pair
+    is below the absolute tolerance tol (the eigenvalue error of a Hermitian
+    Ritz pair is bounded by its residual).  The Krylov space is exhausted
+    when the new direction is below 1e-14 of the largest |alpha_j| seen (at
+    least 1), a scale the run measures itself.
 
     With `stop_below` finite, the run also stops at the first 16-step check
     whose smallest Ritz value is below it.  Ritz values bound lambda_min
@@ -98,7 +98,7 @@ def lanczos_smallest(apply_op: Operator, size: int, seed: int, tol: float,
     so that value proves lambda_min < stop_below; it is returned as it
     stands, converged only if its residual meets tol.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     q = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     q /= np.linalg.norm(q)
 

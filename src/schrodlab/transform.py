@@ -19,6 +19,7 @@ import numpy as np
 from .field import Field, Grid, Region
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_INTERPOLATE_ROWS = 256  # evaluation points per phase-matrix chunk
 
 
 def dft(f: Field) -> Field:
@@ -68,6 +69,9 @@ def spectral_multiply(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.
     shape = (grid.points_per_dim,) * grid.dim
     out = np.fft.ifftn(symbol.reshape(shape) * np.fft.fftn(values.reshape(shape)))
     return out.ravel()
+
+
+MAX_BLOCK_ORDER = 4096  # cap on a lattice_block order: 256 MiB of complex entries
 
 
 def lattice_block(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
@@ -202,8 +206,8 @@ def gaussian_oracle(grid: Grid, t: float, sigma: float = 1.0) -> Field:
 
 def bandlimited_interpolate(f: Field, points: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant of a 1D field f at the points
-    (shape (K,)).  Cost O(K * M); meant for cross-lattice comparisons, not
-    bulk resampling.
+    (shape (K,)).  Cost O(K * M), _INTERPOLATE_ROWS points at a time; meant
+    for cross-lattice comparisons, not bulk resampling.
     """
     grid = f.grid
     if grid.dim != 1:
@@ -212,6 +216,11 @@ def bandlimited_interpolate(f: Field, points: np.ndarray) -> np.ndarray:
     spec = dft(f)
     xi = grid.freq_axis_nodes()
     scale = grid.freq_spacing / _SQRT_2PI
-    pts = np.atleast_1d(np.asarray(points, dtype=float))
-    phases = np.exp(1j * np.outer(pts.ravel(), xi))
-    return scale * phases @ spec.values
+    pts = np.atleast_1d(np.asarray(points, dtype=float)).ravel()
+    out = np.empty(pts.size, dtype=np.complex128)
+    for start in range(0, pts.size, _INTERPOLATE_ROWS):
+        phases = 1j * np.outer(pts[start:start + _INTERPOLATE_ROWS], xi)
+        np.exp(phases, out=phases)  # in place: one chunk-sized array per step
+        phases *= scale
+        out[start:start + len(phases)] = phases @ spec.values
+    return out

@@ -558,6 +558,24 @@ class TestDeterminism:
         assert empirical[0] == empirical[1]
         assert extremal[0] == extremal[1]
 
+    @pytest.mark.parametrize("experiment, variant",
+                             [("control-solve", name) for name in VARIANTS]
+                             + [("cost-scaling", None)])
+    def test_control_outputs_do_not_depend_on_the_seed(self, tmp_path, experiment,
+                                                       variant):
+        args = [experiment]
+        if variant is not None:
+            args += ["--config", write(tmp_path, "v.cfg", f"control.variant = {variant}\n")]
+        outputs = []
+        for seed in ("0", "7"):
+            out = tmp_path / seed / "out.csv"
+            out.parent.mkdir()
+            assert main(args + ["--out", str(out), "--seed", seed]) == 0
+            summary = json.loads(out.with_suffix(".json").read_text())
+            assert summary.pop("seed") == int(seed)
+            outputs.append((out.read_bytes(), summary))
+        assert outputs[0] == outputs[1]
+
     def test_csv_floats_round_trip(self, tmp_path):
         cfg = write(tmp_path, "u.cfg", FAST_UNCERTAINTY)
         out = tmp_path / "u.csv"

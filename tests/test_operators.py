@@ -104,10 +104,10 @@ def test_symbols_built_once_per_operator(monkeypatch):
     for variant in ("two_impulse", "sobolev_dual_approx", "shifted_decay_null",
                     "ball_null"):
         ops = problem_operators(variant_problem(variant, grid))
-        operators.extend([ops.gram, ops.weight, ops.normal, ops.reach, ops.reach_star,
-                          lambda v: ops.observe_star(ops.observe(v))])
-        if ops.precondition is not None:
-            operators.append(ops.precondition)
+        operators.extend([ops.gram, ops.weight, ops.normal(1.0), ops.reach,
+                          ops.reach_star, lambda v: ops.observe_star(ops.observe(v))])
+        if ops.precondition(1.0) is not None:
+            operators.append(ops.precondition(1.0))
     built = len(calls)
     # flow_observation builds 2 per term at a nonzero time, so each Gram
     # operator here costs 2 (the gramian's M_A term is at time 0, two_impulse's

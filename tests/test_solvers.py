@@ -69,19 +69,19 @@ def test_lanczos_smallest_matches_eigh():
     a = random_hpd(n, rng, shift=0.0)
     a /= np.linalg.norm(a, 2)  # spectrum in [0, 1]
     exact = np.linalg.eigvalsh(a)[0]
-    result = lanczos_smallest(lambda v: a @ v, n, seed=7, tol=1e-11)
+    result = lanczos_smallest(lambda v: a @ v, n, tol=1e-11)
     assert result.converged
     assert result.eigenvalue == pytest.approx(exact, abs=1e-10)
     rayleigh = np.vdot(result.eigenvector, a @ result.eigenvector).real
     assert rayleigh == pytest.approx(exact, abs=1e-9)
 
 
-def test_lanczos_deterministic_in_seed():
+def test_lanczos_is_deterministic():
     rng = np.random.default_rng(4)
     a = random_hpd(60, rng, shift=0.0)
     a /= np.linalg.norm(a, 2)
-    r1 = lanczos_smallest(lambda v: a @ v, 60, seed=11, tol=1e-11)
-    r2 = lanczos_smallest(lambda v: a @ v, 60, seed=11, tol=1e-11)
+    r1 = lanczos_smallest(lambda v: a @ v, 60, tol=1e-11)
+    r2 = lanczos_smallest(lambda v: a @ v, 60, tol=1e-11)
     assert r1.eigenvalue == r2.eigenvalue
     assert np.array_equal(r1.eigenvector, r2.eigenvector)
 
@@ -92,7 +92,7 @@ def test_lanczos_handles_indefinite_operator():
     herm = random_hpd(80, rng, shift=0.0)
     a = herm - 0.5 * np.eye(80)
     exact = np.linalg.eigvalsh(a)[0]
-    result = lanczos_smallest(lambda v: a @ v, 80, seed=2, tol=1e-10)
+    result = lanczos_smallest(lambda v: a @ v, 80, tol=1e-10)
     assert result.eigenvalue == pytest.approx(exact, abs=1e-9)
     assert exact < 0
 
@@ -109,7 +109,7 @@ def test_lanczos_scaled_shifted_indefinite_operator():
     d = c * (values[0] + values[-1]) / 2
     shifted = c * a - d * np.eye(n)
     assert np.linalg.eigvalsh(shifted)[0] < 0 < np.linalg.eigvalsh(shifted)[-1]
-    result = lanczos_smallest(lambda v: shifted @ v, n, seed=5, tol=c * tol)
+    result = lanczos_smallest(lambda v: shifted @ v, n, tol=c * tol)
     assert result.converged
     assert abs(result.eigenvalue - (c * values[0] - d)) <= c * tol
 
@@ -125,7 +125,7 @@ def test_lanczos_clustered_spectrum_long_run():
     a = (q * (np.arange(n) / (n - 1)) ** 2) @ q.conj().T
     a = (a + a.conj().T) / 2
     exact_values, exact_vectors = np.linalg.eigh(a)
-    result = lanczos_smallest(lambda v: a @ v, n, seed=3, tol=1e-12)
+    result = lanczos_smallest(lambda v: a @ v, n, tol=1e-12)
     assert result.iterations >= 300
     assert result.converged
     assert abs(result.eigenvalue - exact_values[0]) <= 1e-12
@@ -145,14 +145,14 @@ def test_lanczos_stop_below_proves_a_negative_minimum():
     def op(v):
         return a @ v
 
-    full = lanczos_smallest(op, n, seed=4, tol=1e-11)
-    early = lanczos_smallest(op, n, seed=4, tol=1e-11, stop_below=0.0)
+    full = lanczos_smallest(op, n, tol=1e-11)
+    early = lanczos_smallest(op, n, tol=1e-11, stop_below=0.0)
     assert full.iterations > 16
     assert early.iterations <= 16
     assert exact <= early.eigenvalue < 0.0
     assert early.converged == (early.residual <= 1e-11)
     # a threshold below lambda_min is never met: the run is the full one
-    never = lanczos_smallest(op, n, seed=4, tol=1e-11, stop_below=exact - 0.1)
+    never = lanczos_smallest(op, n, tol=1e-11, stop_below=exact - 0.1)
     assert never.iterations == full.iterations
     assert never.eigenvalue == full.eigenvalue
 
@@ -169,7 +169,7 @@ def test_lanczos_basis_fits_a_large_operator():
         size = 65536
         diag = np.linspace(0.5, 2.0, size)
         diag[size // 3] = 0.1  # isolated smallest eigenvalue
-        result = lanczos_smallest(lambda v: diag * v, size, seed=1, tol=1e-10)
+        result = lanczos_smallest(lambda v: diag * v, size, tol=1e-10)
         print(result.eigenvalue, result.converged)
     """)
     src = str(Path(schrodlab.__file__).resolve().parents[1])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from schrodlab import transform
 from schrodlab.field import (Field, ball, field_from_function, l2_norm,
                              make_grid, masked_energy)
 from schrodlab.transform import (bandlimited_interpolate, chirp_aliasing_ok,
@@ -259,6 +260,17 @@ def test_bandlimited_interpolation_reproduces_nodes():
     f = Field(grid, rng.standard_normal(128) + 1j * rng.standard_normal(128))
     values = bandlimited_interpolate(f, grid.axis_nodes())
     assert np.abs(values - f.values).max() <= 1e-10 * np.abs(f.values).max()
+
+
+def test_bandlimited_interpolation_in_chunks_matches_the_full_product():
+    # two full chunks of the phase matrix and a partial third one
+    rng = np.random.default_rng(9)
+    grid = make_grid(1, 10.0, 128)
+    f = random_field(grid, rng)
+    points = rng.uniform(-10.0, 10.0, 2 * transform._INTERPOLATE_ROWS + 37)
+    phases = np.exp(1j * np.outer(points, grid.freq_axis_nodes()))
+    full = grid.freq_spacing / np.sqrt(2.0 * np.pi) * phases @ dft(f).values
+    assert np.array_equal(bandlimited_interpolate(f, points), full)
 
 
 def test_bandlimited_interpolation_rejects_dim_2():
