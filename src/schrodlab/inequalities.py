@@ -4,7 +4,8 @@ Each evaluator measures both sides of one inequality on concrete fields and
 returns an InequalityReport; nothing here asserts a theoretical constant.
 Constants are estimated empirically, either by fitting report families
 (affine log-fits) or as the inverse smallest eigenvalue of the observation
-Gramian, computed exactly from one dense lattice block.
+Gramian, computed exactly from one dense lattice block (or its two
+reflection halves).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .field import (
     weighted_energy_flagged,
 )
 from .transform import (MAX_BLOCK_ORDER, chirp_aliasing_ok, dft, fft_symbol, idft,
-                        lattice_block, propagate, propagator_symbol, spectral_multiply)
+                        propagate, propagator_symbol, reflection_blocks,
+                        spectral_multiply)
 
 
 class AliasingError(ValueError):
@@ -159,13 +161,6 @@ def _block_floor(order: int) -> float:
     return float(np.finfo(float).eps * order)
 
 
-def _top_eigenpair(order: int, build) -> Tuple[float, np.ndarray, float]:
-    """Top eigenpair of the Hermitian block build() and its rounding floor."""
-    floor = _block_floor(order)
-    values, vectors = eigh(build(), subset_by_index=[order - 1, order - 1])
-    return float(values[0]), vectors[:, 0], floor
-
-
 def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
                        grid: Grid) -> EmpiricalConstant:
     """Best discrete two-time observability constant 1/lambda_min(G).
@@ -173,8 +168,10 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
     G = M_A + P* M_B P is a sum of two projections, so 2 - G = X X* with
     X = [E_a, P* E_b], E_a and E_b embedding the nodes off A and off B, and
     lambda_min(G) = 1 - sigma_max(C) at X (v; u), with C v = sigma_max u and
-    C = E_b* P E_a a lattice block of the flow.  Converged means lambda_min is
-    at least the rounding floor of X*X; below it, neither it nor its inverse is resolved.
+    C = E_b* P E_a a lattice block of the flow, decomposed on its reflection
+    halves when both node sets are centred (reflection_blocks).  Converged
+    means lambda_min is at least the rounding floor of X*X; below it, neither
+    it nor its inverse is resolved.
     """
     if not t > s:
         raise ValueError("need T > S for the observability Gramian")
@@ -186,9 +183,13 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
     floor = _block_floor(cols.size + rows.size)
     sigma, u, v = 0.0, np.eye(1, rows.size)[0], np.eye(1, cols.size)[0]
     if rows.size and cols.size:  # else C is empty and G is I plus a projection
-        c = lattice_block(grid, propagator_symbol(grid, t - s), rows, cols)
-        left, values, right = svd(c, full_matrices=False)
-        sigma, u, v = float(values[0]), left[:, 0], right[0].conj()
+        for half in reflection_blocks(grid, propagator_symbol(grid, t - s), rows, cols):
+            if not half.block.size:
+                continue
+            left, values, right = svd(half.block, full_matrices=False)
+            if values[0] > sigma:
+                sigma, u, v = (float(values[0]), half.expand_rows(left[:, 0]),
+                               half.expand_cols(right[0].conj()))
     lam = max(1.0 - sigma, 0.0)
     extremizer = np.zeros(grid.node_count, dtype=np.complex128)
     extremizer[rows] = u
@@ -337,6 +338,7 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float)
     M_ball P_band M_ball on the ball, or F M_ball F^-1 on the band, whose
     kernel fftn(mask)/N is conj(ifftn(mask)) for the real mask: the lattice
     block is its conjugate, with the same mu and conjugate eigenvectors.
+    Either block is decomposed on its reflection halves when it has them.
     Raises RuntimeError when 1 - mu is below the rounding floor.
     """
     check_band_radius(grid, band_radius)
@@ -345,8 +347,14 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float)
     ball_idx, band_idx = np.flatnonzero(ball_mask), np.flatnonzero(band)
     on_ball = 0 < ball_idx.size < band_idx.size  # with no ball node, K = 0 on the band
     nodes, symbol = (ball_idx, band) if on_ball else (band_idx, ball_mask)
-    mu, vector, floor = _top_eigenpair(
-        nodes.size, lambda: lattice_block(grid, symbol, nodes, nodes))
+    floor = _block_floor(nodes.size)
+    mu, vector = -np.inf, None
+    for half in reflection_blocks(grid, symbol, nodes, nodes):
+        order = half.block.shape[0]
+        if order:
+            values, vectors = eigh(half.block, subset_by_index=[order - 1, order - 1])
+            if values[0] > mu:
+                mu, vector = float(values[0]), half.expand_rows(vectors[:, 0])
     if 1.0 - mu < floor:
         raise RuntimeError(
             f"extremal concentration not resolved at r {r:g}, N {band_radius:g}: "

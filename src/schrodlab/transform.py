@@ -12,7 +12,7 @@ chirp/rescale map evaluates the flow at time T on the scaled dual lattice
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .field import Field, Grid, Region
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _INTERPOLATE_ROWS = 256  # evaluation points per phase-matrix chunk
+_HALF = np.sqrt(0.5)
 
 
 def dft(f: Field) -> Field:
@@ -78,10 +79,111 @@ def lattice_block(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
                   cols: np.ndarray) -> np.ndarray:
     """Rows `rows`, columns `cols` (flat node indices) of the circulant
     v -> spectral_multiply(grid, v, symbol): ifftn(symbol) at (x - y) mod M."""
-    shape = (grid.points_per_dim,) * grid.dim
+    return _gather(grid, _kernel(grid, symbol), rows, cols)
+
+
+def _kernel(grid: Grid, symbol: np.ndarray) -> np.ndarray:
+    """ifftn(symbol) on the lattice shape: the circulant's first column."""
+    return np.fft.ifftn(symbol.reshape((grid.points_per_dim,) * grid.dim))
+
+
+def _gather(grid: Grid, kernel: np.ndarray, rows: np.ndarray,
+            cols: np.ndarray) -> np.ndarray:
+    shape = kernel.shape
     offsets = tuple((x[:, None] - y) % grid.points_per_dim for x, y in
                     zip(np.unravel_index(rows, shape), np.unravel_index(cols, shape)))
-    return np.fft.ifftn(symbol.reshape(shape))[offsets]
+    return kernel[offsets]
+
+
+def _reflect(grid: Grid, index: np.ndarray) -> np.ndarray:
+    """Flat indices under j -> (M - j) mod M on every axis: x -> -x on the
+    primal lattice (x_{M-j} = -x_j, and x_0 = -L is L), xi -> -xi in FFT order."""
+    shape = (grid.points_per_dim,) * grid.dim
+    return np.ravel_multi_index(tuple(-j % grid.points_per_dim for j in
+                                      np.unravel_index(index, shape)), shape)
+
+
+class _Orbits(NamedTuple):
+    """Positions in an index set of its reflection orbits: the pairs
+    (first < second) before the fixed nodes (first == second)."""
+    first: np.ndarray
+    second: np.ndarray
+    pairs: int
+
+    def weight(self) -> np.ndarray:
+        """Entry of each even basis vector: 1/sqrt2 on a pair, 1 on a fixed node."""
+        return np.where(np.arange(self.first.size) < self.pairs, _HALF, 1.0)
+
+    def expander(self, odd: bool) -> Callable[[np.ndarray], np.ndarray]:
+        """Map from coordinates in the even (or odd) basis to a vector on the set."""
+        count = self.pairs if odd else self.first.size
+        first, second = self.first[:count], self.second[:count]
+        weight = self.weight()[:count]
+        sign, size = (-1.0 if odd else 1.0), self.first.size + self.pairs
+
+        def expand(y: np.ndarray) -> np.ndarray:
+            out = np.zeros(size, dtype=np.complex128)
+            out[first] = weight * y
+            out[second] = sign * weight * y  # a fixed node is its own partner
+            return out
+        return expand
+
+
+def _reflection_orbits(grid: Grid, index: np.ndarray):
+    """The _Orbits of a nonempty sorted index set (as np.flatnonzero gives)
+    that the reflection maps onto itself; None for any other set."""
+    if index.size == 0:
+        return None
+    flipped = _reflect(grid, index)
+    partner = np.minimum(np.searchsorted(index, flipped), index.size - 1)
+    if not np.array_equal(index[partner], flipped):
+        return None
+    position = np.arange(index.size)
+    first = np.concatenate([np.flatnonzero(position < partner),
+                            np.flatnonzero(position == partner)])
+    return _Orbits(first, partner[first], int(np.count_nonzero(position < partner)))
+
+
+class BlockHalf(NamedTuple):
+    """A block in an orthonormal basis of part of its row and column spaces,
+    with the maps taking a vector in that basis to one on `rows` / `cols`."""
+    block: np.ndarray
+    expand_rows: Callable[[np.ndarray], np.ndarray]
+    expand_cols: Callable[[np.ndarray], np.ndarray]
+
+
+def reflection_blocks(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
+                      cols: np.ndarray) -> List[BlockHalf]:
+    """lattice_block(grid, symbol, rows, cols) as its reflection-even and
+    reflection-odd halves, or as the one whole block.
+
+    An even symbol (equal to its reflection, exactly) gives an even kernel,
+    so the block commutes with the reflection j -> (M - j) mod M whenever
+    both node sets map onto themselves; it then splits exactly over the
+    bases (e_i +- e_rho(i))/sqrt2, a fixed node's e_i being even.  With B
+    the block, the even half is B[a, b] + B[a, rho b] and the odd half
+    B[a, b] - B[a, rho b] over orbit representatives a, b (times 1/sqrt2 per
+    fixed node), two blocks of about half the order (Cantoni and Butler,
+    Linear Algebra Appl. 13, 1976).  Anything else (an off-centre set, an
+    odd symbol) returns [whole block]; a half may have no rows or columns.
+    """
+    row, col = _reflection_orbits(grid, rows), _reflection_orbits(grid, cols)
+    if (row is None or col is None
+            or not np.array_equal(symbol, symbol[_reflect(grid, np.arange(symbol.size))])):
+        def keep(y: np.ndarray) -> np.ndarray:
+            return y
+        return [BlockHalf(lattice_block(grid, symbol, rows, cols), keep, keep)]
+    kernel = _kernel(grid, symbol)
+    near = _gather(grid, kernel, rows[row.first], cols[col.first])
+    far = _gather(grid, kernel, rows[row.first], cols[col.second])
+    odd = near[:row.pairs, :col.pairs] - far[:row.pairs, :col.pairs]
+    near += far
+    del far
+    # even entries: 1 per pair, 1/sqrt2 per fixed node, i.e. 1/sqrt2 over the weight
+    near *= (_HALF / row.weight())[:, None]
+    near *= _HALF / col.weight()
+    return [BlockHalf(near, row.expander(False), col.expander(False)),
+            BlockHalf(odd, row.expander(True), col.expander(True))]
 
 
 def propagator_symbol(grid: Grid, t: float) -> np.ndarray:

@@ -261,7 +261,7 @@ class TestExitCodes:
     ])
     def test_block_above_the_cap_is_exit_2_before_it_is_built(
             self, tmp_path, capsys, monkeypatch, experiment, config, named):
-        monkeypatch.setattr(inequalities, "lattice_block", lambda *a, **k: pytest.fail(
+        monkeypatch.setattr(inequalities, "reflection_blocks", lambda *a, **k: pytest.fail(
             "the block order must be checked before the block is built"))
         cfg = write(tmp_path, "cap.cfg", config)
         assert main([experiment, "--config", cfg,

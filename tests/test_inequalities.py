@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import dft as dense_dft_matrix
+from scipy.linalg import svdvals
 
 from schrodlab.field import (Field, ball, ball_complement, field_from_function,
                              l2_norm, make_grid, masked_energy, radial_moment,
@@ -21,7 +22,8 @@ from schrodlab.inequalities import (AliasingError, bandlimited_sample,
                                     spectral_inequality_report,
                                     two_ball_report_13, two_time_quotient,
                                     uncertainty_quotient)
-from schrodlab.transform import dft, lattice_block, propagator_symbol
+from schrodlab.transform import (dft, lattice_block, propagator_symbol,
+                                 reflection_blocks)
 
 from reference import dense_gramian, reference_gramian
 
@@ -203,6 +205,34 @@ class TestEmpiricalConstant:
         result = empirical_constant(0.0, 0.5, region_a, region_b, grid)
         assert result.converged
         dense = dense_gramian(grid, 0.0, 0.5, region_a, region_b)
+        assert result.lambda_min == pytest.approx(np.linalg.eigvalsh(dense)[0],
+                                                  abs=1e-12)
+        v = result.extremizer.values
+        rayleigh = np.vdot(v, dense @ v).real / np.vdot(v, v).real
+        assert rayleigh == pytest.approx(result.lambda_min, abs=1e-12)
+
+    @pytest.mark.parametrize("dim, gap, top", [(1, 4.0, "odd"), (2, 0.5, "even")])
+    def test_matches_dense_on_the_half_holding_sigma_max(self, dim, gap, top):
+        # centred sets, so C splits into its reflection-even and -odd halves;
+        # the rows hold the origin and the cols the corner x = -L, both fixed
+        # by x -> -x (x_0 = -L is L on the periodic lattice)
+        if dim == 1:
+            grid = make_grid(1, 10.0, 64)
+            region_a, region_b = ball(0.0, 6.0), ball_complement(0.0, 3.0)
+        else:
+            grid = make_grid(2, 6.0, 16)
+            region_a, region_b = ball(0.0, 4.0, dim=2), ball_complement(0.0, 2.0, dim=2)
+        cols = np.flatnonzero(region_a.indicator(grid) == 0.0)
+        rows = np.flatnonzero(region_b.indicator(grid) == 0.0)
+        origin = np.ravel_multi_index((grid.points_per_dim // 2,) * dim,
+                                      (grid.points_per_dim,) * dim)
+        assert origin in rows and 0 in cols
+        even, odd = reflection_blocks(grid, propagator_symbol(grid, gap), rows, cols)
+        tops = {"even": svdvals(even.block)[0], "odd": svdvals(odd.block)[0]}
+        assert max(tops, key=tops.get) == top
+        result = empirical_constant(0.0, gap, region_a, region_b, grid)
+        assert result.converged
+        dense = dense_gramian(grid, 0.0, gap, region_a, region_b)
         assert result.lambda_min == pytest.approx(np.linalg.eigvalsh(dense)[0],
                                                   abs=1e-12)
         v = result.extremizer.values

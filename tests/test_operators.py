@@ -105,7 +105,8 @@ def test_symbols_built_once_per_operator(monkeypatch):
                     "ball_null"):
         ops = problem_operators(variant_problem(variant, grid))
         operators.extend([ops.gram, ops.weight, ops.normal(1.0), ops.reach,
-                          ops.reach_star, lambda v: ops.observe_star(ops.observe(v))])
+                          ops.reach_star,
+                          lambda v, ops=ops: ops.observe_star(ops.observe(v))])
         if ops.precondition(1.0) is not None:
             operators.append(ops.precondition(1.0))
     built = len(calls)

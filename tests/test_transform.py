@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 from schrodlab import transform
-from schrodlab.field import (Field, ball, field_from_function, l2_norm,
-                             make_grid, masked_energy)
+from schrodlab.field import (Field, ball, ball_complement, field_from_function,
+                             l2_norm, make_grid, masked_energy)
 from schrodlab.transform import (bandlimited_interpolate, chirp_aliasing_ok,
                                  dft, dual_solve, fft_symbol, fresnel_map,
-                                 gaussian_oracle, idft, propagate,
+                                 gaussian_oracle, idft, lattice_block, propagate,
+                                 propagator_symbol, reflection_blocks,
                                  spectral_multiply)
 
 
@@ -278,3 +280,67 @@ def test_bandlimited_interpolation_rejects_dim_2():
     f = Field(grid, np.ones(grid.node_count, dtype=complex))
     with pytest.raises(ValueError, match="one-dimensional; got dim 2"):
         bandlimited_interpolate(f, np.zeros((3, 2)))
+
+
+def off_nodes(region, grid):
+    return np.flatnonzero(region.indicator(grid) == 0.0)
+
+
+def basis(expand, count):
+    """The expansion map as a matrix, one column per basis vector."""
+    return np.array([expand(e) for e in np.eye(count)]).T
+
+
+class TestReflectionBlocks:
+    @pytest.mark.parametrize("dim, half_extent, points, r_rows, r_cols", [
+        (1, 10.0, 64, 3.0, 6.0),   # rows hold x = 0, cols x = -L
+        (1, 20.0, 512, 2.0, 2.0),
+        (2, 6.0, 16, 2.0, 4.0),    # fixed nodes of both kinds on both axes
+    ])
+    def test_centred_halves_carry_the_whole_block(self, dim, half_extent, points,
+                                                   r_rows, r_cols):
+        grid = make_grid(dim, half_extent, points)
+        rows = off_nodes(ball_complement(0.0, r_rows, dim=dim), grid)
+        cols = off_nodes(ball(0.0, r_cols, dim=dim), grid)
+        symbol = propagator_symbol(grid, 0.5)
+        whole = lattice_block(grid, symbol, rows, cols)
+        halves = reflection_blocks(grid, symbol, rows, cols)
+        assert len(halves) == 2
+        merged = np.sort(np.concatenate([svdvals(h.block) for h in halves]))[::-1]
+        assert merged == pytest.approx(svdvals(whole), rel=1e-12)
+        for half in halves:
+            # orthonormal bases in which the half is the whole block
+            left = basis(half.expand_rows, half.block.shape[0])
+            right = basis(half.expand_cols, half.block.shape[1])
+            for q in (left, right):
+                assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() <= 1e-15
+            assert np.abs(left.conj().T @ whole @ right - half.block).max() <= 1e-14
+
+    def test_band_nodes_with_the_ball_mask_split(self):
+        # the prolate's band branch: FFT-order nodes, grid-order symbol
+        grid = make_grid(1, 8.0, 64)
+        nodes = np.flatnonzero(fft_symbol(grid, ball(0.0, 2.0).indicator(grid.dual())))
+        mask = ball(0.0, 1.5).indicator(grid)
+        halves = reflection_blocks(grid, mask, nodes, nodes)
+        assert len(halves) == 2
+        merged = np.sort(np.concatenate([np.linalg.eigvalsh(h.block) for h in halves]))
+        whole = np.linalg.eigvalsh(lattice_block(grid, mask, nodes, nodes))
+        assert np.abs(merged - whole).max() <= 1e-14
+
+    def test_off_centre_sets_keep_the_whole_block(self):
+        grid = make_grid(2, 6.0, 16)
+        rows = off_nodes(ball_complement((-1.0, 0.5), 2.0), grid)
+        cols = off_nodes(ball_complement((0.5, -0.75), 1.5), grid)
+        symbol = propagator_symbol(grid, 0.5)
+        (whole,) = reflection_blocks(grid, symbol, rows, cols)
+        assert np.array_equal(whole.block, lattice_block(grid, symbol, rows, cols))
+        y = np.arange(rows.size, dtype=complex)
+        assert np.array_equal(whole.expand_rows(y), y)
+
+    def test_odd_symbol_keeps_the_whole_block(self):
+        grid = make_grid(1, 10.0, 64)
+        nodes = off_nodes(ball_complement(0.0, 3.0), grid)
+        xi = 2.0 * np.pi * np.fft.fftfreq(64, d=grid.spacing)
+        symbol = propagator_symbol(grid, 0.5) * np.exp(1j * xi)
+        (whole,) = reflection_blocks(grid, symbol, nodes, nodes)
+        assert np.array_equal(whole.block, lattice_block(grid, symbol, nodes, nodes))
