@@ -59,8 +59,9 @@ from .field import (Field, Grid, Region, Weight, ball, ball_complement,
                     whole_space, zero_field)
 from .fitting import FitResult, affine_fit
 from .solvers import CGResult, Operator, conjugate_gradient, lanczos_smallest
-from .transform import (MAX_BLOCK_ORDER, fft_symbol, flow_observation, lattice_block,
-                        propagate_values, propagator_symbol, spectral_multiply)
+from .transform import (MAX_BLOCK_ORDER, FlowObservation, fft_symbol, flow_observation,
+                        lattice_block, propagate_values, propagator_symbol,
+                        spectral_multiply)
 
 IMPULSE_JUMP = -1j
 
@@ -195,13 +196,6 @@ def _sobolev_symbol(grid: Grid, power: float = 1.0) -> np.ndarray:
     return fft_symbol(grid, (1.0 + grid.dual().radius_sq()) ** (power * order))
 
 
-def _weight_diagonal(grid: Grid, norm: ErrorNorm) -> np.ndarray:
-    """The part of W diagonal in x: 1 for "l2", the capped e^{a|x|} otherwise."""
-    if norm.kind == "l2":
-        return np.ones(grid.node_count)
-    return Weight(norm.amplitude, "grow").evaluate(grid)[0]
-
-
 # ---------------------------------------------------------------------------
 # the operators of one problem (exact discrete adjoint pairs)
 
@@ -211,21 +205,21 @@ class ProblemOperators:
     """The matrix-free operators of one control problem, on raw arrays.  The
     fields do not depend on C0; each method builds an operator at one C0."""
 
-    observe: Callable[[np.ndarray], List[np.ndarray]]           # O, per impulse
-    observe_star: Callable[[Sequence[np.ndarray]], np.ndarray]  # O*
-    gram: Operator                     # O*O
+    observation: FlowObservation       # O, one term per impulse
+    reach: FlowObservation             # R, one term
     weight: Operator                   # W, the Z-norm operator (Hermitian, PD)
-    reach: Operator                    # R
-    reach_star: Operator               # R*
     projection: np.ndarray             # indicator of Z; all ones when Z is all of L2
     density: np.ndarray                # X*-side datum density; all ones for plain L2
     eps0: float                        # the penalty
+    exact: bool                        # exact control (R the inclusion of Z)
+    diagonal: Optional[np.ndarray]     # W when it is diagonal in x; None for sobolev_dual
     sigma: Optional[np.ndarray]        # Sigma, the part of W that stretches the spectrum
     multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (g(Sigma), v) -> g(Sigma) v
 
     def normal(self, c0: float) -> Operator:
         """C0 O*O + eps0 W, projected onto Z."""
-        return lambda v: self.projection * (c0 * self.gram(v) + self.eps0 * self.weight(v))
+        return lambda v: self.projection * (c0 * self.observation.gram(v)
+                                            + self.eps0 * self.weight(v))
 
     def precondition(self, c0: float) -> Optional[Operator]:
         """(C0 + eps0 Sigma)^-1, approximately normal(c0)^-1; None for "l2"."""
@@ -246,8 +240,8 @@ class ProblemOperators:
             # already maps into Z, and the directions off Z get the positive
             # placeholder eps0 so they cannot masquerade as the smallest eigenvalue
             zv = self.projection * v
-            return normal(zv) - self.reach_star(self.reach(zv) / self.density) \
-                + self.eps0 * (v - zv)
+            reached = self.reach.observe(zv)[0] / self.density
+            return normal(zv) - self.reach.observe_star([reached]) + self.eps0 * (v - zv)
 
         return apply
 
@@ -264,7 +258,8 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
 
     This is where the error-norm kind picks W: the identity for "l2", the
     capped density e^{a|x|} for "dual_weighted", and that
-    density plus the H^{n+3} multiplier (1+|xi|^2)^{n+3} for "sobolev_dual".
+    density plus the H^{n+3} multiplier (1+|xi|^2)^{n+3} for "sobolev_dual";
+    `diagonal` is W itself where W is diagonal in x, None for "sobolev_dual".
     Sigma is that density (e^{aL} at the box edge) or multiplier (~1e12), in
     x or in xi; None for "l2", where it is 0.  `precondition(c0)` inverts
     C0 + eps0 Sigma, keeping the observation part as the constant C0.  It is
@@ -274,28 +269,27 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     is the congruence S that Lanczos calibration wraps around `margin(c0)`."""
     grid = problem.grid
     norm = problem.error_norm
-    observe, observe_star, gram = flow_observation(
+    observation = flow_observation(
         grid, [(tau - problem.horizon, region) for tau, region in problem.impulses])
     exact = problem.target is not None
-    projection = (problem.reach_region if exact else whole_space()).indicator(grid)
-    reach_observe, reach_observe_star, _ = flow_observation(
-        grid, [(0.0 if exact else -problem.horizon, problem.reach_region)])
+    reach = flow_observation(grid, [(0.0 if exact else -problem.horizon,
+                                     problem.reach_region)])
+    projection = reach.masks[0] if exact else np.ones(grid.node_count)
     multiply = np.multiply
     if norm.kind == "l2":
-        weight, sigma = (lambda v: v.copy()), None
+        weight, diagonal, sigma = (lambda v: v.copy()), np.ones(grid.node_count), None
     else:
-        diag = _weight_diagonal(grid, norm)
+        grow = Weight(norm.amplitude, "grow").evaluate(grid)[0]
         if norm.kind == "dual_weighted":
-            weight, sigma = (lambda v: diag * v), diag
+            weight, diagonal, sigma = (lambda v: grow * v), grow, grow
         else:  # sobolev_dual: e^{a|x|} 'plus' the H^{n+3} spectral multiplier
-            sigma = _sobolev_symbol(grid)
-            weight = (lambda v: diag * v + spectral_multiply(grid, v, sigma))
+            sigma, diagonal = _sobolev_symbol(grid), None
+            weight = (lambda v: grow * v + spectral_multiply(grid, v, sigma))
             multiply = (lambda factor, v: spectral_multiply(grid, v, factor))
     density = np.ones(grid.node_count) if problem.datum_weight is None \
         else problem.datum_weight.evaluate(grid)[0]
-    return ProblemOperators(observe, observe_star, gram, weight,
-                            lambda v: reach_observe(v)[0], lambda v: reach_observe_star([v]),
-                            projection, density, problem.penalty, sigma, multiply)
+    return ProblemOperators(observation, reach, weight, projection, density,
+                            problem.penalty, exact, diagonal, sigma, multiply)
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +397,14 @@ class LowRankForm:
                     == np.count_nonzero(self.core(c0) < 0))
 
 
-def low_rank_form(problem: ImpulseProblem, margin: bool = False) -> Optional[LowRankForm]:
+def low_rank_form(ops: ProblemOperators, margin: bool = False) -> Optional[LowRankForm]:
     """The normal operator C0 O*O + eps0 W on Z (or, with `margin`, the
-    margin H = C0 O*O + eps0 W - R* V R) as D + Y S Y*, or None.
+    margin H = C0 O*O + eps0 W - R* V R) as D + Y S Y*, or None, read off
+    the problem's operators.
 
     Each observation term (t_i, region_i), t_i = tau_i - T, contributes
     P(-t_i) E_i, the backward flow from the nodes E_i of the smaller side of
-    region_i: a ball gives P(t_i)* M_i P(t_i) = Y_i Y_i* (sign +1), a
+    its mask: a ball gives P(t_i)* M_i P(t_i) = Y_i Y_i* (sign +1), a
     complement I - Y_i Y_i* (sign -1, one more C0 in D).  The exact-control
     margin puts -V on D; the null-control margin adds the reach ball
     P(T) E_reach with S = -1/density.
@@ -420,32 +415,27 @@ def low_rank_form(problem: ImpulseProblem, margin: bool = False) -> Optional[Low
     MAX_BLOCK_ORDER, a D that is not positive at C0 = 1, the least candidate
     (D only grows with C0), or a dense Y above MAX_BLOCK_ORDER^2 entries where
     Y* D^-1 Y needs one (a weighted D, or Z short of the whole lattice)."""
-    grid, norm = problem.grid, problem.error_norm
-    if norm.kind == "sobolev_dual":
+    if ops.diagonal is None:
         return None
-    exact = problem.target is not None
-    reach_mask = problem.reach_region.indicator(grid)
-    nodes = np.flatnonzero(reach_mask) if exact else np.arange(grid.node_count)
-    density = np.ones(grid.node_count) if problem.datum_weight is None \
-        else problem.datum_weight.evaluate(grid)[0]
+    grid = ops.observation.grid
+    nodes = np.flatnonzero(ops.projection)
     terms, signs, fixed, complements = [], [], [], 0
-    for tau, region in problem.impulses:
-        mask = region.indicator(grid)
+    for mask, symbol in zip(ops.observation.masks, ops.observation.backward):
         inside, outside = np.flatnonzero(mask), np.flatnonzero(mask == 0.0)
         sign = 1.0 if inside.size <= outside.size else -1.0
         cols = inside if sign > 0 else outside
         complements += int(sign < 0)
-        terms.append((problem.horizon - tau, cols))
+        terms.append((symbol, cols))
         signs.append(np.full(cols.size, sign))
         fixed.append(np.zeros(cols.size))
-    base = problem.penalty * _weight_diagonal(grid, norm)[nodes]
-    if margin and exact:
-        base = base - 1.0 / density[nodes]
+    base = ops.eps0 * ops.diagonal[nodes]
+    if margin and ops.exact:
+        base = base - 1.0 / ops.density[nodes]
     elif margin:
-        reach = np.flatnonzero(reach_mask)
-        terms.append((problem.horizon, reach))
+        reach = np.flatnonzero(ops.reach.masks[0])
+        terms.append((ops.reach.backward[0], reach))
         signs.append(np.zeros(reach.size))
-        fixed.append(-1.0 / density[reach])
+        fixed.append(-1.0 / ops.density[reach])
     k = sum(cols.size for _, cols in terms)
     if (nodes.size <= k or k > MAX_BLOCK_ORDER
             or not np.all(complements + base > 0.0)):
@@ -453,8 +443,10 @@ def low_rank_form(problem: ImpulseProblem, margin: bool = False) -> Optional[Low
     dense = nodes.size < grid.node_count or np.any(base != base[0])
     if dense and nodes.size * k > MAX_BLOCK_ORDER ** 2:
         return None
-    return LowRankForm(grid, nodes, tuple((propagator_symbol(grid, t), cols)
-                                          for t, cols in terms if cols.size),
+    # an impulse at the horizon is observed through no flow; Y still applies P(0)
+    return LowRankForm(grid, nodes, tuple((propagator_symbol(grid, 0.0) if symbol is None
+                                           else symbol, cols)
+                                          for symbol, cols in terms if cols.size),
                        np.concatenate(signs), np.concatenate(fixed), complements, base)
 
 
@@ -532,14 +524,14 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
     ops = problem_operators(problem)
     c0, eps0 = problem.observation_weight, problem.penalty
 
-    rhs = ops.reach_star(f.values)  # R* already maps into Z
-    normal, form = ops.normal(c0), low_rank_form(problem)
+    rhs = ops.reach.observe_star([f.values])  # R* already maps into Z
+    normal, form = ops.normal(c0), low_rank_form(ops)
     cg = conjugate_gradient(normal, rhs, tol=tol, max_iter=max_iter,
                             precondition=ops.precondition(c0) if form is None
                             else form.inverse(c0))
     z_star = cg.solution
 
-    y_star = [Field(grid, c0 * obs) for obs in ops.observe(z_star)]
+    y_star = [Field(grid, c0 * obs) for obs in ops.observation.observe(z_star)]
     # physical controls: kappa * h = y*  =>  h = kappa^{-1} y*, and the null
     # variants steer against the drift, flipping the sign
     kappa_inv = 1.0 / IMPULSE_JUMP
@@ -557,7 +549,7 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
     residual_vec = normal(z_star) - rhs
     optimality = float(np.linalg.norm(residual_vec) * np.sqrt(h_scale)
                        / max(rhs_norm, np.finfo(float).tiny))
-    o_star_y = ops.observe_star([y.values for y in y_star])
+    o_star_y = ops.observation.observe_star([y.values for y in y_star])
     defect = rhs - ops.projection * o_star_y
     gap_vec = defect - eps0 * w_z
     duality_gap = float(np.linalg.norm(gap_vec) * np.sqrt(h_scale)
@@ -634,18 +626,18 @@ def calibrate_observation_weight(problem: ImpulseProblem) -> ImpulseProblem:
     """Return the problem with C0 doubled from 1 until the discrete
     observability inequality holds, then doubled once more for safety.
 
-    Only the sign of the margin H = C0 O*O + eps0 W - R* V R decides.  Where
-    `low_rank_form` gives H as D + Y S Y* on Z (two_impulse,
-    complement_approx, ball_null, band_restricted and every cost-scaling
-    problem, within the caps of `low_rank_form`), the form is built once and
-    each candidate is decided exactly by the k x k test of
+    Only the sign of the margin H = C0 O*O + eps0 W - R* V R decides.  The
+    operators are built once.  Where `low_rank_form` derives H from them as
+    D + Y S Y* on Z (two_impulse, complement_approx, ball_null,
+    band_restricted and every cost-scaling problem, within the caps of
+    `low_rank_form`), each candidate is decided exactly by the k x k test of
     `_structured_certificate`: C0 is accepted when H is certainly positive
     definite.
 
     Otherwise (shifted_decay_null, sobolev_dual_approx, or k above the cap)
-    the operators are built once, and each candidate is decided by Lanczos on
-    S H S, which by Sylvester's law of inertia has the sign of H for the
-    congruence S = (C0 + eps0 Sigma)^{-1/2}.  S H S is near the
+    each candidate is decided by Lanczos on S H S, which by Sylvester's law
+    of inertia has the sign of H for the congruence
+    S = (C0 + eps0 Sigma)^{-1/2}.  S H S is near the
     identity scale where H is stretched by Sigma, and its Lanczos tolerance
     1e-8 / C0 matches the unscaled 1e-8 (S^2 ~ 1/C0).  A candidate is
     admissible when its scaled margin is at least its own Ritz residual, so
@@ -658,15 +650,15 @@ def calibrate_observation_weight(problem: ImpulseProblem) -> ImpulseProblem:
     states have weighted norms capped near e^{aL}, which floors the
     admissible penalty), and the failure is reported rather than forcing an
     ill-conditioned solve."""
-    form = low_rank_form(problem, margin=True)
+    ops = problem_operators(problem)
+    form = low_rank_form(ops, margin=True)
     if form is not None:
         certified = _structured_certificate(form)
     else:
-        ops, size = problem_operators(problem), problem.grid.node_count
-
         def certified(c0: float) -> bool:
             scale, apply_h = ops.congruence(c0), ops.margin(c0)
-            margin = lanczos_smallest(lambda v: scale(apply_h(scale(v))), size,
+            margin = lanczos_smallest(lambda v: scale(apply_h(scale(v))),
+                                      problem.grid.node_count,
                                       tol=_MARGIN_TOL / c0, stop_below=0.0)
             return margin.eigenvalue >= margin.residual
 

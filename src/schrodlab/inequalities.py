@@ -99,8 +99,6 @@ def uncertainty_quotient(f: Field, space_ball: Region, freq_ball: Region) -> Ine
 class BridgeCheck:
     chirp_residual: float
     bridge_residual: float
-    spectral_side: float
-    time_side: float
     scaled_ball_in_box: bool
 
 
@@ -136,8 +134,7 @@ def equivalence_bridge_check(u0: Field, region_a: Region, freq_ball: Region,
     res_b = abs(spectral_side - time_side) / max(time_side, np.finfo(float).tiny)
 
     reach = 2.0 * t * (freq_ball.radius + float(np.linalg.norm(center)))
-    return BridgeCheck(res_a, res_b, spectral_side, time_side,
-                       reach <= grid.half_extent)
+    return BridgeCheck(res_a, res_b, reach <= grid.half_extent)
 
 
 # ---------------------------------------------------------------------------

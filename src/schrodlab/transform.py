@@ -12,7 +12,8 @@ chirp/rescale map evaluates the flow at time T on the scaled dual lattice
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -194,45 +195,50 @@ def propagator_symbol(grid: Grid, t: float) -> np.ndarray:
     return np.exp(-1j * _fft_freq_sq(grid) * t)
 
 
-def flow_observation(grid: Grid, terms: Sequence[Tuple[float, Region]]):
+@dataclass(frozen=True, eq=False)
+class FlowObservation:
     """The observation O v = (M_i P(t_i) v)_i on raw arrays, for terms
-    (t_i, region_i) with P(t) the flow over time t and M_i the indicator of
-    region_i, as the triple (observe, observe_star, gram):
+    (t_i, region_i) with P(t) the flow over time t and M_i the mask of
+    region_i: each term's mask and its flow symbols P(t_i) (forward) and
+    P(-t_i) (backward) in FFT order, None at t_i = 0 (the exact mask)."""
 
-        observe(v)       -> [M_i P(t_i) v, ...], one array per term
-        observe_star(hs) -> sum_i P(t_i)* M_i h_i, the exact discrete adjoint
-        gram(v)          -> O*O v = sum_i P(t_i)* M_i P(t_i) v, in one pass
+    grid: Grid
+    masks: Tuple[np.ndarray, ...]
+    forward: Tuple[Optional[np.ndarray], ...]
+    backward: Tuple[Optional[np.ndarray], ...]
 
-    Each propagator symbol is built once, here; a term at t_i = 0 is the
-    exact mask."""
-    built = []  # (mask, forward symbol, backward symbol); no symbols at t = 0
-    for t, region in terms:
-        forward, backward = (None, None) if t == 0.0 else \
-            (propagator_symbol(grid, t), propagator_symbol(grid, -t))
-        built.append((region.indicator(grid), forward, backward))
+    def _flow(self, v: np.ndarray, symbol: Optional[np.ndarray]) -> np.ndarray:
+        return v if symbol is None else spectral_multiply(self.grid, v, symbol)
 
-    def flow(v: np.ndarray, symbol) -> np.ndarray:
-        return v if symbol is None else spectral_multiply(grid, v, symbol)
+    def observe(self, v: np.ndarray) -> List[np.ndarray]:
+        """[M_i P(t_i) v, ...], one array per term."""
+        return [mask * self._flow(v, s) for mask, s in zip(self.masks, self.forward)]
 
-    def observe(v: np.ndarray) -> List[np.ndarray]:
-        return [mask * flow(v, forward) for mask, forward, _ in built]
-
-    def observe_star(hs: Sequence[np.ndarray]) -> np.ndarray:
-        if len(hs) != len(built):
+    def observe_star(self, hs: Sequence[np.ndarray]) -> np.ndarray:
+        """sum_i P(t_i)* M_i h_i, the exact discrete adjoint of observe."""
+        if len(hs) != len(self.masks):
             raise ValueError(f"observe_star takes one array per term "
-                             f"({len(built)}), got {len(hs)}")
-        acc = np.zeros(grid.node_count, dtype=np.complex128)
-        for (mask, _, backward), h in zip(built, hs):
-            acc += flow(mask * h, backward)
+                             f"({len(self.masks)}), got {len(hs)}")
+        acc = np.zeros(self.grid.node_count, dtype=np.complex128)
+        for mask, backward, h in zip(self.masks, self.backward, hs):
+            acc += self._flow(mask * h, backward)
         return acc
 
-    def gram(v: np.ndarray) -> np.ndarray:
+    def gram(self, v: np.ndarray) -> np.ndarray:
+        """O*O v = sum_i P(t_i)* M_i P(t_i) v, in one pass."""
         acc = np.zeros(v.shape, dtype=np.complex128)
-        for mask, forward, backward in built:
-            acc += flow(mask * flow(v, forward), backward)
+        for mask, forward, backward in zip(self.masks, self.forward, self.backward):
+            acc += self._flow(mask * self._flow(v, forward), backward)
         return acc
 
-    return observe, observe_star, gram
+
+def flow_observation(grid: Grid, terms: Sequence[Tuple[float, Region]]) -> FlowObservation:
+    """The FlowObservation of the terms (t_i, region_i); each propagator
+    symbol is built once, here."""
+    masks = tuple(region.indicator(grid) for _, region in terms)
+    forward = tuple(None if t == 0.0 else propagator_symbol(grid, t) for t, _ in terms)
+    backward = tuple(None if t == 0.0 else propagator_symbol(grid, -t) for t, _ in terms)
+    return FlowObservation(grid, masks, forward, backward)
 
 
 def propagate_values(grid: Grid, values: np.ndarray, t: float) -> np.ndarray:

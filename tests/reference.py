@@ -12,7 +12,7 @@ from schrodlab.transform import flow_observation
 
 def reference_gramian(grid, s, t, region_a, region_b):
     """Matrix-free G = M_A + P* M_B P with P the flow from time s to t."""
-    return flow_observation(grid, [(0.0, region_a), (t - s, region_b)])[2]
+    return flow_observation(grid, [(0.0, region_a), (t - s, region_b)]).gram
 
 
 def dense_gramian(grid, s, t, region_a, region_b):

@@ -169,12 +169,12 @@ def test_criterion_7_control_duality():
     for name in VARIANTS:  # one rng across the variants: keep their order
         problem = variant_problem(name)
         grid = problem.grid
-        ops = problem_operators(problem)
+        obs = problem_operators(problem).observation
         for _ in range(100 if name == "two_impulse" else 10):
             z = random_field(grid, rng)
             hs = [random_field(grid, rng) for _ in problem.impulses]
-            lhs = sum(dot(Field(grid, o), h) for o, h in zip(ops.observe(z.values), hs))
-            rhs = dot(z, Field(grid, ops.observe_star([h.values for h in hs])))
+            lhs = sum(dot(Field(grid, o), h) for o, h in zip(obs.observe(z.values), hs))
+            rhs = dot(z, Field(grid, obs.observe_star([h.values for h in hs])))
             scale = l2_norm(z) * np.sqrt(sum(l2_norm(h) ** 2 for h in hs))
             adjoint_worst = max(adjoint_worst, abs(lhs - rhs) / scale)
 

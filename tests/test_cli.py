@@ -219,6 +219,7 @@ class TestExitCodes:
         ("verify-identity", "fresnel.times = -1.0"),
         ("counterexample", "counterexample.T = 0.0"),
         ("counterexample", "counterexample.S2 = -1.0"),
+        ("control-solve", "control.max_iterations = 0"),
     ])
     def test_out_of_range_value_named_before_run(self, tmp_path, capsys, monkeypatch,
                                                  experiment, line):

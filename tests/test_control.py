@@ -6,14 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from schrodlab import control
+from schrodlab import control, transform
 from schrodlab.cli import main
 from schrodlab.control import (VARIANTS, ErrorNorm, ImpulseProblem,
                                calibrate_observation_weight, cost_scaling_study,
                                datum_field, low_rank_form, problem_operators,
                                simulate_forward, solve_control, variant_problem)
-from schrodlab.field import (Field, dot, gaussian_state, l2_norm, make_grid,
-                             whole_space)
+from schrodlab.field import (Field, Region, Weight, dot, gaussian_state, l2_norm,
+                             make_grid, whole_space)
 from schrodlab.solvers import lanczos_smallest
 from schrodlab.transform import propagate
 
@@ -69,18 +69,18 @@ class TestAdjoints:
     def test_observation_control_adjoint(self):
         rng = np.random.default_rng(0)
         problem = variant_problem("two_impulse")
-        ops = problem_operators(problem)
+        obs = problem_operators(problem).observation
         for _ in range(100):
             z = random_field(GRID, rng)
             hs = [random_field(GRID, rng) for _ in problem.impulses]
-            lhs = sum(dot(Field(GRID, o), h) for o, h in zip(ops.observe(z.values), hs))
-            rhs = dot(z, Field(GRID, ops.observe_star([h.values for h in hs])))
+            lhs = sum(dot(Field(GRID, o), h) for o, h in zip(obs.observe(z.values), hs))
+            rhs = dot(z, Field(GRID, obs.observe_star([h.values for h in hs])))
             scale = l2_norm(z) * np.sqrt(sum(l2_norm(h) ** 2 for h in hs))
             assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_observe_star_needs_one_array_per_impulse(self):
         problem = variant_problem("two_impulse")
-        observe_star = problem_operators(problem).observe_star
+        observe_star = problem_operators(problem).observation.observe_star
         h = np.ones(GRID.node_count, dtype=complex)
         for count in (1, 3):
             with pytest.raises(ValueError, match="one array per term"):
@@ -88,7 +88,7 @@ class TestAdjoints:
 
     def test_observation_linear(self):
         rng = np.random.default_rng(1)
-        observe = problem_operators(variant_problem("two_impulse")).observe
+        observe = problem_operators(variant_problem("two_impulse")).observation.observe
         z1, z2 = random_field(GRID, rng), random_field(GRID, rng)
         c = 0.7 - 1.3j
         combined = observe(z1.values + c * z2.values)
@@ -102,7 +102,7 @@ class TestAdjoints:
                                  ErrorNorm("l2"))
         rng = np.random.default_rng(2)
         z = random_field(GRID, rng)
-        obs = problem_operators(problem).observe(z.values)[0]
+        obs = problem_operators(problem).observation.observe(z.values)[0]
         assert np.array_equal(obs, z.values)
 
     @pytest.mark.parametrize("name", ["two_impulse", "band_restricted",
@@ -111,8 +111,7 @@ class TestAdjoints:
         problem = variant_problem(name)
         grid = problem.grid
         rng = np.random.default_rng(3)
-        ops = problem_operators(problem)
-        apply_r, apply_r_star = ops.reach, ops.reach_star
+        reach = problem_operators(problem).reach
         # exact control with a reach region has R the inclusion of Z; its
         # adjoint identity lives on fields supported in the reach region
         subspace = problem.reach_region.indicator(grid) \
@@ -122,8 +121,8 @@ class TestAdjoints:
             if subspace is not None:
                 z = Field(grid, subspace * z.values)
             f = random_field(grid, rng)
-            lhs = dot(Field(grid, apply_r(z.values)), f)
-            rhs = dot(z, Field(grid, apply_r_star(f.values)))
+            lhs = dot(Field(grid, reach.observe(z.values)[0]), f)
+            rhs = dot(z, Field(grid, reach.observe_star([f.values])))
             assert abs(lhs - rhs) <= 1e-12 * l2_norm(z) * l2_norm(f)
 
 
@@ -151,7 +150,7 @@ class TestSolve:
         problem = replace(variant_problem("two_impulse", penalty=1e-3),
                           observation_weight=2.0)
         ops = problem_operators(problem)
-        apply_w, gram = ops.weight, ops.gram
+        apply_w, gram = ops.weight, ops.observation.gram
         for _ in range(20):
             z = rng.standard_normal(GRID.node_count) \
                 + 1j * rng.standard_normal(GRID.node_count)
@@ -270,8 +269,9 @@ class TestCalibration:
 
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_calibration_builds_the_operators_at_most_once(self, name, monkeypatch):
-        # the Lanczos route builds the C0-free operators once and decides every
-        # candidate on them; the structured route decides on its low-rank form
+        # both routes build the C0-free operators once: the Lanczos route
+        # decides every candidate on them, the structured route on the
+        # low-rank form derived from them
         builds = []
 
         def counted(problem):
@@ -280,7 +280,7 @@ class TestCalibration:
 
         monkeypatch.setattr(control, "problem_operators", counted)
         calibrate_observation_weight(variant_problem(name))
-        assert len(builds) == (1 if name in LANCZOS_MARGIN else 0)
+        assert len(builds) == 1
 
     def test_infeasible_penalty_reported(self):
         problem = variant_problem("complement_approx", L=12.0, penalty=1e-6)
@@ -302,19 +302,56 @@ class TestStructuredRoute:
         penalty = max(VARIANTS[name]["penalty"], 1e-2)
         problem = replace(variant_problem(name, M=self.M, penalty=penalty),
                           observation_weight=4.0)
-        ops, form = problem_operators(problem), low_rank_form(problem)
+        ops = problem_operators(problem)
+        form = low_rank_form(ops)
         size = problem.grid.node_count
         dense = dense_on_z(ops.normal(4.0), form.nodes, size)
         woodbury = dense_on_z(form.inverse(4.0), form.nodes, size)
         reference = np.linalg.inv(dense)
         assert np.abs(woodbury - reference).max() <= 1e-12 * np.abs(reference).max()
 
+    @pytest.mark.parametrize("margin", [False, True])
+    @pytest.mark.parametrize("name", list(VARIANTS))
+    def test_form_reads_its_geometry_off_the_operators(self, name, margin, monkeypatch):
+        # low_rank_form evaluates no region, weight or datum density and
+        # builds no flow symbol, except the P(0) of an impulse at the horizon
+        # (two_impulse's tau2 = T), where the operators hold no symbol
+        ops = problem_operators(variant_problem(name))
+        calls = []
+
+        def count(owner, attr):
+            real = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                out = real(*args, **kwargs)
+                calls.append((attr, args[1:], out))
+                return out
+            monkeypatch.setattr(owner, attr, counted)
+
+        for owner, attr in ((Region, "indicator"), (Weight, "evaluate"),
+                            (transform, "propagator_symbol"),
+                            (control, "propagator_symbol")):
+            count(owner, attr)
+        form = low_rank_form(ops, margin=margin)
+        assert (form is None) == (name == "sobolev_dual_approx"
+                                  or (margin and name == "shifted_decay_null"))
+        made = [(attr, args) for attr, args, _ in calls]
+        assert made == ([("propagator_symbol", (0.0,))] if name == "two_impulse" else [])
+        if form is None:
+            return
+        expected = list(ops.observation.backward)
+        if margin and not ops.exact:
+            expected.append(ops.reach.backward[0])
+        assert len(form.terms) == len(expected)
+        for (symbol, _), held in zip(form.terms, expected):
+            assert symbol is (calls[0][2] if held is None else held)
+
     @pytest.mark.parametrize("name", STRUCTURED_MARGIN)
     def test_inertia_decision_matches_the_dense_margin(self, name):
         problem = variant_problem(name, M=self.M)
-        form = low_rank_form(problem, margin=True)
-        certificate = control._structured_certificate(form)
         ops, size = problem_operators(problem), problem.grid.node_count
+        form = low_rank_form(ops, margin=True)
+        certificate = control._structured_certificate(form)
         decisions = []
         for c0 in 2.0 ** np.arange(11):
             apply_h = ops.margin(c0)
@@ -355,7 +392,7 @@ class TestStructuredRoute:
         # candidate's bound d/C0: inside the floor that candidate is refused
         problem = variant_problem("two_impulse")
         reference = calibrate_observation_weight(problem).observation_weight
-        form = low_rank_form(problem, margin=True)
+        form = low_rank_form(problem_operators(problem), margin=True)
         c0 = reference / 2.0
         bound = form.diagonal(c0)[0] / c0
 
@@ -371,7 +408,7 @@ class TestStructuredRoute:
     @pytest.mark.parametrize("name", LANCZOS_MARGIN)
     def test_unstructured_margins_take_the_lanczos_route(self, name, monkeypatch):
         problem = variant_problem(name)
-        assert low_rank_form(problem, margin=True) is None
+        assert low_rank_form(problem_operators(problem), margin=True) is None
         solves = []
 
         def recorded(*args, **kwargs):
@@ -393,8 +430,9 @@ class TestStructuredRoute:
         reference = calibrate_observation_weight(problem)
         structured = solve_control(reference)
         monkeypatch.setattr(control, "MAX_BLOCK_ORDER", 8)
-        assert low_rank_form(problem) is None
-        assert low_rank_form(problem, margin=True) is None
+        ops = problem_operators(problem)
+        assert low_rank_form(ops) is None
+        assert low_rank_form(ops, margin=True) is None
         solves = []
 
         def recorded(*args, **kwargs):
@@ -417,7 +455,7 @@ class TestStructuredRoute:
         problem = ImpulseProblem(grid, 1.0, ((0.0, whole_space()),),
                                  gaussian_state(grid), gaussian_state(grid, center=1.0),
                                  0.1, 1.0, norm)
-        assert low_rank_form(problem, margin=True).terms == ()
+        assert low_rank_form(problem_operators(problem), margin=True).terms == ()
         c0 = 1.0
         while observability_margin(replace(problem, observation_weight=c0)).eigenvalue < 0.0:
             c0 *= 2.0

@@ -64,7 +64,7 @@ def test_gramian_matches_flow(dim, s, t):
 def test_observation_gram_matches_flow(dim, variant):
     problem = variant_problem(variant, GRIDS[dim])
     v = random_values(problem.grid)
-    assert np.array_equal(problem_operators(problem).gram(v),
+    assert np.array_equal(problem_operators(problem).observation.gram(v),
                           flowed_observation_gram(problem, v))
 
 
@@ -75,7 +75,7 @@ def test_impulse_at_horizon_is_exact_identity(dim):
     assert tau == problem.horizon
     last_only = replace(problem, impulses=((tau, region),))
     v = random_values(problem.grid)
-    assert np.array_equal(problem_operators(last_only).gram(v),
+    assert np.array_equal(problem_operators(last_only).observation.gram(v),
                           region.indicator(problem.grid) * v)
 
 
@@ -83,9 +83,10 @@ def test_impulse_at_horizon_is_exact_identity(dim):
 @pytest.mark.parametrize("variant", ["ball_null", "shifted_decay_null"])
 def test_reachability_matches_flow(dim, variant):
     problem = variant_problem(variant, GRIDS[dim])
-    ops = problem_operators(problem)
+    reach = problem_operators(problem).reach
     v = random_values(problem.grid)
-    for built, flowed in zip((ops.reach, ops.reach_star), flow_reachability(problem)):
+    operators = (lambda v: reach.observe(v)[0], lambda v: reach.observe_star([v]))
+    for built, flowed in zip(operators, flow_reachability(problem)):
         assert np.array_equal(built(v), flowed(v))
 
 
@@ -104,9 +105,11 @@ def test_symbols_built_once_per_operator(monkeypatch):
     for variant in ("two_impulse", "sobolev_dual_approx", "shifted_decay_null",
                     "ball_null"):
         ops = problem_operators(variant_problem(variant, grid))
-        operators.extend([ops.gram, ops.weight, ops.normal(1.0), ops.reach,
-                          ops.reach_star,
-                          lambda v, ops=ops: ops.observe_star(ops.observe(v))])
+        operators.extend([ops.observation.gram, ops.weight, ops.normal(1.0),
+                          lambda v, ops=ops: ops.reach.observe(v)[0],
+                          lambda v, ops=ops: ops.reach.observe_star([v]),
+                          lambda v, ops=ops: ops.observation.observe_star(
+                              ops.observation.observe(v))])
         if ops.precondition(1.0) is not None:
             operators.append(ops.precondition(1.0))
     built = len(calls)
