@@ -26,7 +26,7 @@ from .field import (Field, ball, ball_complement, box_tail_fraction,
                     gaussian_state, l2_norm, make_grid, GridError)
 from .fitting import affine_fit
 from .control import (VARIANTS, calibrate_observation_weight, cost_scaling_study,
-                      solve_control, variant_problem)
+                      problem_operators, solve_control, variant_problem)
 from .counterexamples import SequenceSpec, decay_study
 from .inequalities import (bandlimited_sample, check_band_radius,
                            empirical_constant, equivalence_bridge_check,
@@ -348,6 +348,9 @@ def _run_empirical_constant(config: dict, seed: int, threads: int) -> Experiment
     return ExperimentResult(rows, summary)
 
 
+_PRIOR_CAPPED = "the prior weight tripped its exponent cap; shrink a or L"
+
+
 def _run_interpolation_12(config: dict, seed: int, threads: int) -> ExperimentResult:
     grid = _grid_from(config)
     r, a, t, scales = (config[f"interpolation.{k}"] for k in ("r", "a", "T", "scales"))
@@ -371,7 +374,7 @@ def _run_interpolation_12(config: dict, seed: int, threads: int) -> ExperimentRe
 
     rows = _map_ordered(one, scales, threads)
     if any(row["weight_capped"] for row in rows):
-        raise ConfigError("the prior weight tripped its exponent cap; shrink a or L")
+        raise ConfigError(_PRIOR_CAPPED)
     fit = fit_interpolation_12(
         [(row["lhs"], row["observation"], row["prior"], r, a, t) for row in rows],
         grid.dim)
@@ -390,6 +393,8 @@ def _run_two_ball_13(config: dict, seed: int, threads: int) -> ExperimentResult:
 
     def one(sep: float) -> Dict[str, object]:
         report = two_ball_report_13(u0, -sep / 2.0, sep / 2.0, r1, r2, a, t)
+        if report.flags["weight_capped"]:
+            raise ConfigError(_PRIOR_CAPPED)
         return {"separation": sep, "lhs": report.lhs,
                 "observation": report.terms["observation"],
                 "prior": report.terms["prior"], "p": report.terms["p"]}
@@ -408,13 +413,13 @@ def _run_spectral_ineq(config: dict, seed: int, threads: int) -> ExperimentResul
         raise ConfigError(str(exc)) from exc
 
     def one(band: float) -> List[Dict[str, object]]:
-        # a sample's seed does not depend on r: draw each field once and
-        # score it at every radius, holding one field at a time
+        # a sample's seed does not depend on r: draw and project each field
+        # once and score it at every radius, holding one field at a time
         ratios = np.empty((len(radii), samples))
         for j in range(samples):
             f = bandlimited_sample(grid, band, seed=seed + 7919 * j)
-            for i, r in enumerate(radii):
-                ratios[i, j] = spectral_inequality_report(f, r, band).quotient
+            ratios[:, j] = [report.quotient for report
+                            in spectral_inequality_report(f, radii, band)]
         rows = []
         for r, sampled in zip(radii, ratios):
             # iid samples verify ratio >= 1 but their maxima carry no rN trend;
@@ -426,7 +431,7 @@ def _run_spectral_ineq(config: dict, seed: int, threads: int) -> ExperimentResul
                                   f"{exc}") from exc
             except RuntimeError as exc:
                 raise SolverFailure(str(exc)) from exc
-            extremal_ratio = spectral_inequality_report(extremal, r, band).quotient
+            extremal_ratio = spectral_inequality_report(extremal, [r], band)[0].quotient
             rows.append({"r": r, "N": band, "rN": r * band,
                          "min_ratio": float(sampled.min()),
                          "max_random_ratio": float(sampled.max()),
@@ -532,15 +537,16 @@ def _run_control_solve(config: dict, seed: int, threads: int) -> ExperimentResul
               if f"control.{key}" in config}
     try:
         problem = variant_problem(variant, grid, **params)
+        ops = problem_operators(problem)  # the one build; a capped weight stops here
     except ValueError as exc:
         raise ConfigError(f"invalid control problem: {exc}") from exc
     validity = _check_tail(config, problem.initial_state)
     try:
-        problem = calibrate_observation_weight(problem)
+        c0 = calibrate_observation_weight(ops)
     except RuntimeError as exc:
         raise ConfigError(str(exc)) from exc
     tol = config["control.cg_tolerance"]
-    solution = solve_control(problem, tol=tol,
+    solution = solve_control(ops, c0, tol=tol,
                              max_iter=config["control.max_iterations"])
     if not solution.cg.converged:
         raise SolverFailure(
@@ -549,7 +555,7 @@ def _run_control_solve(config: dict, seed: int, threads: int) -> ExperimentResul
     f_norm_sq = solution.datum_norm_sq
     row = {
         "variant": variant,
-        "observation_weight": problem.observation_weight,
+        "observation_weight": c0,
         "penalty": problem.penalty,
         "cg_iterations": solution.cg.iterations,
         "cg_residual": solution.cg.relative_residual,

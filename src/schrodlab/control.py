@@ -54,7 +54,7 @@ import numpy as np
 from numpy.linalg import eigvalsh
 from scipy.linalg import lu_factor, lu_solve
 
-from .field import (Field, Grid, Region, Weight, ball, ball_complement,
+from .field import (Field, Grid, Region, Weight, ball, ball_complement, density_energy,
                     gaussian_state, l2_norm, make_grid, weighted_energy_flagged,
                     whole_space, zero_field)
 from .fitting import FitResult, affine_fit
@@ -98,7 +98,6 @@ class ImpulseProblem:
     initial_state: Field
     target: Optional[Field]     # None for null control
     penalty: float              # eps0
-    observation_weight: float   # C0
     error_norm: ErrorNorm
     reach_region: Region = whole_space()
     datum_weight: Optional[Weight] = None  # X*-side density for the budget norm
@@ -106,8 +105,8 @@ class ImpulseProblem:
     def __post_init__(self):
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
-        if not self.penalty > 0 or not self.observation_weight > 0:
-            raise ValueError("penalty and observation weight must be positive")
+        if not self.penalty > 0:
+            raise ValueError("penalty must be positive")
         if not self.impulses:
             raise ValueError("at least one impulse is required")
         times = [tau for tau, _ in self.impulses]
@@ -142,7 +141,7 @@ VARIANTS: Dict[str, Dict[str, Optional[float]]] = {
 
 def variant_problem(name: str, grid: Optional[Grid] = None, **params) -> ImpulseProblem:
     """The control problem of variant `name` at its VARIANTS defaults, each
-    overridden by `params`; C0 is 1 until calibrated.
+    overridden by `params`.
 
     Initial state and target are Gaussians of width `sigma`, the target
     centred at `target_shift`; `grid` defaults to the 1D grid of `L`, `M`."""
@@ -163,25 +162,25 @@ def variant_problem(name: str, grid: Optional[Grid] = None, **params) -> Impulse
         tau2 = horizon if p["tau2"] is None else p["tau2"]
         impulses = ((p["tau1"], outside_r1),
                     (tau2, ball_complement(0.0, p["r2"], dim=dim)))
-        return ImpulseProblem(grid, horizon, impulses, u0, target, eps0, 1.0,
+        return ImpulseProblem(grid, horizon, impulses, u0, target, eps0,
                               ErrorNorm("l2"))
     if name == "band_restricted":
         return ImpulseProblem(grid, horizon, ((0.0, outside_r1),), u0, target,
-                              eps0, 1.0, ErrorNorm("l2"),
+                              eps0, ErrorNorm("l2"),
                               reach_region=ball(0.0, p["N"], dim=dim))
     if name == "sobolev_dual_approx":
         tau = horizon / 2.0 if p["tau"] is None else p["tau"]
         return ImpulseProblem(grid, horizon, ((tau, inside_r1),), u0, target,
-                              eps0, 1.0, ErrorNorm("sobolev_dual", amplitude=p["a"]))
+                              eps0, ErrorNorm("sobolev_dual", amplitude=p["a"]))
     weighted = ErrorNorm("dual_weighted", amplitude=p["a"])
     if name == "complement_approx":
         return ImpulseProblem(grid, horizon, ((0.0, outside_r1),), u0, target,
-                              eps0, 1.0, weighted)
+                              eps0, weighted)
     if name == "ball_null":
         return ImpulseProblem(grid, horizon, ((0.0, inside_r1),), u0, None, eps0,
-                              1.0, weighted, reach_region=ball(0.0, p["r2"], dim=dim))
+                              weighted, reach_region=ball(0.0, p["r2"], dim=dim))
     decay = Weight(p["b"], "grow", center=(p["target_shift"],) * dim)
-    return ImpulseProblem(grid, horizon, ((0.0, inside_r1),), u0, None, eps0, 1.0,
+    return ImpulseProblem(grid, horizon, ((0.0, inside_r1),), u0, None, eps0,
                           weighted, datum_weight=decay)
 
 
@@ -205,13 +204,12 @@ class ProblemOperators:
     """The matrix-free operators of one control problem, on raw arrays.  The
     fields do not depend on C0; each method builds an operator at one C0."""
 
+    problem: ImpulseProblem            # the problem they were built from
     observation: FlowObservation       # O, one term per impulse
     reach: FlowObservation             # R, one term
     weight: Operator                   # W, the Z-norm operator (Hermitian, PD)
     projection: np.ndarray             # indicator of Z; all ones when Z is all of L2
     density: np.ndarray                # X*-side datum density; all ones for plain L2
-    eps0: float                        # the penalty
-    exact: bool                        # exact control (R the inclusion of Z)
     diagonal: Optional[np.ndarray]     # W when it is diagonal in x; None for sobolev_dual
     sigma: Optional[np.ndarray]        # Sigma, the part of W that stretches the spectrum
     multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (g(Sigma), v) -> g(Sigma) v
@@ -219,16 +217,16 @@ class ProblemOperators:
     def normal(self, c0: float) -> Operator:
         """C0 O*O + eps0 W, projected onto Z."""
         return lambda v: self.projection * (c0 * self.observation.gram(v)
-                                            + self.eps0 * self.weight(v))
+                                            + self.problem.penalty * self.weight(v))
 
     def precondition(self, c0: float) -> Optional[Operator]:
         """(C0 + eps0 Sigma)^-1, approximately normal(c0)^-1; None for "l2"."""
         return None if self.sigma is None else \
-            partial(self.multiply, 1.0 / (c0 + self.eps0 * self.sigma))
+            partial(self.multiply, 1.0 / (c0 + self.problem.penalty * self.sigma))
 
     def congruence(self, c0: float) -> Operator:
         """S = (C0 + eps0 Sigma)^{-1/2}, Hermitian positive definite."""
-        spread = c0 if self.sigma is None else c0 + self.eps0 * self.sigma
+        spread = c0 if self.sigma is None else c0 + self.problem.penalty * self.sigma
         return partial(self.multiply, spread ** -0.5)
 
     def margin(self, c0: float) -> Operator:
@@ -241,7 +239,8 @@ class ProblemOperators:
             # placeholder eps0 so they cannot masquerade as the smallest eigenvalue
             zv = self.projection * v
             reached = self.reach.observe(zv)[0] / self.density
-            return normal(zv) - self.reach.observe_star([reached]) + self.eps0 * (v - zv)
+            return (normal(zv) - self.reach.observe_star([reached])
+                    + self.problem.penalty * (v - zv))
 
         return apply
 
@@ -266,7 +265,10 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     CG's preconditioner only where `low_rank_form` finds no D + Y S Y*
     structure (sobolev_dual_approx, or k above the cap); elsewhere
     solve_control uses that form's exact Woodbury inverse.  Its square root
-    is the congruence S that Lanczos calibration wraps around `margin(c0)`."""
+    is the congruence S that Lanczos calibration wraps around `margin(c0)`.
+
+    Raises ValueError, naming `a` or `b`, when the e^{a|x|} or the datum
+    weight trips its exponent cap: it would measure another norm."""
     grid = problem.grid
     norm = problem.error_norm
     observation = flow_observation(
@@ -279,7 +281,7 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     if norm.kind == "l2":
         weight, diagonal, sigma = (lambda v: v.copy()), np.ones(grid.node_count), None
     else:
-        grow = Weight(norm.amplitude, "grow").evaluate(grid)[0]
+        grow = _uncapped(Weight(norm.amplitude, "grow"), grid, "error-norm", "a")
         if norm.kind == "dual_weighted":
             weight, diagonal, sigma = (lambda v: grow * v), grow, grow
         else:  # sobolev_dual: e^{a|x|} 'plus' the H^{n+3} spectral multiplier
@@ -287,9 +289,18 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
             weight = (lambda v: grow * v + spectral_multiply(grid, v, sigma))
             multiply = (lambda factor, v: spectral_multiply(grid, v, factor))
     density = np.ones(grid.node_count) if problem.datum_weight is None \
-        else problem.datum_weight.evaluate(grid)[0]
-    return ProblemOperators(observation, reach, weight, projection, density,
-                            problem.penalty, exact, diagonal, sigma, multiply)
+        else _uncapped(problem.datum_weight, grid, "datum", "b")
+    return ProblemOperators(problem, observation, reach, weight, projection, density,
+                            diagonal, sigma, multiply)
+
+
+def _uncapped(weight: Weight, grid: Grid, role: str, amplitude: str) -> np.ndarray:
+    """The weight's values on the grid; ValueError if its exponent cap tripped."""
+    values, capped = weight.evaluate(grid)
+    if capped:
+        raise ValueError(f"the {role} weight tripped its exponent cap; "
+                         f"shrink {amplitude} or L")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +439,8 @@ def low_rank_form(ops: ProblemOperators, margin: bool = False) -> Optional[LowRa
         terms.append((symbol, cols))
         signs.append(np.full(cols.size, sign))
         fixed.append(np.zeros(cols.size))
-    base = ops.eps0 * ops.diagonal[nodes]
-    if margin and ops.exact:
+    base = ops.problem.penalty * ops.diagonal[nodes]
+    if margin and ops.problem.target is not None:
         base = base - 1.0 / ops.density[nodes]
     elif margin:
         reach = np.flatnonzero(ops.reach.masks[0])
@@ -450,25 +461,22 @@ def low_rank_form(ops: ProblemOperators, margin: bool = False) -> Optional[LowRa
                        np.concatenate(signs), np.concatenate(fixed), complements, base)
 
 
-def datum_field(problem: ImpulseProblem) -> Field:
+def datum_field(ops: ProblemOperators) -> Field:
     """The datum f: u_T - flow(u0) for exact control, the initial state
     masked by the reach region for null control."""
+    problem = ops.problem
     grid = problem.grid
     if problem.target is not None:
         drift = propagate_values(grid, problem.initial_state.values, problem.horizon)
         return Field(grid, problem.target.values - drift)
-    mask = problem.reach_region.indicator(grid)
-    return Field(grid, mask * problem.initial_state.values)
+    return Field(grid, ops.reach.masks[0] * problem.initial_state.values)
 
 
-def datum_norm_sq(problem: ImpulseProblem, f: Field) -> float:
-    """||f||^2 in the X* norm of the variant (weighted for datum_weight)."""
-    if problem.datum_weight is None:
+def datum_norm_sq(ops: ProblemOperators, f: Field) -> float:
+    """||f||^2 in the X* norm of the variant (weighted by the datum density)."""
+    if ops.problem.datum_weight is None:
         return l2_norm(f) ** 2
-    energy, capped = weighted_energy_flagged(f, problem.datum_weight)
-    if capped:
-        raise ValueError("datum weight overflowed its exponent cap")
-    return energy
+    return density_energy(f, ops.density)
 
 
 # ---------------------------------------------------------------------------
@@ -491,22 +499,22 @@ class ControlSolution:
     diagnostics: Dict[str, float]
 
 
-def simulate_forward(problem: ImpulseProblem, controls: Sequence[Field]) -> Field:
-    """Piecewise free flow with jumps u <- u - i chi_w h_i at each impulse."""
-    grid = problem.grid
-    state = problem.initial_state.values.copy()
+def simulate_forward(ops: ProblemOperators, start: Field, controls: Sequence[Field]) -> Field:
+    """Piecewise free flow from `start` with jumps u <- u - i chi_w h_i."""
+    grid = ops.problem.grid
+    state = start.values.copy()
     t = 0.0
-    for (tau, region), h in zip(problem.impulses, controls):
+    for (tau, _), mask, h in zip(ops.problem.impulses, ops.observation.masks, controls):
         state = propagate_values(grid, state, tau - t)
-        state = state + IMPULSE_JUMP * region.indicator(grid) * h.values
+        state = state + IMPULSE_JUMP * mask * h.values
         t = tau
-    state = propagate_values(grid, state, problem.horizon - t)
+    state = propagate_values(grid, state, ops.problem.horizon - t)
     return Field(grid, state)
 
 
-def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
+def solve_control(ops: ProblemOperators, c0: float, tol: float = 1e-10,
                   max_iter: int = 5000) -> ControlSolution:
-    """Minimize the penalized dual functional and synthesize the controls.
+    """Minimize the penalized dual functional at C0 = `c0`; synthesize the controls.
 
     CG stagnation is reported in the returned `cg.converged` flag, never
     raised; indefiniteness aborts inside the solver (adjoint bug).  All
@@ -516,13 +524,11 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
     from it: for ball-supported data that is the initial state restricted to
     the reach region.
     """
-    f = datum_field(problem)
-    if problem.target is None:
-        problem = replace(problem, initial_state=f)
+    problem = ops.problem
+    f = datum_field(ops)
     grid = problem.grid
     h_scale = grid.spacing ** grid.dim
-    ops = problem_operators(problem)
-    c0, eps0 = problem.observation_weight, problem.penalty
+    eps0 = problem.penalty
 
     rhs = ops.reach.observe_star([f.values])  # R* already maps into Z
     normal, form = ops.normal(c0), low_rank_form(ops)
@@ -555,7 +561,8 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
     duality_gap = float(np.linalg.norm(gap_vec) * np.sqrt(h_scale)
                         / max(rhs_norm, np.finfo(float).tiny))
 
-    terminal_state = simulate_forward(problem, controls)
+    start = f if problem.target is None else problem.initial_state
+    terminal_state = simulate_forward(ops, start, controls)
     goal = problem.target.values if problem.target is not None \
         else np.zeros(grid.node_count, dtype=np.complex128)
     error_field = Field(grid, ops.projection * (goal - terminal_state.values))
@@ -568,7 +575,7 @@ def solve_control(problem: ImpulseProblem, tol: float = 1e-10,
         terminal_error=float(terminal_error),
         terminal_error_l2=l2_norm(error_field),
         cost=float(cost),
-        datum_norm_sq=datum_norm_sq(problem, f),
+        datum_norm_sq=datum_norm_sq(ops, f),
         bound_lhs=float(bound_lhs),
         cg=cg,
         optimality_residual=optimality,
@@ -622,13 +629,13 @@ def _structured_certificate(form: LowRankForm) -> Callable[[float], bool]:
     return form.positive_definite
 
 
-def calibrate_observation_weight(problem: ImpulseProblem) -> ImpulseProblem:
-    """Return the problem with C0 doubled from 1 until the discrete
-    observability inequality holds, then doubled once more for safety.
+def calibrate_observation_weight(ops: ProblemOperators) -> float:
+    """C0 doubled from 1 until the discrete observability inequality holds,
+    then doubled once more for safety.
 
-    Only the sign of the margin H = C0 O*O + eps0 W - R* V R decides.  The
-    operators are built once.  Where `low_rank_form` derives H from them as
-    D + Y S Y* on Z (two_impulse, complement_approx, ball_null,
+    Only the sign of the margin H = C0 O*O + eps0 W - R* V R decides, and
+    every candidate is decided on `ops`.  Where `low_rank_form` derives H
+    from them as D + Y S Y* on Z (two_impulse, complement_approx, ball_null,
     band_restricted and every cost-scaling problem, within the caps of
     `low_rank_form`), each candidate is decided exactly by the k x k test of
     `_structured_certificate`: C0 is accepted when H is certainly positive
@@ -650,7 +657,6 @@ def calibrate_observation_weight(problem: ImpulseProblem) -> ImpulseProblem:
     states have weighted norms capped near e^{aL}, which floors the
     admissible penalty), and the failure is reported rather than forcing an
     ill-conditioned solve."""
-    ops = problem_operators(problem)
     form = low_rank_form(ops, margin=True)
     if form is not None:
         certified = _structured_certificate(form)
@@ -658,14 +664,14 @@ def calibrate_observation_weight(problem: ImpulseProblem) -> ImpulseProblem:
         def certified(c0: float) -> bool:
             scale, apply_h = ops.congruence(c0), ops.margin(c0)
             margin = lanczos_smallest(lambda v: scale(apply_h(scale(v))),
-                                      problem.grid.node_count,
+                                      ops.problem.grid.node_count,
                                       tol=_MARGIN_TOL / c0, stop_below=0.0)
             return margin.eigenvalue >= margin.residual
 
     c0 = 1.0
     for _ in range(_MAX_DOUBLINGS):
         if certified(c0):
-            return replace(problem, observation_weight=2.0 * c0)
+            return 2.0 * c0
         c0 *= 2.0
     raise RuntimeError(
         "no admissible observation weight found below the conditioning cap; "
@@ -719,11 +725,11 @@ def cost_scaling_study(grid: Grid, u0: Field, gaps: Sequence[float], radius: flo
 
 
 def _solve_scaled(grid, u0, gap, r1, r2, eps0, error_target, tol):
-    problem = replace(variant_problem("two_impulse", grid, T=gap, r1=r1, r2=r2,
-                                      penalty=eps0),
-                      initial_state=u0, target=zero_field(grid))
-    problem = calibrate_observation_weight(problem)
-    solution = solve_control(problem, tol=tol)
+    ops = problem_operators(replace(
+        variant_problem("two_impulse", grid, T=gap, r1=r1, r2=r2, penalty=eps0),
+        initial_state=u0, target=zero_field(grid)))
+    c0 = calibrate_observation_weight(ops)
+    solution = solve_control(ops, c0, tol=tol)
     f_norm = np.sqrt(solution.datum_norm_sq)
     if f_norm == 0.0 or not solution.cg.converged:
         return None
@@ -735,7 +741,7 @@ def _solve_scaled(grid, u0, gap, r1, r2, eps0, error_target, tol):
         "r2": float(r2),
         "stress": float(r1 * r2 / gap),
         "normalized_cost": float(solution.cost / f_norm ** 2),
-        "observation_weight": float(problem.observation_weight),
+        "observation_weight": float(c0),
         "terminal_error_rel": float(solution.terminal_error_l2 / f_norm),
         "cg_iterations": float(solution.cg.iterations),
     }

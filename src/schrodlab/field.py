@@ -285,18 +285,20 @@ def weighted_energy(f: Field, weight: Weight) -> float:
 
 
 def weighted_energy_flagged(f: Field, weight: Weight) -> Tuple[float, bool]:
-    """Weighted energy and whether the exponent cap tripped.
-
-    Raises EnergyOverflowError if the capped summands are still non-finite
-    (|f|^2 large enough to overflow against e^{cap}).
-    """
+    """Weighted energy and whether the exponent cap tripped."""
     w, capped = weight.evaluate(f.grid)
+    return density_energy(f, w), capped
+
+
+def density_energy(f: Field, density: np.ndarray) -> float:
+    """h^dim * sum density |f|^2; raises EnergyOverflowError if a summand
+    overflows (|f|^2 large enough against a density near e^{cap})."""
     with np.errstate(over="ignore"):
-        summands = w * np.abs(f.values) ** 2
+        summands = density * np.abs(f.values) ** 2
     if not np.all(np.isfinite(summands)):
         raise EnergyOverflowError("weighted energy overflowed despite exponent cap")
     h = f.grid.spacing
-    return float(np.sum(summands) * h ** f.grid.dim), capped
+    return float(np.sum(summands) * h ** f.grid.dim)
 
 
 def radial_moment(f: Field, order: int) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, gamma, prod
-from typing import Dict, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import eigh, svd
@@ -363,23 +363,29 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float)
     return Field(grid, values / l2_norm(Field(grid, values)))
 
 
-def spectral_inequality_report(f: Field, r: float, band_radius: float) -> InequalityReport:
-    """Whole-space to outside-ball energy ratio for band-limited fields.
+def spectral_inequality_report(f: Field, radii: Sequence[float],
+                               band_radius: float) -> List[InequalityReport]:
+    """Whole-space to outside-ball energy ratio for band-limited fields, one
+    report per radius r in `radii`.
 
-    The spectrum is projected onto B_N(0) first, so the precondition holds by
-    construction.  A denominator below 1e-300 is reported as a failure flag
-    (a nonzero band-limited function cannot vanish on an open set).
+    The spectrum is projected onto B_N(0) first, once for every radius, so
+    the precondition holds by construction.  A denominator below 1e-300 is
+    reported as a failure flag (a nonzero band-limited function cannot
+    vanish on an open set).
     """
-    if r < 0 or band_radius < 0:
+    if min(radii, default=0.0) < 0 or band_radius < 0:
         raise ValueError("r and N must be nonnegative")
     grid = f.grid
     projected = Field(grid, spectral_multiply(grid, f.values,
                                               _band_symbol(grid, band_radius)))
     lhs = l2_norm(projected) ** 2
-    outside = masked_energy(projected, ball_complement(0.0, r, dim=grid.dim))
-    flags: Dict[str, bool] = {"degenerate_denominator": bool(outside < 1e-300)}
-    return InequalityReport(lhs, {"outside_energy": outside},
-                            _quotient(lhs, outside, flags), flags)
+    reports = []
+    for r in radii:
+        outside = masked_energy(projected, ball_complement(0.0, r, dim=grid.dim))
+        flags: Dict[str, bool] = {"degenerate_denominator": bool(outside < 1e-300)}
+        reports.append(InequalityReport(lhs, {"outside_energy": outside},
+                                        _quotient(lhs, outside, flags), flags))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -178,8 +178,8 @@ def test_criterion_7_control_duality():
             scale = l2_norm(z) * np.sqrt(sum(l2_norm(h) ** 2 for h in hs))
             adjoint_worst = max(adjoint_worst, abs(lhs - rhs) / scale)
 
-        problem = calibrate_observation_weight(problem)
-        solution = solve_control(problem, tol=1e-10)
+        ops = problem_operators(problem)
+        solution = solve_control(ops, calibrate_observation_weight(ops), tol=1e-10)
         if not (solution.cg.converged and solution.cg.relative_residual <= 1e-10):
             failures.append(f"{name}: cg residual {solution.cg.relative_residual:.1e}")
         if solution.bound_lhs > solution.datum_norm_sq * (1.0 + 1e-9):
@@ -218,10 +218,10 @@ def test_criterion_9_spectral_inequality():
             ratios = []
             for j in range(50):
                 f = bandlimited_sample(grid, band, seed=900 + 7919 * j)
-                ratios.append(spectral_inequality_report(f, r, band).quotient)
+                ratios.append(spectral_inequality_report(f, [r], band)[0].quotient)
             all_ge_one &= min(ratios) >= 1.0
             extremal = extremal_bandlimited_concentration(grid, r, band)
-            ratios.append(spectral_inequality_report(extremal, r, band).quotient)
+            ratios.append(spectral_inequality_report(extremal, [r], band)[0].quotient)
             rows.append((r * band, float(np.log(max(ratios)))))
     fit = affine_fit([x for x, _ in rows], [y for _, y in rows])
     report(9, "spectral inequality",

@@ -231,6 +231,34 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r.csv")]) == 2
         assert f"{line.split(' = ')[0]} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("experiment, config, named", [
+        ("control-solve", "control.variant = shifted_decay_null\ncontrol.b = 60\n",
+         "the datum weight tripped its exponent cap; shrink b or L"),
+        ("control-solve", "control.variant = sobolev_dual_approx\ncontrol.a = 100\n",
+         "the error-norm weight tripped its exponent cap; shrink a or L"),
+        ("control-solve", "control.variant = complement_approx\ncontrol.a = 100\n",
+         "the error-norm weight tripped its exponent cap; shrink a or L"),
+        ("control-solve", "control.variant = ball_null\ncontrol.a = 100\n",
+         "the error-norm weight tripped its exponent cap; shrink a or L"),
+        # a L = 800 on the default box (L = 40), past the cap 700
+        ("two-ball-13", "two_ball.a = 20\n",
+         "the prior weight tripped its exponent cap; shrink a or L"),
+    ])
+    def test_capped_weight_is_exit_2(self, tmp_path, capsys, monkeypatch,
+                                     experiment, config, named):
+        # a weight whose exponent passes the cap would measure another norm
+        # than the one named: the control build refuses it before calibration
+        # (this used to crash after the solve, crash inside Lanczos, or exit
+        # 0 with the capped norm), and two-ball-13 refuses its report
+        monkeypatch.setattr(cli, "calibrate_observation_weight",
+                            lambda *a, **k: pytest.fail(
+                                "a capped weight must stop the run before calibration"))
+        cfg = write(tmp_path, "cap.cfg", config)
+        assert main([experiment, "--config", cfg,
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_unresolved_empirical_constant_is_exit_3(self, tmp_path, capsys):
         # gaps 0.05 and 0.1 leave lambda_min below the block's rounding floor
         cfg = write(tmp_path, "gaps.cfg",

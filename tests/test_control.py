@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from schrodlab import control, transform
+from schrodlab import cli, control, transform
 from schrodlab.cli import main
 from schrodlab.control import (VARIANTS, ErrorNorm, ImpulseProblem,
                                calibrate_observation_weight, cost_scaling_study,
@@ -25,11 +25,17 @@ STRUCTURED_MARGIN = STRUCTURED[:4]
 LANCZOS_MARGIN = ["shifted_decay_null", "sobolev_dual_approx"]
 
 
-def observability_margin(problem):
+def observability_margin(problem, c0):
     """Smallest eigenvalue of the unscaled margin C0 O*O + eps0 W - R* V R on
     Z, by Lanczos to 1e-8: the reference every calibration route must meet."""
-    apply_h = problem_operators(problem).margin(problem.observation_weight)
+    apply_h = problem_operators(problem).margin(c0)
     return lanczos_smallest(apply_h, problem.grid.node_count, tol=1e-8)
+
+
+def calibrated_solve(problem, **kwargs):
+    """Build the operators once, calibrate C0 on them and solve at it."""
+    ops = problem_operators(problem)
+    return solve_control(ops, calibrate_observation_weight(ops), **kwargs)
 
 
 def dense_on_z(apply, nodes, size):
@@ -52,11 +58,11 @@ class TestValidation:
         region = whole_space()
         u0 = gaussian_state(GRID)
         with pytest.raises(ValueError):
-            ImpulseProblem(GRID, 1.0, ((1.5, region),), u0, u0, 1e-4, 1.0,
+            ImpulseProblem(GRID, 1.0, ((1.5, region),), u0, u0, 1e-4,
                            ErrorNorm("l2"))
         with pytest.raises(ValueError):
             ImpulseProblem(GRID, 1.0, ((0.5, region), (0.5, region)), u0, u0,
-                           1e-4, 1.0, ErrorNorm("l2"))
+                           1e-4, ErrorNorm("l2"))
 
     def test_variant_combinations(self):
         with pytest.raises(ValueError):
@@ -98,7 +104,7 @@ class TestAdjoints:
 
     def test_observation_terminal_identity(self):
         problem = ImpulseProblem(GRID, 1.0, ((1.0, whole_space()),),
-                                 gaussian_state(GRID), gaussian_state(GRID), 1e-4, 1.0,
+                                 gaussian_state(GRID), gaussian_state(GRID), 1e-4,
                                  ErrorNorm("l2"))
         rng = np.random.default_rng(2)
         z = random_field(GRID, rng)
@@ -130,26 +136,25 @@ class TestSolve:
     def test_zero_datum_gives_zero_controls(self):
         u0 = gaussian_state(GRID)
         problem = ImpulseProblem(GRID, 1.0, ((0.0, whole_space()),), u0,
-                                 propagate(u0, 1.0), 1e-4, 1.0, ErrorNorm("l2"))
-        solution = solve_control(problem)
+                                 propagate(u0, 1.0), 1e-4, ErrorNorm("l2"))
+        solution = solve_control(problem_operators(problem), 1.0)
         assert solution.cost <= 1e-25
         assert solution.terminal_error <= 1e-13
 
     def test_closed_form_single_impulse(self):
         problem = ImpulseProblem(GRID, 1.0, ((0.0, whole_space()),),
                                  gaussian_state(GRID), gaussian_state(GRID, center=1.0),
-                                 1e-4, 3.0, ErrorNorm("l2"))
-        solution = solve_control(problem, tol=1e-13)
-        f = datum_field(problem)
+                                 1e-4, ErrorNorm("l2"))
+        ops = problem_operators(problem)
+        solution = solve_control(ops, 3.0, tol=1e-13)
+        f = datum_field(ops)
         expected = f.values / (3.0 + 1e-4)  # O*O is the identity here
         assert np.abs(solution.dual_state.values - expected).max() \
             <= 1e-12 * np.abs(expected).max()
 
     def test_normal_operator_coercive(self):
         rng = np.random.default_rng(4)
-        problem = replace(variant_problem("two_impulse", penalty=1e-3),
-                          observation_weight=2.0)
-        ops = problem_operators(problem)
+        ops = problem_operators(variant_problem("two_impulse", penalty=1e-3))
         apply_w, gram = ops.weight, ops.observation.gram
         for _ in range(20):
             z = rng.standard_normal(GRID.node_count) \
@@ -158,14 +163,12 @@ class TestSolve:
             assert quad >= 1e-3 * np.vdot(z, z).real * (1.0 - 1e-12)
 
     def test_duality_identity(self):
-        problem = calibrate_observation_weight(variant_problem("two_impulse"))
-        solution = solve_control(problem, tol=1e-11)
+        solution = calibrated_solve(variant_problem("two_impulse"), tol=1e-11)
         assert solution.duality_gap <= 1e-10
         assert solution.optimality_residual <= 1e-10
 
     def test_budget_bound_and_terminal_error(self):
-        problem = calibrate_observation_weight(variant_problem("two_impulse"))
-        solution = solve_control(problem, tol=1e-10)
+        solution = calibrated_solve(variant_problem("two_impulse"), tol=1e-10)
         f_norm_sq = solution.datum_norm_sq
         assert solution.bound_lhs <= f_norm_sq * (1.0 + 1e-9)
         assert solution.terminal_error_l2 <= 1e-3 * np.sqrt(f_norm_sq)
@@ -187,21 +190,21 @@ class TestSolve:
 
     def test_penalty_tradeoff_monotone(self):
         base = variant_problem("two_impulse")
-        calibrated = calibrate_observation_weight(base)
+        c0 = calibrate_observation_weight(problem_operators(base))
         errors = []
         for eps0 in (1e-2, 1e-4, 1e-6):
-            problem = replace(calibrated, penalty=eps0)
-            errors.append(solve_control(problem, tol=1e-11).terminal_error)
+            ops = problem_operators(replace(base, penalty=eps0))
+            errors.append(solve_control(ops, c0, tol=1e-11).terminal_error)
         assert errors[0] >= errors[1] >= errors[2]
 
     def test_ball_null_masks_initial_state(self):
-        problem = calibrate_observation_weight(variant_problem("ball_null"))
-        solution = solve_control(problem)
+        problem = variant_problem("ball_null")
+        ops = problem_operators(problem)
+        solution = solve_control(ops, calibrate_observation_weight(ops))
         # the terminal state is the flow of the masked datum plus controls
         mask = problem.reach_region.indicator(problem.grid)
         masked_u0 = Field(problem.grid, mask * problem.initial_state.values)
-        manual = simulate_forward(replace(problem, initial_state=masked_u0),
-                                  solution.controls)
+        manual = simulate_forward(ops, masked_u0, solution.controls)
         assert np.abs(solution.terminal_state.values - manual.values).max() \
             <= 1e-12
 
@@ -209,13 +212,14 @@ class TestSolve:
 class TestCalibration:
     def test_margin_monotone_in_weight(self):
         problem = variant_problem("two_impulse")
-        margins = [observability_margin(replace(problem, observation_weight=c0)).eigenvalue
+        margins = [observability_margin(problem, c0).eigenvalue
                    for c0 in (1.0, 4.0, 16.0, 64.0)]
         assert all(b >= a - 1e-10 for a, b in zip(margins, margins[1:]))
 
     def test_calibrated_margin_nonnegative(self):
-        problem = calibrate_observation_weight(variant_problem("two_impulse"))
-        assert observability_margin(problem).eigenvalue >= 0.0
+        problem = variant_problem("two_impulse")
+        c0 = calibrate_observation_weight(problem_operators(problem))
+        assert observability_margin(problem, c0).eigenvalue >= 0.0
 
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_early_stop_keeps_the_calibrated_weight(self, name):
@@ -225,10 +229,9 @@ class TestCalibration:
         # margins must land on the same C0
         problem = variant_problem(name)
         c0 = 1.0
-        while observability_margin(replace(problem, observation_weight=c0)).eigenvalue < 0.0:
+        while observability_margin(problem, c0).eigenvalue < 0.0:
             c0 *= 2.0
-        calibrated = calibrate_observation_weight(problem)
-        assert calibrated.observation_weight == 2.0 * c0
+        assert calibrate_observation_weight(problem_operators(problem)) == 2.0 * c0
 
     def test_scaled_margin_certifies_sobolev_variant(self, monkeypatch):
         # unscaled, the (1+|xi|^2)^4 multiplier puts a residual floor near
@@ -241,7 +244,8 @@ class TestCalibration:
             return solves[-1]
 
         monkeypatch.setattr(control, "lanczos_smallest", recorded)
-        calibrate_observation_weight(variant_problem("sobolev_dual_approx"))
+        calibrate_observation_weight(
+            problem_operators(variant_problem("sobolev_dual_approx")))
         accepting = solves[-1]
         assert accepting.eigenvalue >= 1e3 * accepting.residual
         # S H S ~ H / C0, so candidate C0 = 2^k is solved to the unscaled 1e-8 / C0
@@ -250,8 +254,8 @@ class TestCalibration:
     def test_margin_below_its_residual_is_not_accepted(self, monkeypatch):
         # a nonnegative margin that is smaller than its own Ritz residual does
         # not prove the inequality: calibration must double past it
-        problem = variant_problem("shifted_decay_null")
-        reference = calibrate_observation_weight(problem).observation_weight
+        ops = problem_operators(variant_problem("shifted_decay_null"))
+        reference = calibrate_observation_weight(ops)
         spoiled = []
 
         def uncertain(*args, **kwargs):
@@ -263,29 +267,50 @@ class TestCalibration:
             return result
 
         monkeypatch.setattr(control, "lanczos_smallest", uncertain)
-        calibrated = calibrate_observation_weight(problem)
+        calibrated = calibrate_observation_weight(ops)
         assert len(spoiled) == 1
-        assert calibrated.observation_weight == 2.0 * reference
+        assert calibrated == 2.0 * reference
 
-    @pytest.mark.parametrize("name", list(VARIANTS))
-    def test_calibration_builds_the_operators_at_most_once(self, name, monkeypatch):
-        # both routes build the C0-free operators once: the Lanczos route
-        # decides every candidate on them, the structured route on the
-        # low-rank form derived from them
-        builds = []
+    @pytest.mark.parametrize("experiment, variant, builds, indicators", [
+        ("control-solve", "two_impulse", 1, 3),
+        ("control-solve", "complement_approx", 1, 2),
+        ("control-solve", "ball_null", 1, 2),
+        ("control-solve", "band_restricted", 1, 2),
+        ("control-solve", "shifted_decay_null", 1, 2),
+        ("control-solve", "sobolev_dual_approx", 1, 2),
+        ("cost-scaling", None, 6, 18),
+    ])
+    def test_one_operator_build_per_control_run(self, experiment, variant, builds,
+                                                indicators, tmp_path, monkeypatch):
+        # calibration and the solve share one build of the operators, and the
+        # solve reads every mask off them: the regions are evaluated once,
+        # when the operators are built (two per problem and one more for
+        # two_impulse's second impulse; cost-scaling solves six problems)
+        made, evaluated = [], []
 
         def counted(problem):
-            builds.append(problem)
+            made.append(problem)
             return problem_operators(problem)
 
+        indicator = Region.indicator
+
+        def counted_indicator(region, grid):
+            evaluated.append(region)
+            return indicator(region, grid)
+
         monkeypatch.setattr(control, "problem_operators", counted)
-        calibrate_observation_weight(variant_problem(name))
-        assert len(builds) == 1
+        monkeypatch.setattr(cli, "problem_operators", counted)
+        monkeypatch.setattr(Region, "indicator", counted_indicator)
+        config = tmp_path / "run.cfg"
+        config.write_text("" if variant is None else f"control.variant = {variant}\n")
+        assert main([experiment, "--config", str(config),
+                     "--out", str(tmp_path / "run.csv")]) == 0
+        assert (len(made), len(evaluated)) == (builds, indicators)
 
     def test_infeasible_penalty_reported(self):
         problem = variant_problem("complement_approx", L=12.0, penalty=1e-6)
         with pytest.raises(RuntimeError, match="observation pattern"):
-            calibrate_observation_weight(problem)
+            calibrate_observation_weight(problem_operators(problem))
 
 
 class TestStructuredRoute:
@@ -300,11 +325,9 @@ class TestStructuredRoute:
         # to 1e-12: at band_restricted's default 1e-6 the normal operator on Z
         # has condition number near 4e6
         penalty = max(VARIANTS[name]["penalty"], 1e-2)
-        problem = replace(variant_problem(name, M=self.M, penalty=penalty),
-                          observation_weight=4.0)
-        ops = problem_operators(problem)
+        ops = problem_operators(variant_problem(name, M=self.M, penalty=penalty))
         form = low_rank_form(ops)
-        size = problem.grid.node_count
+        size = ops.problem.grid.node_count
         dense = dense_on_z(ops.normal(4.0), form.nodes, size)
         woodbury = dense_on_z(form.inverse(4.0), form.nodes, size)
         reference = np.linalg.inv(dense)
@@ -340,7 +363,7 @@ class TestStructuredRoute:
         if form is None:
             return
         expected = list(ops.observation.backward)
-        if margin and not ops.exact:
+        if margin and ops.problem.target is None:
             expected.append(ops.reach.backward[0])
         assert len(form.terms) == len(expected)
         for (symbol, _), held in zip(form.terms, expected):
@@ -368,8 +391,8 @@ class TestStructuredRoute:
         # move the eigenvalue nearest zero to `fraction` of the floor
         # eps * k * max|eigenvalue|, keeping its sign: inside the floor no
         # candidate is certified; outside it the decision is unchanged
-        problem = variant_problem(name)
-        reference = calibrate_observation_weight(problem).observation_weight
+        ops = problem_operators(variant_problem(name))
+        reference = calibrate_observation_weight(ops)
 
         def spoiled(matrix):
             values = np.linalg.eigvalsh(matrix)
@@ -381,18 +404,18 @@ class TestStructuredRoute:
         monkeypatch.setattr(control, "eigvalsh", spoiled)
         if not accepted:
             with pytest.raises(RuntimeError, match="observation pattern"):
-                calibrate_observation_weight(problem)
+                calibrate_observation_weight(ops)
             return
-        assert calibrate_observation_weight(problem).observation_weight == reference
+        assert calibrate_observation_weight(ops) == reference
 
     @pytest.mark.parametrize("fraction, doubled", [(0.5, True), (2.0, False)])
     def test_scalar_route_keeps_its_floor(self, fraction, doubled, monkeypatch):
         # two_impulse accepts C0 once C0 mu_max (1 + eps k) < d(C0); put the
         # top eigenvalue of Y*Y `fraction` floors below the accepted
         # candidate's bound d/C0: inside the floor that candidate is refused
-        problem = variant_problem("two_impulse")
-        reference = calibrate_observation_weight(problem).observation_weight
-        form = low_rank_form(problem_operators(problem), margin=True)
+        ops = problem_operators(variant_problem("two_impulse"))
+        reference = calibrate_observation_weight(ops)
+        form = low_rank_form(ops, margin=True)
         c0 = reference / 2.0
         bound = form.diagonal(c0)[0] / c0
 
@@ -402,13 +425,13 @@ class TestStructuredRoute:
             return values
 
         monkeypatch.setattr(control, "eigvalsh", spoiled)
-        calibrated = calibrate_observation_weight(problem).observation_weight
+        calibrated = calibrate_observation_weight(ops)
         assert calibrated == (2.0 * reference if doubled else reference)
 
     @pytest.mark.parametrize("name", LANCZOS_MARGIN)
     def test_unstructured_margins_take_the_lanczos_route(self, name, monkeypatch):
-        problem = variant_problem(name)
-        assert low_rank_form(problem_operators(problem), margin=True) is None
+        ops = problem_operators(variant_problem(name))
+        assert low_rank_form(ops, margin=True) is None
         solves = []
 
         def recorded(*args, **kwargs):
@@ -416,21 +439,20 @@ class TestStructuredRoute:
             return solves[-1]
 
         monkeypatch.setattr(control, "lanczos_smallest", recorded)
-        calibrate_observation_weight(problem)
+        calibrate_observation_weight(ops)
         assert solves
 
     @pytest.mark.parametrize("name", STRUCTURED_MARGIN)
     def test_structured_margins_need_no_lanczos(self, name, monkeypatch):
         monkeypatch.setattr(control, "lanczos_smallest", lambda *a, **k: pytest.fail(
             "a structured margin went to Lanczos"))
-        calibrate_observation_weight(variant_problem(name))
+        calibrate_observation_weight(problem_operators(variant_problem(name)))
 
     def test_order_cap_sends_a_problem_to_lanczos(self, monkeypatch):
-        problem = variant_problem("two_impulse")
-        reference = calibrate_observation_weight(problem)
-        structured = solve_control(reference)
+        ops = problem_operators(variant_problem("two_impulse"))
+        reference = calibrate_observation_weight(ops)
+        structured = solve_control(ops, reference)
         monkeypatch.setattr(control, "MAX_BLOCK_ORDER", 8)
-        ops = problem_operators(problem)
         assert low_rank_form(ops) is None
         assert low_rank_form(ops, margin=True) is None
         solves = []
@@ -440,10 +462,10 @@ class TestStructuredRoute:
             return solves[-1]
 
         monkeypatch.setattr(control, "lanczos_smallest", recorded)
-        capped = calibrate_observation_weight(problem)
+        capped = calibrate_observation_weight(ops)
         assert solves
-        assert capped.observation_weight == reference.observation_weight
-        unstructured = solve_control(capped)
+        assert capped == reference
+        unstructured = solve_control(ops, capped)
         assert unstructured.cg.iterations > structured.cg.iterations
         assert unstructured.cost == pytest.approx(structured.cost, rel=1e-8)
 
@@ -454,19 +476,19 @@ class TestStructuredRoute:
         grid = make_grid(1, 20.0, self.M)
         problem = ImpulseProblem(grid, 1.0, ((0.0, whole_space()),),
                                  gaussian_state(grid), gaussian_state(grid, center=1.0),
-                                 0.1, 1.0, norm)
-        assert low_rank_form(problem_operators(problem), margin=True).terms == ()
+                                 0.1, norm)
+        ops = problem_operators(problem)
+        assert low_rank_form(ops, margin=True).terms == ()
         c0 = 1.0
-        while observability_margin(replace(problem, observation_weight=c0)).eigenvalue < 0.0:
+        while observability_margin(problem, c0).eigenvalue < 0.0:
             c0 *= 2.0
-        calibrated = calibrate_observation_weight(problem)
-        assert calibrated.observation_weight == 2.0 * c0
-        assert solve_control(calibrated).cg.iterations == 1
+        calibrated = calibrate_observation_weight(ops)
+        assert calibrated == 2.0 * c0
+        assert solve_control(ops, calibrated).cg.iterations == 1
 
     @pytest.mark.parametrize("name", STRUCTURED)
     def test_structured_cg_takes_at_most_two_iterations(self, name):
-        problem = calibrate_observation_weight(variant_problem(name))
-        solution = solve_control(problem)
+        solution = calibrated_solve(variant_problem(name))
         assert solution.cg.converged and solution.cg.iterations <= 2
         assert solution.optimality_residual <= 1e-12
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from schrodlab.control import ErrorNorm, ImpulseProblem, datum_field, solve_control
+from schrodlab.control import (ErrorNorm, ImpulseProblem, datum_field, problem_operators,
+                               solve_control)
 from schrodlab.counterexamples import SequenceSpec, decay_study
 from schrodlab.field import (Field, ball, field_from_function, make_grid,
                              masked_energy, whole_space)
@@ -60,9 +61,10 @@ def test_control_closed_form_2d():
     u0 = gaussian2()
     target = gaussian2(center=(1.0, 0.0))
     problem = ImpulseProblem(GRID, 1.0, ((0.0, whole_space()),), u0, target,
-                             1e-4, 2.0, ErrorNorm("l2"))
-    solution = solve_control(problem, tol=1e-12)
-    f = datum_field(problem)
+                             1e-4, ErrorNorm("l2"))
+    ops = problem_operators(problem)
+    solution = solve_control(ops, 2.0, tol=1e-12)
+    f = datum_field(ops)
     expected = f.values / (2.0 + 1e-4)
     assert np.abs(solution.dual_state.values - expected).max() \
         <= 1e-11 * np.abs(expected).max()

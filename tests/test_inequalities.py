@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.linalg import dft as dense_dft_matrix
 from scipy.linalg import svdvals
 
+from schrodlab import inequalities
 from schrodlab.field import (Field, ball, ball_complement, field_from_function,
                              l2_norm, make_grid, masked_energy, radial_moment,
                              whole_space, zero_field)
@@ -23,7 +24,7 @@ from schrodlab.inequalities import (AliasingError, bandlimited_sample,
                                     two_ball_report_13, two_time_quotient,
                                     uncertainty_quotient)
 from schrodlab.transform import (dft, lattice_block, propagator_symbol,
-                                 reflection_blocks)
+                                 reflection_blocks, spectral_multiply)
 
 from reference import dense_gramian, reference_gramian
 
@@ -368,14 +369,31 @@ class TestSpectralInequality:
     def test_sinc_kernel_ratio_at_least_one(self):
         grid = make_grid(1, 20.0, 512)
         f = bandlimited_sample(grid, 1.0, seed=0)
-        report = spectral_inequality_report(f, 1.0, 1.0)
+        report, = spectral_inequality_report(f, [1.0], 1.0)
         assert report.quotient >= 1.0
 
     def test_zero_radius_gives_one(self):
         grid = make_grid(1, 20.0, 512)
         f = bandlimited_sample(grid, 2.0, seed=1)
-        report = spectral_inequality_report(f, 0.0, 2.0)
+        report, = spectral_inequality_report(f, [0.0], 2.0)
         assert report.quotient == pytest.approx(1.0, rel=1e-14)
+
+    def test_one_projection_scores_every_radius(self, monkeypatch):
+        grid = make_grid(1, 10.0, 256)
+        f = bandlimited_sample(grid, 2.0, seed=3)
+        radii = [0.0, 0.5, 1.0, 2.0]
+        alone = [spectral_inequality_report(f, [r], 2.0)[0] for r in radii]
+        projections = []
+
+        def counted(*args):
+            projections.append(args)
+            return spectral_multiply(*args)
+
+        monkeypatch.setattr(inequalities, "spectral_multiply", counted)
+        together = spectral_inequality_report(f, radii, 2.0)
+        assert len(projections) == 1
+        assert [(rep.lhs, rep.terms, rep.quotient) for rep in together] \
+            == [(rep.lhs, rep.terms, rep.quotient) for rep in alone]
 
     @pytest.mark.parametrize("half_extent, points, r, band", [
         (8.0, 64, 1.5, 2.0),   # band side (11 band nodes, 13 ball nodes)
@@ -415,7 +433,7 @@ class TestSpectralInequality:
         for r in (0.5, 1.0, 2.0):
             for band in (1.0, 2.0, 4.0):
                 f = extremal_bandlimited_concentration(grid, r, band)
-                report = spectral_inequality_report(f, r, band)
+                report, = spectral_inequality_report(f, [r], band)
                 rows.append((r * band, np.log(report.quotient)))
         fit = affine_fit([x for x, _ in rows], [y for _, y in rows])
         assert fit.slope > 0 and fit.r_squared >= 0.8
