@@ -16,14 +16,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .field import (Field, ball, ball_complement, box_tail_fraction,
-                    gaussian_state, l2_norm, make_grid, GridError)
+from .field import (CappedWeightError, Field, ball, ball_complement,
+                    box_tail_fraction, gaussian_state, l2_norm, make_grid, GridError)
 from .fitting import affine_fit
 from .control import (VARIANTS, calibrate_observation_weight, cost_scaling_study,
                       problem_operators, solve_control, variant_problem)
@@ -322,9 +322,6 @@ def _run_two_time(config: dict, seed: int, threads: int) -> ExperimentResult:
 def _run_empirical_constant(config: dict, seed: int, threads: int) -> ExperimentResult:
     grid = _grid_from(config)
     radius, gaps = config["observability.radius"], config["observability.gaps"]
-    if len(gaps) < 2:
-        raise ConfigError("observability.gaps needs at least two gaps for the "
-                          f"log-constant fit, got {len(gaps)}")
     region = ball_complement(0.0, radius, dim=grid.dim)
 
     def one(gap: float) -> Dict[str, object]:
@@ -348,9 +345,6 @@ def _run_empirical_constant(config: dict, seed: int, threads: int) -> Experiment
     return ExperimentResult(rows, summary)
 
 
-_PRIOR_CAPPED = "the prior weight tripped its exponent cap; shrink a or L"
-
-
 def _run_interpolation_12(config: dict, seed: int, threads: int) -> ExperimentResult:
     grid = _grid_from(config)
     r, a, t, scales = (config[f"interpolation.{k}"] for k in ("r", "a", "T", "scales"))
@@ -369,12 +363,9 @@ def _run_interpolation_12(config: dict, seed: int, threads: int) -> ExperimentRe
         report = interpolation_report_12(member(scale), r, a, t)
         return {"scale": scale, "lhs": report.lhs,
                 "observation": report.terms["observation"],
-                "prior": report.terms["prior"],
-                "weight_capped": report.flags["weight_capped"]}
+                "prior": report.terms["prior"]}
 
     rows = _map_ordered(one, scales, threads)
-    if any(row["weight_capped"] for row in rows):
-        raise ConfigError(_PRIOR_CAPPED)
     fit = fit_interpolation_12(
         [(row["lhs"], row["observation"], row["prior"], r, a, t) for row in rows],
         grid.dim)
@@ -393,8 +384,6 @@ def _run_two_ball_13(config: dict, seed: int, threads: int) -> ExperimentResult:
 
     def one(sep: float) -> Dict[str, object]:
         report = two_ball_report_13(u0, -sep / 2.0, sep / 2.0, r1, r2, a, t)
-        if report.flags["weight_capped"]:
-            raise ConfigError(_PRIOR_CAPPED)
         return {"separation": sep, "lhs": report.lhs,
                 "observation": report.terms["observation"],
                 "prior": report.terms["prior"], "p": report.terms["p"]}
@@ -578,13 +567,9 @@ def _run_control_solve(config: dict, seed: int, threads: int) -> ExperimentResul
 def _run_cost_scaling(config: dict, seed: int, threads: int) -> ExperimentResult:
     grid = _grid_from(config)
     u0 = gaussian_state(grid, config["control.sigma"])
-    gaps = config["cost.gaps"]
-    if len(gaps) < 2:
-        raise ConfigError("cost.gaps needs at least two gaps for the log-cost fit, "
-                          f"got {len(gaps)}")
     try:
         study = cost_scaling_study(
-            grid, u0, gaps, config["cost.radius"],
+            grid, u0, config["cost.gaps"], config["cost.radius"],
             eps0=config["cost.penalty"], error_target=config["cost.error_target"],
             fixed_gap=config["cost.fixed_gap"], tol=config["cost.cg_tolerance"])
     except IndefiniteOperatorError:
@@ -638,11 +623,21 @@ def _run_bridge(config: dict, seed: int, threads: int) -> ExperimentResult:
 
 @dataclass(frozen=True)
 class Experiment:
-    """A catalog entry; `keys` is its key table (see `resolve`)."""
+    """A catalog entry; `keys` is its key table (see `resolve`), `sweep` maps
+    settings to the name and values its fit runs along, or None (`_check_sweep`)."""
     description: str
     theorem: str
     runner: Callable[[dict, int, int], ExperimentResult]
     keys: Dict[str, object]
+    sweep: Optional[Callable[[dict], Optional[Tuple[str, list]]]] = None
+
+
+def _check_sweep(entry: Experiment, config: dict) -> None:
+    """Refuse, before the run, a fit's sweep with fewer than two distinct values."""
+    swept = entry.sweep(config) if entry.sweep else None
+    if swept is not None and len(set(swept[1])) < 2:
+        raise ConfigError(f"{swept[0]} needs at least two distinct values for "
+                          f"the fit, got {swept[1]}")
 
 
 _TAIL = {"tail_tolerance": (1e-10, "non-negative")}
@@ -684,13 +679,15 @@ EXPERIMENTS = {
         "Gramian smallest eigenvalue vs time gap", "two-time observability constant",
         _run_empirical_constant, {
             **_grid_keys(20.0, 512), "observability.radius": (2.0, "non-negative"),
-            "observability.gaps": ([0.25, 0.5, 1.0, 2.0], "positive")}),
+            "observability.gaps": ([0.25, 0.5, 1.0, 2.0], "positive")},
+        lambda c: ("observability.gaps", c["observability.gaps"])),
     "interpolation-12": Experiment(
         "bump family fit of the interpolation inequality",
         "one-time interpolation estimate", _run_interpolation_12, {
             **_grid_keys(20.0, 1024), **_TAIL, "interpolation.r": (1.0, "positive"),
             "interpolation.a": (1.0, "positive"), "interpolation.T": (1.0, "positive"),
-            "interpolation.scales": (np.linspace(0.5, 3.0, 20).tolist(), "positive")}),
+            "interpolation.scales": (np.linspace(0.5, 3.0, 20).tolist(), "positive")},
+        lambda c: ("interpolation.scales", c["interpolation.scales"])),
     "two-ball-13": Experiment(
         "ball-to-ball terminal estimates", "two-ball unique continuation",
         _run_two_ball_13, {
@@ -703,13 +700,16 @@ EXPERIMENTS = {
         _run_spectral_ineq, {
             **_grid_keys(10.0, 512), "spectral.radii": ([0.5, 1.0, 2.0], "non-negative"),
             "spectral.bands": ([1.0, 2.0, 4.0, 8.0], "positive"),
-            "spectral.samples": (50, "at least 1")}),
+            "spectral.samples": (50, "at least 1")},
+        lambda c: ("spectral.radii x spectral.bands (the rN products)", [
+            r * n for r in c["spectral.radii"] for n in c["spectral.bands"]])),
     "moment-34": Experiment(
         "moment growth of the flow", "moment propagation", _run_moment_34, {
             # box sized for the T=16 flow of the sigma=2 state; the wider
             # Gaussian keeps the finite-range secant slope under the 2k budget
             **_grid_keys(80.0, 2048), **_TAIL, "moment.sigma": (2.0, "positive"),
-            "moment.times": ([1.0, 2.0, 4.0, 8.0, 16.0], "non-negative")}),
+            "moment.times": ([1.0, 2.0, 4.0, 8.0, 16.0], "non-negative")},
+        lambda c: ("moment.times", c["moment.times"])),
     "euler-21": Experiment(
         "weighted moment integrals vs factorial bound", "Euler-integral bound",
         _run_euler_21, {"euler.amplitudes": ([0.5, 1.0, 2.0], "positive")}),
@@ -724,7 +724,10 @@ EXPERIMENTS = {
             "counterexample.r2": (float, "non-negative"), "counterexample.S1": 0.5,
             "counterexample.S2": (0.5, "positive"),
             "counterexample.a": (1.0, "positive"),
-            "counterexample.time_slices": 48}),
+            "counterexample.time_slices": 48},
+        # the other families report per-k values and fit no slope along k
+        lambda c: ("counterexample.k", c["counterexample.k"])
+        if c["counterexample.family"] == "concentrating" else None),
     "control-solve": Experiment(
         "penalized dual control synthesis", "impulse control duality",
         _run_control_solve, {
@@ -743,7 +746,8 @@ EXPERIMENTS = {
             "cost.gaps": ([0.25, 0.5, 1.0, 2.0], "positive"),
             "cost.radius": (2.0, "positive"), "cost.fixed_gap": (0.5, "positive"),
             "cost.penalty": (1e-6, "positive"), "cost.error_target": (1e-3, "positive"),
-            "cost.cg_tolerance": (1e-8, "positive")}),
+            "cost.cg_tolerance": (1e-8, "positive")},
+        lambda c: ("cost.gaps", c["cost.gaps"])),
 }
 
 def list_experiments() -> str:
@@ -869,8 +873,9 @@ def main(argv: Sequence[str] = None) -> int:
     try:
         values = load_config(args.config) if args.config else {}
         config = resolve(entry.keys, values, args.experiment)
+        _check_sweep(entry, config)
         result = entry.runner(config, args.seed, args.threads)
-    except ConfigError as exc:
+    except (ConfigError, CappedWeightError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:

@@ -55,7 +55,7 @@ from numpy.linalg import eigvalsh
 from scipy.linalg import lu_factor, lu_solve
 
 from .field import (Field, Grid, Region, Weight, ball, ball_complement, density_energy,
-                    gaussian_state, l2_norm, make_grid, weighted_energy_flagged,
+                    gaussian_state, l2_norm, make_grid, weighted_energy,
                     whole_space, zero_field)
 from .fitting import FitResult, affine_fit
 from .solvers import CGResult, Operator, conjugate_gradient, lanczos_smallest
@@ -256,7 +256,7 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     the indicator of reach_region.
 
     This is where the error-norm kind picks W: the identity for "l2", the
-    capped density e^{a|x|} for "dual_weighted", and that
+    density e^{a|x|} for "dual_weighted", and that
     density plus the H^{n+3} multiplier (1+|xi|^2)^{n+3} for "sobolev_dual";
     `diagonal` is W itself where W is diagonal in x, None for "sobolev_dual".
     Sigma is that density (e^{aL} at the box edge) or multiplier (~1e12), in
@@ -267,8 +267,8 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     solve_control uses that form's exact Woodbury inverse.  Its square root
     is the congruence S that Lanczos calibration wraps around `margin(c0)`.
 
-    Raises ValueError, naming `a` or `b`, when the e^{a|x|} or the datum
-    weight trips its exponent cap: it would measure another norm."""
+    Raises CappedWeightError (a ValueError) when the e^{a|x|} or the datum
+    weight passes its exponent cap: a clamped weight measures another norm."""
     grid = problem.grid
     norm = problem.error_norm
     observation = flow_observation(
@@ -281,7 +281,7 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     if norm.kind == "l2":
         weight, diagonal, sigma = (lambda v: v.copy()), np.ones(grid.node_count), None
     else:
-        grow = _uncapped(Weight(norm.amplitude, "grow"), grid, "error-norm", "a")
+        grow = Weight(norm.amplitude, "grow").evaluate(grid)
         if norm.kind == "dual_weighted":
             weight, diagonal, sigma = (lambda v: grow * v), grow, grow
         else:  # sobolev_dual: e^{a|x|} 'plus' the H^{n+3} spectral multiplier
@@ -289,18 +289,9 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
             weight = (lambda v: grow * v + spectral_multiply(grid, v, sigma))
             multiply = (lambda factor, v: spectral_multiply(grid, v, factor))
     density = np.ones(grid.node_count) if problem.datum_weight is None \
-        else _uncapped(problem.datum_weight, grid, "datum", "b")
+        else problem.datum_weight.evaluate(grid)
     return ProblemOperators(problem, observation, reach, weight, projection, density,
                             diagonal, sigma, multiply)
-
-
-def _uncapped(weight: Weight, grid: Grid, role: str, amplitude: str) -> np.ndarray:
-    """The weight's values on the grid; ValueError if its exponent cap tripped."""
-    values, capped = weight.evaluate(grid)
-    if capped:
-        raise ValueError(f"the {role} weight tripped its exponent cap; "
-                         f"shrink {amplitude} or L")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -600,8 +591,7 @@ def _error_diagnostics(problem: ImpulseProblem, error_field: Field) -> Dict[str,
     if norm.kind == "sobolev_dual":
         values = spectral_multiply(grid, values, _sobolev_symbol(grid, -0.5))
         key = "simulated_error_dual_approx"
-    energy, _ = weighted_energy_flagged(Field(grid, values),
-                                        Weight(norm.amplitude, "decay"))
+    energy = weighted_energy(Field(grid, values), Weight(norm.amplitude, "decay"))
     out[key] = float(np.sqrt(energy))
     return out
 

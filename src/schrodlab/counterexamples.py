@@ -25,7 +25,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .field import Field, Grid, Region, Weight, ball, ball_complement, l2_norm, \
-    masked_energy, weighted_energy_flagged
+    masked_energy, weighted_energy
 from .fitting import FitResult, loglog_fit
 from .transform import dft, dual_solve, fresnel_map, propagate
 
@@ -214,7 +214,7 @@ def decay_study(spec: SequenceSpec, grid: Grid, k_values: Sequence[int],
         for k in k_values:
             u_k = generate(spec, grid, k)
             terminal = fresnel_map(u_k, spec.horizon)
-            weighted, _ = weighted_energy_flagged(u_k, weight)
+            weighted = weighted_energy(u_k, weight)
             rows.append({
                 "k": float(k),
                 "terminal_inside": masked_energy(terminal, inside),

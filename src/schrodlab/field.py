@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-# exp(x) overflows double precision near x ~ 709.78
+# exp(x) overflows near x ~ 709.78; a weight's exponent past this is refused
 EXPONENT_CAP = 700.0
 
 
@@ -23,8 +23,12 @@ class GridError(ValueError):
     """Invalid grid construction parameters."""
 
 
+class CappedWeightError(ValueError):
+    """An exponential weight's exponent passes EXPONENT_CAP on the grid."""
+
+
 class EnergyOverflowError(FloatingPointError):
-    """A weighted energy produced a non-finite value even after capping."""
+    """A weighted energy produced a non-finite value with its weight in range."""
 
 
 @dataclass(frozen=True)
@@ -229,12 +233,12 @@ def whole_space() -> Region:
 
 @dataclass(frozen=True)
 class Weight:
-    """Exponential weight exp(+-a |x|) with an overflow cap on the exponent.
+    """Exponential weight exp(+-a |x|), refused past its exponent cap.
 
     sign="grow" is e^{a|x|}, sign="decay" is e^{-a|x|}.  An optional
     center shifts |x| to |x - center| (the e^{-b|x-x'|} weights of the decay
-    estimates).  The exponent is capped at EXPONENT_CAP before exponentiating;
-    evaluate() reports whether the cap was hit.
+    estimates).  evaluate() raises CappedWeightError when a|x - center|
+    passes EXPONENT_CAP at some node of the grid.
     """
 
     amplitude: float
@@ -247,15 +251,19 @@ class Weight:
         if self.sign not in ("grow", "decay"):
             raise ValueError(f"weight sign must be grow or decay, got {self.sign!r}")
 
-    def evaluate(self, grid: Grid) -> Tuple[np.ndarray, bool]:
-        """Weight values on the grid and whether the exponent cap tripped."""
+    def evaluate(self, grid: Grid) -> np.ndarray:
+        """Weight values on the grid; CappedWeightError past the exponent cap."""
         rsq = grid.radius_sq(self.center if self.center else None)
         arg = self.amplitude * rsq ** 0.5
-        capped = bool(np.any(arg > EXPONENT_CAP))
-        arg = np.minimum(arg, EXPONENT_CAP)
+        peak = float(arg.max())
+        if peak > EXPONENT_CAP:
+            raise CappedWeightError(
+                f"the exponential weight of amplitude {self.amplitude:g} reaches "
+                f"exponent {peak:.4g} on this box, past the cap {EXPONENT_CAP:g}; "
+                f"shrink the amplitude or L")
         if self.sign == "decay":
             arg = -arg
-        return np.exp(arg), capped
+        return np.exp(arg)
 
 
 def l2_norm(f: Field) -> float:
@@ -280,14 +288,8 @@ def masked_energy(f: Field, region: Region) -> float:
 
 
 def weighted_energy(f: Field, weight: Weight) -> float:
-    value, _ = weighted_energy_flagged(f, weight)
-    return value
-
-
-def weighted_energy_flagged(f: Field, weight: Weight) -> Tuple[float, bool]:
-    """Weighted energy and whether the exponent cap tripped."""
-    w, capped = weight.evaluate(f.grid)
-    return density_energy(f, w), capped
+    """h^dim * sum w |f|^2; CappedWeightError if the weight passes its cap."""
+    return density_energy(f, weight.evaluate(f.grid))
 
 
 def density_energy(f: Field, density: np.ndarray) -> float:
@@ -296,7 +298,7 @@ def density_energy(f: Field, density: np.ndarray) -> float:
     with np.errstate(over="ignore"):
         summands = density * np.abs(f.values) ** 2
     if not np.all(np.isfinite(summands)):
-        raise EnergyOverflowError("weighted energy overflowed despite exponent cap")
+        raise EnergyOverflowError("weighted energy overflowed inside the exponent cap")
     h = f.grid.spacing
     return float(np.sum(summands) * h ** f.grid.dim)
 

@@ -23,8 +23,8 @@ def affine_fit(x: Sequence[float], y: Sequence[float]) -> FitResult:
     """Ordinary least squares y ~ slope*x + intercept with R^2 in [0, 1]."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.size < 2:
-        raise ValueError("affine_fit needs two equally sized samples of length >= 2")
+    if x.shape != y.shape or np.unique(x).size < 2:
+        raise ValueError("affine_fit needs same-size samples with two distinct abscissae")
     slope, intercept = np.polyfit(x, y, 1)
     predicted = slope * x + intercept
     ss_res = float(np.sum((y - predicted) ** 2))

@@ -27,7 +27,7 @@ from .field import (
     l2_norm,
     masked_energy,
     radial_moment,
-    weighted_energy_flagged,
+    weighted_energy,
 )
 from .transform import (MAX_BLOCK_ORDER, chirp_aliasing_ok, dft, fft_symbol, idft,
                         propagate, propagator_symbol, reflection_blocks,
@@ -223,9 +223,9 @@ def interpolation_report_12(u0: Field, r: float, a: float, t: float,
     p, prefactor = _interpolation_shape(theta, r, a, t, grid.dim)
     lhs = l2_norm(u0) ** 2
     obs = masked_energy(propagate(u0, t), ball_complement(0.0, r, dim=grid.dim))
-    prior, capped = weighted_energy_flagged(u0, Weight(a, "grow"))
+    prior = weighted_energy(u0, Weight(a, "grow"))
     product = 0.0 if (obs == 0.0 and lhs == 0.0) else obs ** p * prior ** (1.0 - p)
-    flags = {"weight_capped": capped, "valid": not capped}
+    flags: Dict[str, bool] = {}
     quotient = _quotient(lhs, prefactor * product, flags)
     return InequalityReport(
         lhs, {"observation": obs, "prior": prior, "product": product}, quotient, flags)
@@ -278,12 +278,12 @@ def two_ball_report_13(u0: Field, x_prime, x_dprime, r1: float, r2: float,
     u_t = propagate(u0, t)
     lhs = masked_energy(u_t, ball(x_dprime, r2, dim=grid.dim))
     obs = masked_energy(u_t, ball(x_prime, r1, dim=grid.dim))
-    prior, capped = weighted_energy_flagged(u0, Weight(a, "grow"))
+    prior = weighted_energy(u0, Weight(a, "grow"))
     separation = float(np.linalg.norm(
         np.atleast_1d(np.asarray(x_prime, dtype=float))
         - np.atleast_1d(np.asarray(x_dprime, dtype=float))))
     p = 1.0 + (separation + r1 + r2) / min(a * t, r1)
-    flags = {"weight_capped": capped, "valid": not capped}
+    flags: Dict[str, bool] = {}
     quotient = _quotient(lhs, obs + prior, flags)
     return InequalityReport(
         lhs, {"observation": obs, "prior": prior, "p": p, "separation": separation},

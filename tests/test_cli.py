@@ -5,9 +5,11 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import schrodlab
@@ -141,7 +143,8 @@ class TestExitCodes:
         cfg = write(tmp_path, "gap.cfg", "grid.M = 64\nobservability.gaps = 1.0\n")
         assert main(["empirical-constant", "--config", cfg,
                      "--out", str(tmp_path / "e.csv")]) == 2
-        assert "at least two gaps" in capsys.readouterr().err
+        assert ("observability.gaps needs at least two distinct values"
+                in capsys.readouterr().err)
         assert not (tmp_path / "e.csv").exists()
 
     def test_missing_output_directory(self, tmp_path, capsys, monkeypatch):
@@ -233,30 +236,37 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("experiment, config, named", [
         ("control-solve", "control.variant = shifted_decay_null\ncontrol.b = 60\n",
-         "the datum weight tripped its exponent cap; shrink b or L"),
+         "amplitude 60 reaches exponent 780 on this box, past the cap 700"),
         ("control-solve", "control.variant = sobolev_dual_approx\ncontrol.a = 100\n",
-         "the error-norm weight tripped its exponent cap; shrink a or L"),
+         "amplitude 100 reaches exponent 1200 on this box, past the cap 700"),
         ("control-solve", "control.variant = complement_approx\ncontrol.a = 100\n",
-         "the error-norm weight tripped its exponent cap; shrink a or L"),
+         "amplitude 100 reaches exponent 2000 on this box, past the cap 700"),
         ("control-solve", "control.variant = ball_null\ncontrol.a = 100\n",
-         "the error-norm weight tripped its exponent cap; shrink a or L"),
+         "amplitude 100 reaches exponent 1200 on this box, past the cap 700"),
         # a L = 800 on the default box (L = 40), past the cap 700
         ("two-ball-13", "two_ball.a = 20\n",
-         "the prior weight tripped its exponent cap; shrink a or L"),
+         "amplitude 20 reaches exponent 800 on this box, past the cap 700"),
+        ("interpolation-12", "interpolation.a = 40\n",
+         "amplitude 40 reaches exponent 800 on this box, past the cap 700"),
+        # this used to exit 0 and write the clamped weighted energy
+        ("counterexample", "counterexample.family = modulated\ncounterexample.a = 50\n",
+         "amplitude 50 reaches exponent 750 on this box, past the cap 700"),
     ])
     def test_capped_weight_is_exit_2(self, tmp_path, capsys, monkeypatch,
                                      experiment, config, named):
         # a weight whose exponent passes the cap would measure another norm
-        # than the one named: the control build refuses it before calibration
-        # (this used to crash after the solve, crash inside Lanczos, or exit
-        # 0 with the capped norm), and two-ball-13 refuses its report
+        # than the one named: evaluating it raises, so the control build
+        # refuses it before calibration (this used to crash after the solve,
+        # crash inside Lanczos, or exit 0 with the capped norm) and every
+        # report or study that measures it stops
         monkeypatch.setattr(cli, "calibrate_observation_weight",
                             lambda *a, **k: pytest.fail(
                                 "a capped weight must stop the run before calibration"))
         cfg = write(tmp_path, "cap.cfg", config)
         assert main([experiment, "--config", cfg,
                      "--out", str(tmp_path / "c.csv")]) == 2
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and "shrink the amplitude or L" in err
         assert not (tmp_path / "c.csv").exists()
 
     def test_unresolved_empirical_constant_is_exit_3(self, tmp_path, capsys):
@@ -284,7 +294,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("experiment, config, named", [
         ("empirical-constant", "grid.M = 4096\nobservability.radius = 30.0\n",
          "observability.radius = 30: dense block of order 8192 is outside 1..4096"),
-        ("spectral-ineq-27", "grid.dim = 2\ngrid.M = 128\nspectral.radii = 8.0\n"
+        # a second radius gives the fit two rN values; r = 8 is solved first
+        ("spectral-ineq-27", "grid.dim = 2\ngrid.M = 128\nspectral.radii = 8.0, 4.0\n"
          "spectral.bands = 16.0\nspectral.samples = 1\n",
          "spectral.radii 8, spectral.bands 16: dense block of order"),
     ])
@@ -346,7 +357,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("line, named", [
         ("cost.gaps = 0.0, 1.0", "cost.gaps must be positive"),
-        ("cost.gaps = 1.0", "at least two gaps"),
+        ("cost.gaps = 1.0", "cost.gaps needs at least two distinct values"),
         ("cost.fixed_gap = -0.5", "cost.fixed_gap must be positive"),
         ("cost.radius = 0.0", "cost.radius must be positive"),
         ("cost.penalty = 0.0", "cost.penalty must be positive"),
@@ -409,8 +420,9 @@ class TestExitCodes:
 
     def test_uncertified_extremal_is_exit_3(self, tmp_path, capsys):
         # at rN = 24 the top of K is 1 to rounding: 1 - mu is not resolved
+        # (r = 2 is solved first; r = 1 gives the fit a second rN value)
         cfg = write(tmp_path, "s.cfg", "grid.M = 512\ngrid.L = 10.0\n"
-                    "spectral.bands = 12.0\nspectral.radii = 2.0\n"
+                    "spectral.bands = 12.0\nspectral.radii = 2.0, 1.0\n"
                     "spectral.samples = 1\n")
         assert main(["spectral-ineq-27", "--config", cfg,
                      "--out", str(tmp_path / "s.csv")]) == 3
@@ -499,6 +511,22 @@ class TestKeyTables:
                      "--out", str(tmp_path / "r.csv")]) == 2
         assert f"{key} must be {rule}, got" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("experiment, key, repeats", [
+        (experiment, key, repeats) for experiment, entry in EXPERIMENTS.items()
+        for key, spec in entry.keys.items()
+        if isinstance(cli._declared(spec)[0], list) for repeats in (1, 2)])
+    def test_list_value_never_ends_in_a_traceback(self, tmp_path, experiment, key,
+                                                  repeats):
+        # a single sweep value, or one value twice, used to leave a fit
+        # without a slope: a traceback, or exit 0 with an arbitrary slope
+        first = cli._declared(EXPERIMENTS[experiment].keys[key])[0][0]
+        cfg = write(tmp_path, "l.cfg", f"{key} = " + ", ".join([repr(first)] * repeats)
+                    + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", np.exceptions.RankWarning)
+            assert main([experiment, "--config", cfg,
+                         "--out", str(tmp_path / "l.csv")]) in (0, 2)
 
     @pytest.mark.parametrize("experiment, key", [
         (experiment, key) for experiment, entry in EXPERIMENTS.items()

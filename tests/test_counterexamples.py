@@ -138,6 +138,11 @@ class TestDecayStudy:
         with pytest.raises(ValueError):
             decay_study(spec, GRID, [1], time_slices=16)
 
+    def test_repeated_k_leaves_no_slope_to_fit(self):
+        # k = 1, 1 used to reach the fit and fail there as "SVD did not converge"
+        with pytest.raises(ValueError, match="two distinct abscissae"):
+            decay_study(SequenceSpec("concentrating"), GRID, [1, 1])
+
     def test_rejects_nonpositive_s2(self):
         # the inside-ball energy is integrated over (0, S2): S2 <= 0 used to
         # yield negative or zero integrals

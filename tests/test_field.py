@@ -7,11 +7,11 @@ scipy.special.erf evaluations of the continuum integrals.
 import numpy as np
 import pytest
 
-from schrodlab.field import (EnergyOverflowError, Field, GridError, Weight,
-                             ball, ball_complement, box_tail_fraction, dot,
-                             field_from_function, l2_norm, make_grid,
-                             masked_energy, radial_moment, weighted_energy,
-                             weighted_energy_flagged, whole_space, zero_field)
+from schrodlab.field import (CappedWeightError, EnergyOverflowError, Field,
+                             GridError, Weight, ball, ball_complement,
+                             box_tail_fraction, dot, field_from_function, l2_norm,
+                             make_grid, masked_energy, radial_moment,
+                             weighted_energy, whole_space, zero_field)
 
 # independent quadrature oracles (tests/oracles.py documents the recipes)
 INT_EXP_MINUS_X2_BALL1 = 1.4936482656248540   # quad(e^{-x^2}, -1, 1)
@@ -161,19 +161,22 @@ class TestWeightedEnergy:
         assert errors[4096] <= 2.5e-5
         assert errors[4096] <= errors[2048] / 3.0
 
-    def test_cap_flag(self):
+    def test_weight_past_its_cap_is_refused(self):
+        # a L = 1000 on L = 20: clamping would measure another norm
         grid = make_grid(1, 20.0, 64)
         f = gaussian(grid)
-        _, capped = weighted_energy_flagged(f, Weight(50.0))
-        assert capped
-        _, capped = weighted_energy_flagged(f, Weight(1.0))
-        assert not capped
+        with pytest.raises(CappedWeightError, match="amplitude 50 reaches exponent 1000"):
+            weighted_energy(f, Weight(50.0))
+        with pytest.raises(CappedWeightError):
+            Weight(50.0, "decay").evaluate(grid)
+        assert weighted_energy(f, Weight(1.0)) > 0.0
 
     def test_overflow_signalled(self):
+        # a L = 600 is inside the cap, but e^600 |f|^2 passes the double range
         grid = make_grid(1, 20.0, 64)
-        huge = Field(grid, np.full(64, 1e160, dtype=complex))
+        huge = Field(grid, np.full(64, 1e100, dtype=complex))
         with pytest.raises(EnergyOverflowError):
-            weighted_energy(huge, Weight(50.0))
+            weighted_energy(huge, Weight(30.0))
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
