@@ -136,7 +136,8 @@ _KINDS = {float: ("a number", (int, float)), int: ("an integer", int),
           str: ("a string", str)}
 # a range rule's name is its error text; every float key is also held finite
 _RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0,
-          "at least 1": lambda v: v >= 1, "finite": np.isfinite}
+          "at least 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1,
+          "finite": np.isfinite}
 
 
 def resolve(keys: Dict[str, object], values: Dict[str, object],
@@ -657,7 +658,7 @@ EXPERIMENTS = {
         _run_verify_identity, {
             **_grid_keys(40.0, 2048), **_TAIL, "fresnel.sigma": (1.0, "positive"),
             "fresnel.times": ([0.5, 1.0, 2.0], "positive"),
-            "fresnel.compare_box_fraction": (0.95, "non-negative")}),
+            "fresnel.compare_box_fraction": (0.95, "in [0, 1]")}),
     "bridge": Experiment(
         "chirp invariance and the spectral/flow energy bridge",
         "uncertainty-observability equivalence", _run_bridge, {
@@ -822,6 +823,20 @@ def _json_default(value):
 # entry point
 
 
+def _check_output(out: Path, config: Optional[str]) -> None:
+    """Refuse a CSV `out` that cannot be written beside its JSON summary
+    without a traceback or overwriting the summary or the config."""
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory {str(out.parent)!r} does not exist")
+    if out.is_dir() or out.with_suffix(".json").is_dir():
+        raise ConfigError(f"output path {str(out)!r} or its JSON summary is a directory")
+    if out.suffix == ".json":
+        raise ConfigError(f"output path {str(out)!r} is also its JSON summary path")
+    for path in (out, out.with_suffix(".json")):
+        if config and path.resolve() == Path(config).resolve():
+            raise ConfigError(f"output path {str(path)!r} is the config file {config!r}")
+
+
 def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="schrodlab",
@@ -864,13 +879,9 @@ def main(argv: Sequence[str] = None) -> int:
         return 2
 
     out_path = Path(args.out) if args.out else Path(f"{args.experiment}.csv")
-    if not out_path.parent.is_dir():
-        print(f"error: output directory {str(out_path.parent)!r} does not exist",
-              file=sys.stderr)
-        return 2
-
     entry = EXPERIMENTS[args.experiment]
     try:
+        _check_output(out_path, args.config)
         values = load_config(args.config) if args.config else {}
         config = resolve(entry.keys, values, args.experiment)
         _check_sweep(entry, config)

@@ -55,8 +55,7 @@ from numpy.linalg import eigvalsh
 from scipy.linalg import lu_factor, lu_solve
 
 from .field import (Field, Grid, Region, Weight, ball, ball_complement, density_energy,
-                    gaussian_state, l2_norm, make_grid, weighted_energy,
-                    whole_space, zero_field)
+                    gaussian_state, l2_norm, make_grid, whole_space, zero_field)
 from .fitting import FitResult, affine_fit
 from .solvers import CGResult, Operator, conjugate_gradient, lanczos_smallest
 from .transform import (MAX_BLOCK_ORDER, FlowObservation, fft_symbol, flow_observation,
@@ -179,7 +178,7 @@ def variant_problem(name: str, grid: Optional[Grid] = None, **params) -> Impulse
     if name == "ball_null":
         return ImpulseProblem(grid, horizon, ((0.0, inside_r1),), u0, None, eps0,
                               weighted, reach_region=ball(0.0, p["r2"], dim=dim))
-    decay = Weight(p["b"], "grow", center=(p["target_shift"],) * dim)
+    decay = Weight(p["b"], center=(p["target_shift"],) * dim)
     return ImpulseProblem(grid, horizon, ((0.0, inside_r1),), u0, None, eps0,
                           weighted, datum_weight=decay)
 
@@ -188,11 +187,10 @@ def variant_problem(name: str, grid: Optional[Grid] = None, **params) -> Impulse
 # the Z geometry: the pieces of the weight operator W
 
 
-def _sobolev_symbol(grid: Grid, power: float = 1.0) -> np.ndarray:
-    """(1+|xi|^2)^{power * (n+3)} in FFT order, for spectral_multiply; n + 3 is
-    the Sobolev order of the augmented prior in estimate (1.6)."""
-    order = grid.dim + 3
-    return fft_symbol(grid, (1.0 + grid.dual().radius_sq()) ** (power * order))
+def _sobolev_symbol(grid: Grid) -> np.ndarray:
+    """(1+|xi|^2)^{n+3} in FFT order, for spectral_multiply; n + 3 is the
+    Sobolev order of the augmented prior in estimate (1.6)."""
+    return fft_symbol(grid, (1.0 + grid.dual().radius_sq()) ** (grid.dim + 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +200,27 @@ def _sobolev_symbol(grid: Grid, power: float = 1.0) -> np.ndarray:
 @dataclass(frozen=True)
 class ProblemOperators:
     """The matrix-free operators of one control problem, on raw arrays.  The
-    fields do not depend on C0; each method builds an operator at one C0."""
+    fields do not depend on C0; each method taking c0 builds an operator at it."""
 
     problem: ImpulseProblem            # the problem they were built from
     observation: FlowObservation       # O, one term per impulse
     reach: FlowObservation             # R, one term
-    weight: Operator                   # W, the Z-norm operator (Hermitian, PD)
     projection: np.ndarray             # indicator of Z; all ones when Z is all of L2
     density: np.ndarray                # X*-side datum density; all ones for plain L2
-    diagonal: Optional[np.ndarray]     # W when it is diagonal in x; None for sobolev_dual
+    weight_density: np.ndarray         # W's density in x: e^{a|x|}; all ones for l2
+    weight_multiplier: Optional[np.ndarray]  # W's xi-multiplier; sobolev_dual only
     sigma: Optional[np.ndarray]        # Sigma, the part of W that stretches the spectrum
-    multiply: Callable[[np.ndarray, np.ndarray], np.ndarray]  # (g(Sigma), v) -> g(Sigma) v
+
+    def weight(self, v: np.ndarray) -> np.ndarray:
+        """W v, the Z-norm operator (Hermitian, positive definite)."""
+        if self.weight_multiplier is None:
+            return self.weight_density * v
+        return self.weight_density * v + self.multiply(self.weight_multiplier, v)
+
+    def multiply(self, g: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """g(Sigma) v for an array g(Sigma) on Sigma's side, x or xi (FFT order)."""
+        return g * v if self.weight_multiplier is None else \
+            spectral_multiply(self.problem.grid, v, g)
 
     def normal(self, c0: float) -> Operator:
         """C0 O*O + eps0 W, projected onto Z."""
@@ -255,10 +263,9 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     control, chi_reach for exact control (the inclusion of Z), with chi_reach
     the indicator of reach_region.
 
-    This is where the error-norm kind picks W: the identity for "l2", the
-    density e^{a|x|} for "dual_weighted", and that
-    density plus the H^{n+3} multiplier (1+|xi|^2)^{n+3} for "sobolev_dual";
-    `diagonal` is W itself where W is diagonal in x, None for "sobolev_dual".
+    This is the one place that reads the error-norm kind.  It picks W as
+    arrays: the x-density, all ones for "l2" and e^{a|x|} otherwise, and the
+    H^{n+3} multiplier (1+|xi|^2)^{n+3} added to it for "sobolev_dual" only.
     Sigma is that density (e^{aL} at the box edge) or multiplier (~1e12), in
     x or in xi; None for "l2", where it is 0.  `precondition(c0)` inverts
     C0 + eps0 Sigma, keeping the observation part as the constant C0.  It is
@@ -277,21 +284,16 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
     reach = flow_observation(grid, [(0.0 if exact else -problem.horizon,
                                      problem.reach_region)])
     projection = reach.masks[0] if exact else np.ones(grid.node_count)
-    multiply = np.multiply
     if norm.kind == "l2":
-        weight, diagonal, sigma = (lambda v: v.copy()), np.ones(grid.node_count), None
+        spatial, spectral, sigma = np.ones(grid.node_count), None, None
     else:
-        grow = Weight(norm.amplitude, "grow").evaluate(grid)
-        if norm.kind == "dual_weighted":
-            weight, diagonal, sigma = (lambda v: grow * v), grow, grow
-        else:  # sobolev_dual: e^{a|x|} 'plus' the H^{n+3} spectral multiplier
-            sigma, diagonal = _sobolev_symbol(grid), None
-            weight = (lambda v: grow * v + spectral_multiply(grid, v, sigma))
-            multiply = (lambda factor, v: spectral_multiply(grid, v, factor))
+        spatial = Weight(norm.amplitude).evaluate(grid)
+        spectral = _sobolev_symbol(grid) if norm.kind == "sobolev_dual" else None
+        sigma = spatial if spectral is None else spectral
     density = np.ones(grid.node_count) if problem.datum_weight is None \
         else problem.datum_weight.evaluate(grid)
-    return ProblemOperators(problem, observation, reach, weight, projection, density,
-                            diagonal, sigma, multiply)
+    return ProblemOperators(problem, observation, reach, projection, density,
+                            spatial, spectral, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +419,7 @@ def low_rank_form(ops: ProblemOperators, margin: bool = False) -> Optional[LowRa
     MAX_BLOCK_ORDER, a D that is not positive at C0 = 1, the least candidate
     (D only grows with C0), or a dense Y above MAX_BLOCK_ORDER^2 entries where
     Y* D^-1 Y needs one (a weighted D, or Z short of the whole lattice)."""
-    if ops.diagonal is None:
+    if ops.weight_multiplier is not None:
         return None
     grid = ops.observation.grid
     nodes = np.flatnonzero(ops.projection)
@@ -430,7 +432,7 @@ def low_rank_form(ops: ProblemOperators, margin: bool = False) -> Optional[LowRa
         terms.append((symbol, cols))
         signs.append(np.full(cols.size, sign))
         fixed.append(np.zeros(cols.size))
-    base = ops.problem.penalty * ops.diagonal[nodes]
+    base = ops.problem.penalty * ops.weight_density[nodes]
     if margin and ops.problem.target is not None:
         base = base - 1.0 / ops.density[nodes]
     elif margin:
@@ -557,14 +559,14 @@ def solve_control(ops: ProblemOperators, c0: float, tol: float = 1e-10,
     goal = problem.target.values if problem.target is not None \
         else np.zeros(grid.node_count, dtype=np.complex128)
     error_field = Field(grid, ops.projection * (goal - terminal_state.values))
-    diagnostics = _error_diagnostics(problem, error_field)
+    diagnostics = _error_diagnostics(ops, error_field)
 
     return ControlSolution(
         controls=controls,
         dual_state=Field(grid, z_star),
         terminal_state=terminal_state,
         terminal_error=float(terminal_error),
-        terminal_error_l2=l2_norm(error_field),
+        terminal_error_l2=diagnostics["simulated_error_l2"],
         cost=float(cost),
         datum_norm_sq=datum_norm_sq(ops, f),
         bound_lhs=float(bound_lhs),
@@ -575,25 +577,19 @@ def solve_control(ops: ProblemOperators, c0: float, tol: float = 1e-10,
     )
 
 
-def _error_diagnostics(problem: ImpulseProblem, error_field: Field) -> Dict[str, float]:
-    """Direct dual-norm evaluations of the simulated error field.
-
-    Exact for the diagonal weights; for the Sobolev-augmented norm the dual
-    norm is approximated by combining the decay density with the reciprocal
-    spectral multiplier (recorded as such; the L2 norm is always alongside)."""
-    grid = problem.grid
-    norm = problem.error_norm
-    out = {"simulated_error_l2": l2_norm(error_field)}
-    if norm.kind == "l2":
-        out["simulated_error_dual"] = out["simulated_error_l2"]
-        return out
+def _error_diagnostics(ops: ProblemOperators, error_field: Field) -> Dict[str, float]:
+    """Direct dual-norm evaluations of the simulated error field, off the W
+    the solve used: exact for W diagonal in x (dual density 1 / density); for
+    the Sobolev-augmented W approximated by also applying the reciprocal root
+    of its xi-multiplier (recorded as such; the L2 norm is always alongside)."""
+    l2 = l2_norm(error_field)
+    if ops.sigma is None:  # l2: W is the identity
+        return {"simulated_error_l2": l2, "simulated_error_dual": l2}
     values, key = error_field.values, "simulated_error_dual"
-    if norm.kind == "sobolev_dual":
-        values = spectral_multiply(grid, values, _sobolev_symbol(grid, -0.5))
-        key = "simulated_error_dual_approx"
-    energy = weighted_energy(Field(grid, values), Weight(norm.amplitude, "decay"))
-    out[key] = float(np.sqrt(energy))
-    return out
+    if ops.weight_multiplier is not None:
+        values, key = ops.multiply(ops.weight_multiplier ** -0.5, values), key + "_approx"
+    energy = density_energy(Field(error_field.grid, values), 1.0 / ops.weight_density)
+    return {"simulated_error_l2": l2, key: float(np.sqrt(energy))}
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def decay_study(spec: SequenceSpec, grid: Grid, k_values: Sequence[int],
             [r["k"] for r in rows], [r["terminal_inside"] for r in rows])}
     elif spec.family == "modulated":
         inside = ball(spec.x_dprime, spec.r2, dim=dim)
-        weight = Weight(spec.weight_amplitude, "grow")
+        weight = Weight(spec.weight_amplitude)
         for k in k_values:
             u_k = generate(spec, grid, k)
             terminal = fresnel_map(u_k, spec.horizon)

@@ -233,23 +233,16 @@ def whole_space() -> Region:
 
 @dataclass(frozen=True)
 class Weight:
-    """Exponential weight exp(+-a |x|), refused past its exponent cap.
-
-    sign="grow" is e^{a|x|}, sign="decay" is e^{-a|x|}.  An optional
-    center shifts |x| to |x - center| (the e^{-b|x-x'|} weights of the decay
-    estimates).  evaluate() raises CappedWeightError when a|x - center|
-    passes EXPONENT_CAP at some node of the grid.
-    """
+    """Exponential weight e^{a|x - c|}, c the origin unless `center` is set
+    (the e^{b|x-x'|} weights of the decay estimates); evaluate() raises
+    CappedWeightError when a|x - c| passes EXPONENT_CAP at some node."""
 
     amplitude: float
-    sign: str = "grow"
     center: Tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.amplitude > 0:
             raise ValueError("weight amplitude must be positive")
-        if self.sign not in ("grow", "decay"):
-            raise ValueError(f"weight sign must be grow or decay, got {self.sign!r}")
 
     def evaluate(self, grid: Grid) -> np.ndarray:
         """Weight values on the grid; CappedWeightError past the exponent cap."""
@@ -261,8 +254,6 @@ class Weight:
                 f"the exponential weight of amplitude {self.amplitude:g} reaches "
                 f"exponent {peak:.4g} on this box, past the cap {EXPONENT_CAP:g}; "
                 f"shrink the amplitude or L")
-        if self.sign == "decay":
-            arg = -arg
         return np.exp(arg)
 
 

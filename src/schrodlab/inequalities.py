@@ -223,7 +223,7 @@ def interpolation_report_12(u0: Field, r: float, a: float, t: float,
     p, prefactor = _interpolation_shape(theta, r, a, t, grid.dim)
     lhs = l2_norm(u0) ** 2
     obs = masked_energy(propagate(u0, t), ball_complement(0.0, r, dim=grid.dim))
-    prior = weighted_energy(u0, Weight(a, "grow"))
+    prior = weighted_energy(u0, Weight(a))
     product = 0.0 if (obs == 0.0 and lhs == 0.0) else obs ** p * prior ** (1.0 - p)
     flags: Dict[str, bool] = {}
     quotient = _quotient(lhs, prefactor * product, flags)
@@ -278,7 +278,7 @@ def two_ball_report_13(u0: Field, x_prime, x_dprime, r1: float, r2: float,
     u_t = propagate(u0, t)
     lhs = masked_energy(u_t, ball(x_dprime, r2, dim=grid.dim))
     obs = masked_energy(u_t, ball(x_prime, r1, dim=grid.dim))
-    prior = weighted_energy(u0, Weight(a, "grow"))
+    prior = weighted_energy(u0, Weight(a))
     separation = float(np.linalg.norm(
         np.atleast_1d(np.asarray(x_prime, dtype=float))
         - np.atleast_1d(np.asarray(x_dprime, dtype=float))))

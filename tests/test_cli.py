@@ -45,6 +45,10 @@ def forbid_run(monkeypatch, experiment):
                         replace(EXPERIMENTS[experiment], runner=no_run))
 
 
+# one value that breaks each cli._RULES range rule
+VIOLATIONS = {"positive": "0", "non-negative": "-1", "at least 1": "0", "in [0, 1]": "2"}
+
+
 def is_float_key(default) -> bool:
     """Whether a key-table default (a value, list or bare type) is a float's."""
     if isinstance(default, list):
@@ -152,6 +156,29 @@ class TestExitCodes:
         out = tmp_path / "missing" / "p.csv"
         assert main(["propagate", "--out", str(out)]) == 2
         assert "does not exist" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config_name, out_name, clash", [
+        ("p.cfg", "taken", "output path '{out}' or its JSON summary is a directory"),
+        ("p.cfg", "r.json", "output path '{out}' is also its JSON summary path"),
+        ("study.json", "study.csv", "output path '{config}' is the config file '{config}'"),
+        ("study.cfg", "study.cfg", "output path '{config}' is the config file '{config}'"),
+    ])
+    def test_output_path_that_would_clobber_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                       config_name, out_name, clash):
+        # a directory, a CSV that is its own JSON summary, or an output that
+        # is the config: exit 2 before the config is read, nothing written
+        forbid_run(monkeypatch, "propagate")
+        (tmp_path / "taken").mkdir()
+        config = tmp_path / config_name
+        config.write_text('{"grid.M": 64}\n' if config.suffix == ".json"
+                          else "grid.M = 64\n")
+        before = config.read_bytes()
+        out = tmp_path / out_name
+        assert main(["propagate", "--config", str(config), "--out", str(out)]) == 2
+        assert clash.format(out=out, config=config) in capsys.readouterr().err
+        assert config.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["taken", config_name])
+        assert not any((tmp_path / "taken").iterdir())
 
     @pytest.mark.parametrize("experiment", ["empirical-constant", "spectral-ineq-27",
                                             "bridge", "control-solve"])
@@ -501,8 +528,7 @@ class TestKeyTables:
         (experiment, key, value, spec[1])
         for experiment, entry in EXPERIMENTS.items()
         for key, spec in entry.keys.items() if isinstance(spec, tuple)
-        for value in ("-1" if spec[1] == "non-negative" else "0",
-                      *(["nan"] if is_float_key(spec[0]) else []))])
+        for value in (VIOLATIONS[spec[1]], *(["nan"] if is_float_key(spec[0]) else []))])
     def test_ranged_key_violation_named_before_run(self, tmp_path, capsys, monkeypatch,
                                                    experiment, key, value, rule):
         forbid_run(monkeypatch, experiment)

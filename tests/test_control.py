@@ -271,41 +271,73 @@ class TestCalibration:
         assert len(spoiled) == 1
         assert calibrated == 2.0 * reference
 
-    @pytest.mark.parametrize("experiment, variant, builds, indicators", [
-        ("control-solve", "two_impulse", 1, 3),
-        ("control-solve", "complement_approx", 1, 2),
-        ("control-solve", "ball_null", 1, 2),
-        ("control-solve", "band_restricted", 1, 2),
-        ("control-solve", "shifted_decay_null", 1, 2),
-        ("control-solve", "sobolev_dual_approx", 1, 2),
-        ("cost-scaling", None, 6, 18),
+    @pytest.mark.parametrize("experiment, variant, builds, indicators, weights, symbols", [
+        ("control-solve", "two_impulse", 1, 3, 0, 0),
+        ("control-solve", "complement_approx", 1, 2, 1, 0),
+        ("control-solve", "ball_null", 1, 2, 1, 0),
+        ("control-solve", "band_restricted", 1, 2, 0, 0),
+        ("control-solve", "shifted_decay_null", 1, 2, 2, 0),
+        ("control-solve", "sobolev_dual_approx", 1, 2, 1, 1),
+        ("cost-scaling", None, 6, 18, 0, 0),
     ])
     def test_one_operator_build_per_control_run(self, experiment, variant, builds,
-                                                indicators, tmp_path, monkeypatch):
+                                                indicators, weights, symbols,
+                                                tmp_path, monkeypatch):
         # calibration and the solve share one build of the operators, and the
-        # solve reads every mask off them: the regions are evaluated once,
-        # when the operators are built (two per problem and one more for
-        # two_impulse's second impulse; cost-scaling solves six problems)
-        made, evaluated = [], []
+        # solve reads every mask and the whole of W off them: the regions, the
+        # weights (the error norm's and a datum weight) and the Sobolev symbol
+        # are evaluated once, when the operators are built (two regions per
+        # problem and one more for two_impulse's second impulse; cost-scaling
+        # solves six problems)
+        made = []
 
         def counted(problem):
             made.append(problem)
             return problem_operators(problem)
 
-        indicator = Region.indicator
+        def counting(owner, attr):
+            real, calls = getattr(owner, attr), []
 
-        def counted_indicator(region, grid):
-            evaluated.append(region)
-            return indicator(region, grid)
+            def counted_call(*args):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(owner, attr, counted_call)
+            return calls
 
         monkeypatch.setattr(control, "problem_operators", counted)
         monkeypatch.setattr(cli, "problem_operators", counted)
-        monkeypatch.setattr(Region, "indicator", counted_indicator)
+        evaluated = counting(Region, "indicator")
+        weighed = counting(Weight, "evaluate")
+        symbolled = counting(control, "_sobolev_symbol")
         config = tmp_path / "run.cfg"
         config.write_text("" if variant is None else f"control.variant = {variant}\n")
         assert main([experiment, "--config", str(config),
                      "--out", str(tmp_path / "run.csv")]) == 0
-        assert (len(made), len(evaluated)) == (builds, indicators)
+        assert ((len(made), len(evaluated), len(weighed), len(symbolled))
+                == (builds, indicators, weights, symbols))
+
+    @pytest.mark.parametrize("name", ["complement_approx", "ball_null",
+                                      "shifted_decay_null", "sobolev_dual_approx"])
+    def test_error_dual_norm_is_the_decay_weighted_norm(self, name):
+        # the dual norm read off the operators' W is the e^{-a|x|}-weighted
+        # L2 norm of the simulated error, after the (1+|xi|^2)^{-(n+3)/2}
+        # multiplier for the Sobolev-augmented norm
+        problem = variant_problem(name)
+        solution = calibrated_solve(problem)
+        grid, a = problem.grid, problem.error_norm.amplitude
+        goal = np.zeros(grid.node_count) if problem.target is None \
+            else problem.target.values
+        error = goal - solution.terminal_state.values
+        key = "simulated_error_dual"
+        if name == "sobolev_dual_approx":
+            xi_sq = np.fft.fftfreq(grid.points_per_dim, grid.spacing / (2.0 * np.pi)) ** 2
+            error = np.fft.ifft((1.0 + xi_sq) ** (-(grid.dim + 3) / 2.0)
+                                * np.fft.fft(error))
+            key += "_approx"
+        expected = np.sqrt(grid.spacing ** grid.dim * np.sum(
+            np.exp(-a * np.abs(grid.axis_nodes())) * np.abs(error) ** 2))
+        assert solution.diagnostics[key] == pytest.approx(expected, rel=1e-13)
+        assert solution.terminal_error_l2 == solution.diagnostics["simulated_error_l2"]
 
     def test_infeasible_penalty_reported(self):
         problem = variant_problem("complement_approx", L=12.0, penalty=1e-6)

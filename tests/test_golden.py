@@ -5,15 +5,17 @@ these runs pin that: a few chosen configurations, every control variant at
 its defaults, and every experiment at its CLI defaults (an empty config).
 The CSV must match byte for byte, and the JSON summary too once its
 "versions" entry (numpy/scipy versions, which vary between environments) is
-set aside.  A change that means to move an output regenerates the files
-with
+set aside.  A change that means to move an output regenerates the files of
+the runs it moves, named as in RUNS,
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py control-shifted_decay_null
 
-and says so in CHANGES.md.
+(every run when no name is given; an unknown name is refused before any
+file is written) and says so in CHANGES.md.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,11 @@ def test_output_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(RUNS)
+    unknown = [name for name in names if name not in RUNS]
+    if unknown:
+        sys.exit(f"unknown golden run(s) {', '.join(unknown)}; "
+                 f"the runs are {', '.join(RUNS)}")
     GOLDEN.mkdir(exist_ok=True)
-    for key in RUNS:
+    for key in names:
         run(key, GOLDEN).with_suffix(".cfg").unlink()

@@ -1,5 +1,6 @@
 """Krylov solver checks against dense LAPACK factorizations."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import schrodlab
+from schrodlab import solvers
 from schrodlab.solvers import (IndefiniteOperatorError, conjugate_gradient,
                                lanczos_smallest)
 
@@ -155,6 +157,52 @@ def test_lanczos_stop_below_proves_a_negative_minimum():
     never = lanczos_smallest(op, n, tol=1e-11, stop_below=exact - 0.1)
     assert never.iterations == full.iterations
     assert never.eigenvalue == full.eigenvalue
+
+
+def test_lanczos_second_pass_on_an_exhausted_krylov_space():
+    # the Krylov space of an orthogonal projection is span{q, Pq}: at step 2
+    # the new direction is rounding noise that one Gram-Schmidt pass cannot
+    # clear to 1/sqrt(2) of its norm, so the second pass runs once, and the
+    # space is then found exhausted with lambda_min = 0 exact on it
+    diag = np.r_[np.zeros(100), np.ones(100)]
+    source, first = inspect.getsourcelines(solvers.lanczos_smallest)
+    line = first + 1 + next(i for i, text in enumerate(source)
+                            if "_TWICE_IS_ENOUGH * before" in text)
+    code, hits = solvers.lanczos_smallest.__code__, []
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line" and frame.f_lineno == line:
+            hits.append(line)
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        result = lanczos_smallest(lambda v: diag * v, diag.size, tol=1e-12)
+    finally:
+        sys.settrace(previous)
+    assert len(hits) == 1
+    assert result.iterations == 2
+    assert abs(result.eigenvalue) <= 1e-14
+    assert result.converged
+
+
+def test_lanczos_dense_fallback_matches_bisection(monkeypatch):
+    # when the bisection driver fails, the dense tridiagonal eigh stands in
+    # for it and must give the same Ritz value at every check
+    diag = np.linspace(-1.0, 2.0, 120)
+    reference = lanczos_smallest(lambda v: diag * v, diag.size, tol=1e-10)
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("bisection failed")
+
+    monkeypatch.setattr(solvers, "eigh_tridiagonal", failing)
+    fallback = lanczos_smallest(lambda v: diag * v, diag.size, tol=1e-10)
+    assert fallback.iterations == reference.iterations
+    assert fallback.converged and reference.converged
+    assert abs(fallback.eigenvalue - reference.eigenvalue) <= 1e-14
 
 
 def test_lanczos_basis_fits_a_large_operator():
