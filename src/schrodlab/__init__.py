@@ -8,12 +8,11 @@ __version__ = "0.1.0"
 from .field import (Field, Grid, Region, Weight, ball, ball_complement, dot,
                     l2_norm, make_grid, masked_energy, weighted_energy,
                     whole_space)
-from .transform import (dft, dual_solve, fresnel_map, gaussian_oracle, idft,
-                        propagate)
+from .transform import dft, fresnel_map, gaussian_oracle, idft, propagate
 
 __all__ = [
     "Field", "Grid", "Region", "Weight", "ball", "ball_complement", "dot",
     "l2_norm", "make_grid", "masked_energy", "weighted_energy", "whole_space",
-    "dft", "idft", "propagate", "dual_solve", "fresnel_map", "gaussian_oracle",
+    "dft", "idft", "propagate", "fresnel_map", "gaussian_oracle",
     "__version__",
 ]

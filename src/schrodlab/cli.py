@@ -37,8 +37,8 @@ from .inequalities import (bandlimited_sample, check_band_radius,
                            spectral_inequality_report, two_ball_report_13,
                            two_time_quotient, uncertainty_quotient)
 from .solvers import IndefiniteOperatorError
-from .transform import (bandlimited_interpolate, chirp_aliasing_ok, fresnel_map,
-                        gaussian_oracle, propagate)
+from .transform import (AliasingError, bandlimited_interpolate, check_chirp,
+                        fresnel_map, gaussian_oracle, propagate)
 
 
 class ConfigError(ValueError):
@@ -207,14 +207,6 @@ def _check_tail(config: dict, reference: Field) -> Dict[str, object]:
     return {"tail_fraction": fraction, "tail_tolerance": tol, "tail_ok": True}
 
 
-def _check_chirp(grid, t: float):
-    if not chirp_aliasing_ok(grid, t):
-        raise ConfigError(
-            f"chirp aliasing bound violated: L/(2T) = "
-            f"{grid.half_extent / (2 * t):.4g} exceeds Nyquist {grid.nyquist:.4g}"
-        )
-
-
 def _map_ordered(fn: Callable, items: Sequence, threads: int) -> List:
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -264,7 +256,7 @@ def _run_verify_identity(config: dict, seed: int, threads: int) -> ExperimentRes
     u0 = gaussian_state(grid, sigma)
     validity = _check_tail(config, u0)
     for t in times:
-        _check_chirp(grid, t)
+        check_chirp(grid, t)
 
     def one(t: float) -> Dict[str, object]:
         out = fresnel_map(u0, t)
@@ -349,6 +341,11 @@ def _run_empirical_constant(config: dict, seed: int, threads: int) -> Experiment
 def _run_interpolation_12(config: dict, seed: int, threads: int) -> ExperimentResult:
     grid = _grid_from(config)
     r, a, t, scales = (config[f"interpolation.{k}"] for k in ("r", "a", "T", "scales"))
+    if not ball_complement(0.0, r, dim=grid.dim).indicator(grid).any():
+        raise ConfigError(
+            f"interpolation.r = {r:g} leaves no node of the box [-L, L]^{grid.dim} "
+            f"(L = {grid.half_extent:g}) outside B_r, so every observation is zero; "
+            f"take r below the farthest node, |x| = {np.sqrt(grid.radius_sq().max()):.6g}")
 
     def member(scale: float) -> Field:
         rsq = grid.radius_sq()
@@ -596,7 +593,6 @@ def _run_bridge(config: dict, seed: int, threads: int) -> ExperimentResult:
         raise ConfigError("bridge samples and regions are one-dimensional; "
                           f"grid.dim must be 1, got {grid.dim}")
     t, radius, count = (config[f"bridge.{k}"] for k in ("T", "radius", "samples"))
-    _check_chirp(grid, t)
 
     def smooth_sample(j: int) -> Field:
         # profile scale is box-independent so refinement runs compare the
@@ -886,7 +882,7 @@ def main(argv: Sequence[str] = None) -> int:
         config = resolve(entry.keys, values, args.experiment)
         _check_sweep(entry, config)
         result = entry.runner(config, args.seed, args.threads)
-    except (ConfigError, CappedWeightError) as exc:
+    except (ConfigError, CappedWeightError, AliasingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverFailure as exc:

@@ -27,7 +27,7 @@ import numpy as np
 from .field import Field, Grid, Region, Weight, ball, ball_complement, l2_norm, \
     masked_energy, weighted_energy
 from .fitting import FitResult, loglog_fit
-from .transform import dft, dual_solve, fresnel_map, propagate
+from .transform import chirp, dft, fresnel_map, propagate
 
 FAMILIES = ("concentrating", "time_reversed", "modulated")
 PROFILES = ("gaussian", "bump")
@@ -98,10 +98,6 @@ def concentrated_profile(grid: Grid, spec: SequenceSpec, k: int) -> Field:
     return Field(grid, f.values / l2_norm(f))
 
 
-def _chirp(grid: Grid, t: float) -> np.ndarray:
-    return np.exp(-1j * grid.radius_sq() / (4.0 * t))
-
-
 def _spread_radii(f: Field):
     """Spatial and spectral radii holding all but 1e-12 of the energy."""
     def radius(values: np.ndarray, rsq: np.ndarray) -> float:
@@ -122,7 +118,7 @@ def generate(spec: SequenceSpec, grid: Grid, k: int) -> Field:
     """The k-th member u_k of the family, unit L2 norm on the lattice."""
     if spec.family == "concentrating":
         g_k = concentrated_profile(grid, spec, k)
-        return Field(grid, _chirp(grid, spec.horizon) * g_k.values)
+        return Field(grid, chirp(grid, -spec.horizon) * g_k.values)
     if spec.family == "modulated":
         if k < 0:
             raise ValueError("k must be >= 0 for the modulated family")
@@ -133,7 +129,7 @@ def generate(spec: SequenceSpec, grid: Grid, k: int) -> Field:
             )
         g = base_profile(grid, spec.profile)
         phase = np.exp(-1j * float(k) * grid.coords()[0])
-        return Field(grid, _chirp(grid, spec.horizon) * phase * g.values)
+        return Field(grid, chirp(grid, -spec.horizon) * phase * g.values)
     # time_reversed: the state whose value at time S1 is g_k
     g_k = concentrated_profile(grid, spec, k)
     spatial, spectral = _spread_radii(g_k)
@@ -143,7 +139,7 @@ def generate(spec: SequenceSpec, grid: Grid, k: int) -> Field:
             f"backward solve of g_k to time 0 spreads to ~{spread:.3g}, beyond "
             f"0.9L = {0.9 * grid.half_extent:.3g}; refine the box or lower k"
         )
-    return dual_solve(g_k, spec.s1, 0.0)
+    return propagate(g_k, -spec.s1)
 
 
 def _ball_energies(g: Field, taus: np.ndarray, region: Region) -> List[float]:

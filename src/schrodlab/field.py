@@ -273,9 +273,7 @@ def dot(f: Field, g: Field) -> complex:
 
 def masked_energy(f: Field, region: Region) -> float:
     """h^dim * sum over region of |f|^2 (Riemann sum of the masked energy)."""
-    mask = region.indicator(f.grid)
-    h = f.grid.spacing
-    return float(np.sum(mask * np.abs(f.values) ** 2) * h ** f.grid.dim)
+    return density_energy(f, region.indicator(f.grid))
 
 
 def weighted_energy(f: Field, weight: Weight) -> float:
@@ -284,21 +282,21 @@ def weighted_energy(f: Field, weight: Weight) -> float:
 
 
 def density_energy(f: Field, density: np.ndarray) -> float:
-    """h^dim * sum density |f|^2; raises EnergyOverflowError if a summand
-    overflows (|f|^2 large enough against a density near e^{cap})."""
-    with np.errstate(over="ignore"):
+    """h^dim * sum density |f|^2, the one Riemann-sum energy every masked,
+    weighted or moment energy goes through; raises EnergyOverflowError if a
+    summand overflows (|f|^2 past the float range, or large enough against a
+    density near e^{cap})."""
+    with np.errstate(over="ignore", invalid="ignore"):
         summands = density * np.abs(f.values) ** 2
     if not np.all(np.isfinite(summands)):
-        raise EnergyOverflowError("weighted energy overflowed inside the exponent cap")
+        raise EnergyOverflowError("an energy summand density*|f|^2 overflowed")
     h = f.grid.spacing
     return float(np.sum(summands) * h ** f.grid.dim)
 
 
 def radial_moment(f: Field, order: int) -> float:
     """h^dim * sum |x|^order |f|^2 (polynomial moment about the origin)."""
-    rsq = f.grid.radius_sq()
-    h = f.grid.spacing
-    return float(np.sum(rsq ** (order / 2.0) * np.abs(f.values) ** 2) * h ** f.grid.dim)
+    return density_energy(f, f.grid.radius_sq() ** (order / 2.0))
 
 
 def box_tail_fraction(f: Field) -> float:

@@ -24,18 +24,15 @@ from .field import (
     Weight,
     ball,
     ball_complement,
+    density_energy,
     l2_norm,
     masked_energy,
     radial_moment,
     weighted_energy,
 )
-from .transform import (MAX_BLOCK_ORDER, chirp_aliasing_ok, dft, fft_symbol, idft,
-                        propagate, propagator_symbol, reflection_blocks,
-                        spectral_multiply)
-
-
-class AliasingError(ValueError):
-    """The quadratic chirp is not resolvable on this grid at this time."""
+from .transform import (MAX_BLOCK_ORDER, check_chirp, chirp, circulant_kernel, dft,
+                        fft_symbol, idft, propagate, propagator_symbol,
+                        reflection_blocks, spectral_multiply)
 
 
 @dataclass
@@ -43,16 +40,14 @@ class InequalityReport:
     lhs: float
     terms: Dict[str, float]
     quotient: float
-    flags: Dict[str, bool]
 
 
-def _quotient(lhs: float, denominator: float, flags: Dict[str, bool]) -> float:
-    """lhs / denominator with the zero-field convention (0, flagged)."""
+def _quotient(lhs: float, denominator: float) -> float:
+    """lhs / denominator with the zero-field convention 0 (and inf for a
+    vanishing denominator under a nonzero lhs)."""
     if lhs == 0.0:
-        flags["zero_field"] = True
         return 0.0
     if denominator <= 0.0:
-        flags["zero_denominator"] = True
         return float("inf")
     return lhs / denominator
 
@@ -73,10 +68,8 @@ def two_time_quotient(u0: Field, s: float, t: float,
     lhs = l2_norm(u0) ** 2
     obs_s = masked_energy(propagate(u0, s), region_a)
     obs_t = masked_energy(propagate(u0, t), region_b)
-    flags: Dict[str, bool] = {}
-    quotient = _quotient(lhs, obs_s + obs_t, flags)
     return InequalityReport(lhs, {"observation_S": obs_s, "observation_T": obs_t},
-                            quotient, flags)
+                            _quotient(lhs, obs_s + obs_t))
 
 
 def uncertainty_quotient(f: Field, space_ball: Region, freq_ball: Region) -> InequalityReport:
@@ -88,11 +81,9 @@ def uncertainty_quotient(f: Field, space_ball: Region, freq_ball: Region) -> Ine
     lhs = l2_norm(f) ** 2
     outside_space = masked_energy(f, space_ball.complement())
     outside_freq = masked_energy(dft(f), freq_ball.complement())
-    flags: Dict[str, bool] = {}
-    quotient = _quotient(lhs, outside_space + outside_freq, flags)
     return InequalityReport(
         lhs, {"outside_space": outside_space, "outside_frequency": outside_freq},
-        quotient, flags)
+        _quotient(lhs, outside_space + outside_freq))
 
 
 @dataclass
@@ -116,12 +107,8 @@ def equivalence_bridge_check(u0: Field, region_a: Region, freq_ball: Region,
     if freq_ball.kind != "ball":
         raise ValueError("the frequency region must be a ball")
     grid = u0.grid
-    if not chirp_aliasing_ok(grid, t):
-        raise AliasingError(
-            f"chirp aliasing bound violated: L/(2t) = {grid.half_extent / (2 * t):.3g} "
-            f"exceeds the Nyquist frequency {grid.nyquist:.3g}"
-        )
-    chirped = Field(grid, np.exp(1j * grid.radius_sq() / (4.0 * t)) * u0.values)
+    check_chirp(grid, t)
+    chirped = Field(grid, chirp(grid, t) * u0.values)
 
     energy_u0 = masked_energy(u0, region_a)
     energy_chirped = masked_energy(chirped, region_a)
@@ -225,10 +212,8 @@ def interpolation_report_12(u0: Field, r: float, a: float, t: float,
     obs = masked_energy(propagate(u0, t), ball_complement(0.0, r, dim=grid.dim))
     prior = weighted_energy(u0, Weight(a))
     product = 0.0 if (obs == 0.0 and lhs == 0.0) else obs ** p * prior ** (1.0 - p)
-    flags: Dict[str, bool] = {}
-    quotient = _quotient(lhs, prefactor * product, flags)
-    return InequalityReport(
-        lhs, {"observation": obs, "prior": prior, "product": product}, quotient, flags)
+    return InequalityReport(lhs, {"observation": obs, "prior": prior, "product": product},
+                            _quotient(lhs, prefactor * product))
 
 
 @dataclass
@@ -283,11 +268,9 @@ def two_ball_report_13(u0: Field, x_prime, x_dprime, r1: float, r2: float,
         np.atleast_1d(np.asarray(x_prime, dtype=float))
         - np.atleast_1d(np.asarray(x_dprime, dtype=float))))
     p = 1.0 + (separation + r1 + r2) / min(a * t, r1)
-    flags: Dict[str, bool] = {}
-    quotient = _quotient(lhs, obs + prior, flags)
     return InequalityReport(
         lhs, {"observation": obs, "prior": prior, "p": p, "separation": separation},
-        quotient, flags)
+        _quotient(lhs, obs + prior))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +342,7 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float)
     embedded = np.zeros(grid.node_count, dtype=np.complex128)
     embedded[nodes] = vector
     values = spectral_multiply(grid, embedded, band) if on_ball else \
-        np.fft.ifftn(embedded.conj().reshape((grid.points_per_dim,) * grid.dim)).ravel()
+        circulant_kernel(grid, embedded.conj()).ravel()
     return Field(grid, values / l2_norm(Field(grid, values)))
 
 
@@ -369,9 +352,7 @@ def spectral_inequality_report(f: Field, radii: Sequence[float],
     report per radius r in `radii`.
 
     The spectrum is projected onto B_N(0) first, once for every radius, so
-    the precondition holds by construction.  A denominator below 1e-300 is
-    reported as a failure flag (a nonzero band-limited function cannot
-    vanish on an open set).
+    the precondition holds by construction.
     """
     if min(radii, default=0.0) < 0 or band_radius < 0:
         raise ValueError("r and N must be nonnegative")
@@ -382,9 +363,8 @@ def spectral_inequality_report(f: Field, radii: Sequence[float],
     reports = []
     for r in radii:
         outside = masked_energy(projected, ball_complement(0.0, r, dim=grid.dim))
-        flags: Dict[str, bool] = {"degenerate_denominator": bool(outside < 1e-300)}
         reports.append(InequalityReport(lhs, {"outside_energy": outside},
-                                        _quotient(lhs, outside, flags), flags))
+                                        _quotient(lhs, outside)))
     return reports
 
 
@@ -395,10 +375,7 @@ def spectral_inequality_report(f: Field, radii: Sequence[float],
 def sobolev_norm_sq(f: Field, order: float) -> float:
     """Spectral H^s norm squared: sum (1+|xi|^2)^s |f_hat|^2 d xi."""
     spectrum = dft(f)
-    rsq = spectrum.grid.radius_sq()
-    h = spectrum.grid.spacing
-    return float(np.sum((1.0 + rsq) ** order * np.abs(spectrum.values) ** 2)
-                 * h ** spectrum.grid.dim)
+    return density_energy(spectrum, (1.0 + spectrum.grid.radius_sq()) ** order)
 
 
 @dataclass

@@ -19,8 +19,9 @@ _TWICE_IS_ENOUGH = 1.0 / np.sqrt(2.0)
 
 
 class IndefiniteOperatorError(RuntimeError):
-    """CG met nonpositive curvature; the operator is not positive definite
-    (with exact adjoints this indicates an operator/adjoint bug)."""
+    """CG met nonpositive curvature on a direction large enough to resolve
+    it; the operator is not positive definite (with exact adjoints this
+    indicates an operator/adjoint bug)."""
 
 
 @dataclass
@@ -39,7 +40,8 @@ def conjugate_gradient(apply_op: Operator, rhs: np.ndarray, tol: float = 1e-10,
     ||r_k|| <= tol * ||b||, regardless of the preconditioner, and reports
     ||r_k|| / ||b||.  r_k equals b - A x_k only in exact arithmetic; the true
     residual is not recomputed, so the two can drift apart in floating point.
-    Non-convergence is reported, never silent.
+    Non-convergence is reported, never silent; a search direction so small
+    that its curvature p*Ap underflows to zero ends the run unconverged.
     `precondition` applies an approximate inverse of apply_op (Hermitian PD).
     """
     b_norm = np.linalg.norm(rhs)
@@ -55,6 +57,9 @@ def conjugate_gradient(apply_op: Operator, rhs: np.ndarray, tol: float = 1e-10,
         ap = apply_op(p)
         curvature = np.vdot(p, ap).real
         if curvature <= 0.0:
+            scale = np.abs(p).max()
+            if scale == 0.0 or np.vdot(p / scale, ap / scale).real > 0.0:
+                break  # the curvature underflowed: the run has stalled
             raise IndefiniteOperatorError(
                 f"nonpositive curvature {curvature:.3e} at CG iteration {iterations}"
             )

@@ -80,10 +80,10 @@ def lattice_block(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
                   cols: np.ndarray) -> np.ndarray:
     """Rows `rows`, columns `cols` (flat node indices) of the circulant
     v -> spectral_multiply(grid, v, symbol): ifftn(symbol) at (x - y) mod M."""
-    return _gather(grid, _kernel(grid, symbol), rows, cols)
+    return _gather(grid, circulant_kernel(grid, symbol), rows, cols)
 
 
-def _kernel(grid: Grid, symbol: np.ndarray) -> np.ndarray:
+def circulant_kernel(grid: Grid, symbol: np.ndarray) -> np.ndarray:
     """ifftn(symbol) on the lattice shape: the circulant's first column."""
     return np.fft.ifftn(symbol.reshape((grid.points_per_dim,) * grid.dim))
 
@@ -174,7 +174,7 @@ def reflection_blocks(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
         def keep(y: np.ndarray) -> np.ndarray:
             return y
         return [BlockHalf(lattice_block(grid, symbol, rows, cols), keep, keep)]
-    kernel = _kernel(grid, symbol)
+    kernel = circulant_kernel(grid, symbol)
     near = _gather(grid, kernel, rows[row.first], cols[col.first])
     far = _gather(grid, kernel, rows[row.first], cols[col.second])
     odd = near[:row.pairs, :col.pairs] - far[:row.pairs, :col.pairs]
@@ -256,18 +256,24 @@ def propagate(f: Field, t: float) -> Field:
     return Field(f.grid, propagate_values(f.grid, f.values, t))
 
 
-def dual_solve(z: Field, horizon: float, t: float) -> Field:
-    """Terminal-value flow: the state at time t of the solution equal to z at
-    time `horizon`; requires 0 <= t <= horizon."""
-    if not 0.0 <= t <= horizon:
-        raise ValueError(f"dual time t={t} outside [0, {horizon}]")
-    return propagate(z, t - horizon)
+class AliasingError(ValueError):
+    """The quadratic chirp is not resolvable on this grid at this time."""
 
 
-def chirp_aliasing_ok(grid: Grid, t: float) -> bool:
-    """Aliasing guard for the quadratic chirp e^{i|x|^2/4t}: its local
-    frequency at the box edge, L/(2t), must not exceed the Nyquist pi/h."""
-    return grid.half_extent / (2.0 * abs(t)) <= grid.nyquist
+def chirp(grid: Grid, t: float) -> np.ndarray:
+    """The quadratic chirp e^{i|x|^2/4t} at every node; chirp(grid, -t) is
+    its conjugate."""
+    return np.exp(1j * grid.radius_sq() / (4.0 * t))
+
+
+def check_chirp(grid: Grid, t: float) -> None:
+    """Raise AliasingError unless the chirp at time t is resolvable: its
+    local frequency at the box edge, L/(2|t|), must not exceed the Nyquist pi/h."""
+    edge = grid.half_extent / (2.0 * abs(t))
+    if edge > grid.nyquist:
+        raise AliasingError(
+            f"chirp aliasing bound violated at T = {t:g}: L/(2|T|) = {edge:.4g} "
+            f"exceeds the Nyquist frequency {grid.nyquist:.4g}")
 
 
 def fresnel_output_grid(grid: Grid, t: float) -> Grid:
@@ -286,13 +292,11 @@ def fresnel_map(u0: Field, t: float) -> Field:
         raise ValueError(f"fresnel map requires t > 0, got {t}")
     grid = u0.grid
     n = grid.dim
-    chirped = Field(grid, np.exp(1j * grid.radius_sq() / (4.0 * t)) * u0.values)
-    spec = dft(chirped)
+    spec = dft(Field(grid, chirp(grid, t) * u0.values))
     out_grid = fresnel_output_grid(grid, t)
     # (2it)^{-n/2} on the principal branch
     pref = (2.0 * t) ** (-n / 2.0) * np.exp(-1j * n * np.pi / 4.0)
-    out_chirp = np.exp(1j * out_grid.radius_sq() / (4.0 * t))
-    return Field(out_grid, pref * out_chirp * spec.values)
+    return Field(out_grid, pref * chirp(out_grid, t) * spec.values)
 
 
 def gaussian_oracle(grid: Grid, t: float, sigma: float = 1.0) -> Field:

@@ -131,12 +131,33 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")]) == 2
         assert "even" in capsys.readouterr().err
 
-    def test_aliasing_violation_named(self, tmp_path, capsys):
-        cfg = write(tmp_path, "alias.cfg",
-                    "grid.L = 20.0\ngrid.M = 64\nbridge.T = 1.0\n")
-        assert main(["bridge", "--config", cfg,
+    @pytest.mark.parametrize("experiment, times", [
+        ("bridge", "bridge.T = 1.0"),
+        # the first two times resolve; the check still precedes every run
+        ("verify-identity", "fresnel.times = 2.0, 1.0, 0.25"),
+    ])
+    def test_aliasing_violation_named(self, tmp_path, capsys, experiment, times):
+        # L/(2T) = 10 at T = 1 and 40 at T = 0.25, past the Nyquist ~5 of M = 64
+        cfg = write(tmp_path, "alias.cfg", f"grid.L = 20.0\ngrid.M = 64\n{times}\n")
+        assert main([experiment, "--config", cfg,
                      "--out", str(tmp_path / "b.csv")]) == 2
-        assert "aliasing" in capsys.readouterr().err
+        assert "chirp aliasing bound violated" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("radius", ["20", "25"])
+    def test_interpolation_radius_covering_the_box_is_exit_2(
+            self, tmp_path, capsys, monkeypatch, radius):
+        # every node of [-20, 20] lies in B_r, so every observation is zero;
+        # this used to end in a traceback from the fit
+        monkeypatch.setattr(cli, "interpolation_report_12",
+                            lambda *a, **k: pytest.fail("checked before any report"))
+        cfg = write(tmp_path, "r.cfg", f"interpolation.r = {radius}\n")
+        assert main(["interpolation-12", "--config", cfg,
+                     "--out", str(tmp_path / "i.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"interpolation.r = {radius} leaves no node of the box" in err
+        assert "(L = 20)" in err
+        assert not (tmp_path / "i.csv").exists()
 
     def test_empirical_constant_needs_two_gaps(self, tmp_path, capsys,
                                                monkeypatch):
@@ -474,6 +495,17 @@ class TestExitCodes:
         assert main(["control-solve", "--config", cfg,
                      "--out", str(tmp_path / "c.csv")]) == 3
         assert "residual" in capsys.readouterr().err
+
+    def test_underflowed_cg_direction_is_exit_3(self, tmp_path, capsys):
+        # a tolerance of 1e-300 drives the recursive residual so low that the
+        # curvature of the next direction underflows to zero; this used to
+        # be reported as an indefinite operator (exit 1)
+        cfg = write(tmp_path, "tiny.cfg", "control.variant = two_impulse\n"
+                                          "control.cg_tolerance = 1e-300\n")
+        assert main(["control-solve", "--config", cfg,
+                     "--out", str(tmp_path / "c.csv")]) == 3
+        assert "CG stalled at relative residual" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_success_writes_csv_and_json(self, tmp_path, capsys):
         cfg = write(tmp_path, "u.cfg", FAST_UNCERTAINTY)

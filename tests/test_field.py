@@ -9,9 +9,10 @@ import pytest
 
 from schrodlab.field import (CappedWeightError, EnergyOverflowError, Field,
                              GridError, Weight, ball, ball_complement,
-                             box_tail_fraction, dot, field_from_function, l2_norm,
-                             make_grid, masked_energy, radial_moment,
-                             weighted_energy, whole_space, zero_field)
+                             box_tail_fraction, density_energy, dot,
+                             field_from_function, l2_norm, make_grid,
+                             masked_energy, radial_moment, weighted_energy,
+                             whole_space, zero_field)
 
 # independent quadrature oracles (tests/oracles.py documents the recipes)
 INT_EXP_MINUS_X2_BALL1 = 1.4936482656248540   # quad(e^{-x^2}, -1, 1)
@@ -127,6 +128,14 @@ class TestMaskedEnergy:
                     for r in np.linspace(0.0, 12.0, 40)]
         assert all(b >= a for a, b in zip(energies, energies[1:]))
 
+    def test_overflow_signalled(self):
+        # |f|^2 = 1e400 is past the double range: the energy is not inf
+        grid = make_grid(1, 20.0, 64)
+        huge = Field(grid, np.full(64, 1e200, dtype=complex))
+        for region in (ball(0.0, 1.0), ball_complement(0.0, 1.0)):
+            with pytest.raises(EnergyOverflowError):
+                masked_energy(huge, region)
+
     def test_gaussian_ball_against_quadrature(self):
         # plain Riemann sums cut at the ball boundary carry an O(h f(r))
         # quantization error; assert the principled bound at two resolutions
@@ -205,6 +214,26 @@ class TestNormsAndDot:
         g = zero_field(make_grid(1, 5.0, 32))
         with pytest.raises(ValueError):
             dot(f, g)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 256), (2, 32)])
+def test_energies_are_density_energies(dim, m):
+    # each energy is the one sum with its density, digit for digit the
+    # inline Riemann sum it replaced
+    grid = make_grid(dim, 10.0, m)
+    f = random_field(grid, np.random.default_rng(9))
+    h_dim = grid.spacing ** dim
+
+    def inline(density):
+        return float(np.sum(density * np.abs(f.values) ** 2) * h_dim)
+
+    for region in (ball(0.5, 3.0, dim=dim), ball_complement(0.0, 2.0, dim=dim),
+                   whole_space()):
+        mask = region.indicator(grid)
+        assert masked_energy(f, region) == density_energy(f, mask) == inline(mask)
+    for order in (2, 4, 8):
+        density = grid.radius_sq() ** (order / 2.0)
+        assert radial_moment(f, order) == density_energy(f, density) == inline(density)
 
 
 def test_radial_moment_matches_weighted_sum():

@@ -50,6 +50,26 @@ def test_cg_aborts_on_indefinite_operator():
         conjugate_gradient(lambda v: -v, b)
 
 
+@pytest.mark.parametrize("scale, precondition", [
+    (1e-80, None),                     # p*Ap = 1.6e-359 underflows to zero
+    (1.0, lambda r: np.zeros_like(r)),  # a zero direction
+])
+def test_cg_stalls_on_an_unresolvable_direction(scale, precondition):
+    # the curvature of these directions is zero without the operator being
+    # indefinite: the run ends unconverged instead of raising
+    b = np.full(16, scale, dtype=complex)
+    result = conjugate_gradient(lambda v: 1e-200 * v, b, tol=1e-300,
+                                precondition=precondition)
+    assert not result.converged
+    assert result.iterations == 1 and result.relative_residual == 1.0
+
+
+def test_cg_aborts_on_a_singular_operator():
+    # zero curvature on a direction of normal size is the operator's
+    with pytest.raises(IndefiniteOperatorError, match="nonpositive curvature"):
+        conjugate_gradient(lambda v: 0.0 * v, np.ones(16, complex))
+
+
 def test_preconditioned_cg_matches_plain():
     rng = np.random.default_rng(2)
     diag = np.exp(rng.uniform(0.0, 12.0, size=150))

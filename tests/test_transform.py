@@ -7,8 +7,8 @@ from scipy.linalg import svdvals
 from schrodlab import transform
 from schrodlab.field import (Field, ball, ball_complement, field_from_function,
                              l2_norm, make_grid, masked_energy)
-from schrodlab.transform import (bandlimited_interpolate, chirp_aliasing_ok,
-                                 dft, dual_solve, fft_symbol, fresnel_map,
+from schrodlab.transform import (AliasingError, bandlimited_interpolate,
+                                 check_chirp, chirp, dft, fft_symbol, fresnel_map,
                                  gaussian_oracle, idft, lattice_block, propagate,
                                  propagator_symbol, reflection_blocks,
                                  spectral_multiply)
@@ -132,19 +132,16 @@ def test_spectral_multiply_matches_dft_reference(dim, m, symbol):
 
 
 class TestDualSolve:
-    def test_terminal_condition(self):
-        grid = make_grid(1, 10.0, 128)
-        z = gaussian(grid)
-        assert dual_solve(z, 1.0, 1.0) is z
+    """The terminal-value (dual) solve: the state at time t of the solution
+    equal to z at time T is the backward flow propagate(z, t - T)."""
 
     def test_conjugation_identity(self):
         # conj of the forward flow of conj(z) equals the dual state at T - t
         rng = np.random.default_rng(5)
         grid = make_grid(1, 15.0, 256)
         z = random_field(grid, rng)
-        t, horizon = 0.3, 1.0
-        lhs = np.conj(dual_solve(Field(grid, np.conj(z.values)), horizon,
-                                 horizon - t).values)
+        t = 0.3
+        lhs = np.conj(propagate(Field(grid, np.conj(z.values)), -t).values)
         rhs = propagate(z, t).values
         assert np.abs(lhs - rhs).max() <= 1e-11 * np.abs(z.values).max()
 
@@ -152,15 +149,27 @@ class TestDualSolve:
         rng = np.random.default_rng(6)
         grid = make_grid(1, 15.0, 128)
         z = random_field(grid, rng)
-        assert abs(l2_norm(dual_solve(z, 2.0, 0.5)) - l2_norm(z)) <= 1e-12 * l2_norm(z)
+        assert abs(l2_norm(propagate(z, -1.5)) - l2_norm(z)) <= 1e-12 * l2_norm(z)
 
-    def test_time_outside_window_rejected(self):
-        grid = make_grid(1, 10.0, 64)
-        z = gaussian(grid)
-        with pytest.raises(ValueError):
-            dual_solve(z, 1.0, 1.5)
-        with pytest.raises(ValueError):
-            dual_solve(z, 1.0, -0.1)
+
+class TestChirp:
+    @pytest.mark.parametrize("dim, m", [(1, 256), (2, 32)])
+    def test_backward_chirp_is_the_conjugate(self, dim, m):
+        grid = make_grid(dim, 10.0, m)
+        for t in (0.3, 1.0, 7.0):
+            assert np.array_equal(chirp(grid, -t), np.conj(chirp(grid, t)))
+            # the form the counterexample families wrote before it moved here
+            assert np.array_equal(chirp(grid, -t),
+                                  np.exp(-1j * grid.radius_sq() / (4.0 * t)))
+
+    def test_aliasing_check(self):
+        grid = make_grid(1, 20.0, 64)  # h = 0.625, Nyquist ~5.03
+        edge = grid.half_extent / (2.0 * grid.nyquist)  # L/(2t) = Nyquist here
+        for t in (1.01 * edge, -1.01 * edge, 2.0 * edge):
+            check_chirp(grid, t)
+        for t in (1.0, -1.0):  # L/(2|t|) = 10
+            with pytest.raises(AliasingError, match="chirp aliasing bound violated"):
+                check_chirp(grid, t)
 
 
 class TestFresnel:
@@ -244,7 +253,7 @@ def test_fourier_fresnel_bridge_invariant():
     rng = np.random.default_rng(7)
     grid = make_grid(1, 20.0, 1024)
     t = 1.0
-    assert chirp_aliasing_ok(grid, t)
+    check_chirp(grid, t)
     x = grid.coords()[0]
     for trial in range(5):
         coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
