@@ -3,9 +3,11 @@
 Output contract: each run writes one CSV (header row, one line per parameter
 tuple, shortest round-trip float formatting) and one JSON summary (config
 echo, seed, versions, validity flags, fitted constants).  Identical config
-and seed produce byte-identical output.  Exit codes: 0 success, 2 validation
-failure (each with a message naming the violated constraint), 3 unresolved
-solve (non-convergence, or an eigenvalue below its rounding floor).
+and seed produce byte-identical output.  `main` alone sets the exit code, by
+exception type: 0 success, 2 a ValueError (inputs refused, the message naming
+the violated constraint), 3 a SolverFailure or LinAlgError (an unresolved
+solve: non-convergence, or an eigenvalue below its rounding floor); any other
+exception is a bug and stays a traceback.
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .field import (CappedWeightError, Field, ball, ball_complement,
-                    box_tail_fraction, gaussian_state, l2_norm, make_grid, GridError)
+from .field import (Field, ball, ball_complement, box_tail_fraction,
+                    gaussian_state, l2_norm, make_grid, GridError)
 from .fitting import affine_fit
 from .control import (VARIANTS, calibrate_observation_weight, cost_scaling_study,
                       problem_operators, solve_control, variant_problem)
 from .counterexamples import SequenceSpec, decay_study
-from .inequalities import (bandlimited_sample, check_band_radius,
+from .inequalities import (BlockOrderError, bandlimited_sample, check_band_radius,
                            empirical_constant, equivalence_bridge_check,
                            euler_bound, euler_integral,
                            extremal_bandlimited_concentration,
@@ -36,18 +38,13 @@ from .inequalities import (bandlimited_sample, check_band_radius,
                            moment_check_34, smallest_euler_constant,
                            spectral_inequality_report, two_ball_report_13,
                            two_time_quotient, uncertainty_quotient)
-from .solvers import IndefiniteOperatorError
-from .transform import (AliasingError, bandlimited_interpolate, check_chirp,
-                        fresnel_map, gaussian_oracle, propagate)
+from .solvers import SolverFailure
+from .transform import (bandlimited_interpolate, check_chirp, fresnel_map,
+                        gaussian_oracle, propagate)
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
-
-
-class SolverFailure(RuntimeError):
-    """A solve left its answer unresolved: an iterative solve missed its
-    tolerance, or an eigenvalue is below its rounding floor."""
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +317,7 @@ def _run_empirical_constant(config: dict, seed: int, threads: int) -> Experiment
     def one(gap: float) -> Dict[str, object]:
         try:
             result = empirical_constant(0.0, gap, region, region, grid)
-        except ValueError as exc:
+        except BlockOrderError as exc:
             raise ConfigError(f"observability.radius = {radius:g}: {exc}") from exc
         return {"gap": gap, "lambda_min": result.lambda_min, "constant": result.constant,
                 "floor": result.floor, "converged": result.converged}
@@ -394,10 +391,7 @@ def _run_spectral_ineq(config: dict, seed: int, threads: int) -> ExperimentResul
     grid = _grid_from(config)
     bands, samples = config["spectral.bands"], config["spectral.samples"]
     radii = config["spectral.radii"]
-    try:
-        check_band_radius(grid, max(bands))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    check_band_radius(grid, max(bands))
 
     def one(band: float) -> List[Dict[str, object]]:
         # a sample's seed does not depend on r: draw and project each field
@@ -413,11 +407,9 @@ def _run_spectral_ineq(config: dict, seed: int, threads: int) -> ExperimentResul
             # the growth shape lives on the extremal concentrated field
             try:
                 extremal = extremal_bandlimited_concentration(grid, r, band)
-            except ValueError as exc:
+            except BlockOrderError as exc:
                 raise ConfigError(f"spectral.radii {r:g}, spectral.bands {band:g}: "
                                   f"{exc}") from exc
-            except RuntimeError as exc:
-                raise SolverFailure(str(exc)) from exc
             extremal_ratio = spectral_inequality_report(extremal, [r], band)[0].quotient
             rows.append({"r": r, "N": band, "rN": r * band,
                          "min_ratio": float(sampled.min()),
@@ -475,7 +467,7 @@ def _run_euler_21(config: dict, seed: int, threads: int) -> ExperimentResult:
         integral, bound = euler_integral(a, beta), euler_bound(a, beta, constant)
         return {"n": n, "a": a, "beta": "+".join(str(b) for b in beta),
                 "integral": integral, "bound": bound,
-                "ratio": bound / integral if integral > 0 else float("inf")}
+                "ratio": bound / integral}
 
     rows = _map_ordered(one, cases, threads)
     summary = {"fitted_constant": constant,
@@ -486,21 +478,17 @@ def _run_euler_21(config: dict, seed: int, threads: int) -> ExperimentResult:
 def _run_counterexample(config: dict, seed: int, threads: int) -> ExperimentResult:
     family = config["counterexample.family"]
     grid = _grid_from(config)
-    try:
-        spec = SequenceSpec(
-            family=family, profile=config["counterexample.profile"],
-            x_prime=config["counterexample.x_prime"],
-            x_dprime=config["counterexample.x_dprime"],
-            r1=config["counterexample.r1"],
-            r2=config.get("counterexample.r2",
-                          2.0 if family == "time_reversed" else 1.0),
-            horizon=config["counterexample.T"],
-            s1=config["counterexample.S1"], s2=config["counterexample.S2"],
-            weight_amplitude=config["counterexample.a"])
-        study = decay_study(spec, grid, config["counterexample.k"],
-                            time_slices=config["counterexample.time_slices"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = SequenceSpec(
+        family=family, profile=config["counterexample.profile"],
+        x_prime=config["counterexample.x_prime"],
+        x_dprime=config["counterexample.x_dprime"],
+        r1=config["counterexample.r1"],
+        r2=config.get("counterexample.r2", 2.0 if family == "time_reversed" else 1.0),
+        horizon=config["counterexample.T"],
+        s1=config["counterexample.S1"], s2=config["counterexample.S2"],
+        weight_amplitude=config["counterexample.a"])
+    study = decay_study(spec, grid, config["counterexample.k"],
+                        time_slices=config["counterexample.time_slices"])
     summary: Dict[str, object] = {"family": family}
     for name, fit in study.fits.items():
         summary[f"slope_{name}"] = fit.slope
@@ -528,10 +516,7 @@ def _run_control_solve(config: dict, seed: int, threads: int) -> ExperimentResul
     except ValueError as exc:
         raise ConfigError(f"invalid control problem: {exc}") from exc
     validity = _check_tail(config, problem.initial_state)
-    try:
-        c0 = calibrate_observation_weight(ops)
-    except RuntimeError as exc:
-        raise ConfigError(str(exc)) from exc
+    c0 = calibrate_observation_weight(ops)
     tol = config["control.cg_tolerance"]
     solution = solve_control(ops, c0, tol=tol,
                              max_iter=config["control.max_iterations"])
@@ -565,15 +550,10 @@ def _run_control_solve(config: dict, seed: int, threads: int) -> ExperimentResul
 def _run_cost_scaling(config: dict, seed: int, threads: int) -> ExperimentResult:
     grid = _grid_from(config)
     u0 = gaussian_state(grid, config["control.sigma"])
-    try:
-        study = cost_scaling_study(
-            grid, u0, config["cost.gaps"], config["cost.radius"],
-            eps0=config["cost.penalty"], error_target=config["cost.error_target"],
-            fixed_gap=config["cost.fixed_gap"], tol=config["cost.cg_tolerance"])
-    except IndefiniteOperatorError:
-        raise  # an adjoint bug, not a configuration the study cannot serve
-    except RuntimeError as exc:
-        raise ConfigError(str(exc)) from exc
+    study = cost_scaling_study(
+        grid, u0, config["cost.gaps"], config["cost.radius"],
+        eps0=config["cost.penalty"], error_target=config["cost.error_target"],
+        fixed_gap=config["cost.fixed_gap"], tol=config["cost.cg_tolerance"])
     doubling_increase = None
     if len(study.doubling_rows) == 2:
         doubling_increase = bool(study.doubling_rows[1]["normalized_cost"]
@@ -850,44 +830,35 @@ def main(argv: Sequence[str] = None) -> int:
                         help="worker threads for parameter sweeps")
     args = parser.parse_args(argv)
 
-    if args.experiment == "list" and args.listed is None:
-        print(list_experiments())
-        return 0
-    if args.experiment != "list" and args.listed is not None:
-        print(f"error: unexpected argument {args.listed!r}; only 'list' takes "
-              f"an experiment name", file=sys.stderr)
-        return 2
-    name = args.listed if args.experiment == "list" else args.experiment
-    if name not in EXPERIMENTS:
-        print(f"error: unknown experiment {name!r}; "
-              f"run 'schrodlab list' for the catalog", file=sys.stderr)
-        return 2
-    if args.experiment == "list":
-        print(describe_experiment(name))
-        return 0
-    if args.seed < 0:
-        print(f"error: --seed must be a non-negative integer, got {args.seed}",
-              file=sys.stderr)
-        return 2
-    if args.threads < 1:
-        print(f"error: --threads must be at least 1, got {args.threads}",
-              file=sys.stderr)
-        return 2
-
-    out_path = Path(args.out) if args.out else Path(f"{args.experiment}.csv")
-    entry = EXPERIMENTS[args.experiment]
+    # the one exit-code map; LinAlgError is a ValueError, so its clause comes first
     try:
+        if args.experiment != "list" and args.listed is not None:
+            raise ConfigError(f"unexpected argument {args.listed!r}; only 'list' "
+                              f"takes an experiment name")
+        name = args.listed if args.experiment == "list" else args.experiment
+        if name is not None and name not in EXPERIMENTS:
+            raise ConfigError(f"unknown experiment {name!r}; "
+                              f"run 'schrodlab list' for the catalog")
+        if args.experiment == "list":
+            print(describe_experiment(name) if name else list_experiments())
+            return 0
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        out_path = Path(args.out) if args.out else Path(f"{name}.csv")
+        entry = EXPERIMENTS[name]
         _check_output(out_path, args.config)
         values = load_config(args.config) if args.config else {}
         config = resolve(entry.keys, values, args.experiment)
         _check_sweep(entry, config)
         result = entry.runner(config, args.seed, args.threads)
-    except (ConfigError, CappedWeightError, AliasingError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SolverFailure as exc:
+    except (SolverFailure, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     write_outputs(result, out_path, args.experiment, entry.theorem, values, args.seed)
     print(f"wrote {out_path} and {out_path.with_suffix('.json')}")

@@ -641,8 +641,8 @@ def calibrate_observation_weight(ops: ProblemOperators) -> float:
     valid C0 exists below 2^48.  Beyond that the penalty
     is too small for the observation pattern (on a truncated box the hidden
     states have weighted norms capped near e^{aL}, which floors the
-    admissible penalty), and the failure is reported rather than forcing an
-    ill-conditioned solve."""
+    admissible penalty), and a ValueError refuses the inputs rather than
+    forcing an ill-conditioned solve."""
     form = low_rank_form(ops, margin=True)
     if form is not None:
         certified = _structured_certificate(form)
@@ -659,7 +659,7 @@ def calibrate_observation_weight(ops: ProblemOperators) -> float:
         if certified(c0):
             return 2.0 * c0
         c0 *= 2.0
-    raise RuntimeError(
+    raise ValueError(
         "no admissible observation weight found below the conditioning cap; "
         "the observation pattern cannot dominate the reach term at this "
         "penalty (raise the penalty or enlarge the box)"
@@ -698,7 +698,7 @@ def cost_scaling_study(grid: Grid, u0: Field, gaps: Sequence[float], radius: flo
             continue
         rows.append(row)
     if len(rows) < 2:
-        raise RuntimeError("too few admissible cost samples to fit")
+        raise ValueError("too few admissible cost samples to fit")
     fit = affine_fit([row["stress"] for row in rows],
                      [np.log(row["normalized_cost"]) for row in rows])
     doubling_rows: List[Dict[str, float]] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, gamma, prod
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import eigh, svd
@@ -30,6 +30,7 @@ from .field import (
     radial_moment,
     weighted_energy,
 )
+from .solvers import SolverFailure
 from .transform import (MAX_BLOCK_ORDER, check_chirp, chirp, circulant_kernel, dft,
                         fft_symbol, idft, propagate, propagator_symbol,
                         reflection_blocks, spectral_multiply)
@@ -137,11 +138,15 @@ class EmpiricalConstant:
     converged: bool
 
 
+class BlockOrderError(ValueError):
+    """A dense block whose order is outside 1..MAX_BLOCK_ORDER."""
+
+
 def _block_floor(order: int) -> float:
     """Rounding floor eps * order of a dense block of that order; an order
     outside 1..MAX_BLOCK_ORDER is refused before the block is built."""
     if not 0 < order <= MAX_BLOCK_ORDER:
-        raise ValueError(f"dense block of order {order} is outside 1..{MAX_BLOCK_ORDER}")
+        raise BlockOrderError(f"dense block of order {order} is outside 1..{MAX_BLOCK_ORDER}")
     return float(np.finfo(float).eps * order)
 
 
@@ -319,7 +324,7 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float)
     kernel fftn(mask)/N is conj(ifftn(mask)) for the real mask: the lattice
     block is its conjugate, with the same mu and conjugate eigenvectors.
     Either block is decomposed on its reflection halves when it has them.
-    Raises RuntimeError when 1 - mu is below the rounding floor.
+    Raises SolverFailure when 1 - mu is below the rounding floor.
     """
     check_band_radius(grid, band_radius)
     band = _band_symbol(grid, band_radius)
@@ -336,7 +341,7 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float)
             if values[0] > mu:
                 mu, vector = float(values[0]), half.expand_rows(vectors[:, 0])
     if 1.0 - mu < floor:
-        raise RuntimeError(
+        raise SolverFailure(
             f"extremal concentration not resolved at r {r:g}, N {band_radius:g}: "
             f"1 - mu {1.0 - mu:.3e} below the floor {floor:.3e}")
     embedded = np.zeros(grid.node_count, dtype=np.complex128)
@@ -421,11 +426,13 @@ def euler_integral(a: float, beta: Sequence[int]) -> float:
         raise ValueError("beta must be a multi-index in dim 1 or 2 with |beta| <= 4")
     if n == 1:
         b = beta[0]
-        return 2.0 * a ** (-(2 * b + 1)) * float(factorial(2 * b))
+        return _in_float_range("Euler integral", a, lambda: 2.0 * a ** (-(2 * b + 1))
+                               * float(factorial(2 * b)))
     b1, b2 = beta
     total = b1 + b2
-    return factorial(2 * total + 1) / a ** (2 * total + 2) \
-        * 2.0 * gamma(b1 + 0.5) * gamma(b2 + 0.5) / gamma(total + 1)
+    return _in_float_range("Euler integral", a, lambda: factorial(2 * total + 1)
+                           / a ** (2 * total + 2) * 2.0 * gamma(b1 + 0.5)
+                           * gamma(b2 + 0.5) / gamma(total + 1))
 
 
 def euler_bound(a: float, beta: Sequence[int], constant: float) -> float:
@@ -433,7 +440,19 @@ def euler_bound(a: float, beta: Sequence[int], constant: float) -> float:
     beta = tuple(int(b) for b in beta)
     n = len(beta)
     fact = prod(factorial(b) for b in beta)
-    return (2.0 * n / a) ** n * fact ** 2 * (constant * n / a) ** (2 * sum(beta))
+    return _in_float_range("Euler bound", a, lambda: (2.0 * n / a) ** n * fact ** 2
+                           * (constant * n / a) ** (2 * sum(beta)))
+
+
+def _in_float_range(name: str, a: float, compute: Callable[[], float]) -> float:
+    """compute(), a positive quantity; a ValueError naming the amplitude when
+    a power of `a` in it overflows, or underflows to zero."""
+    try:
+        if 0.0 < (value := compute()) < np.inf:
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise ValueError(f"the {name} at amplitude a = {a:g} leaves the float range")
 
 
 def smallest_euler_constant(cases: Sequence[Tuple[float, Sequence[int]]]) -> float:

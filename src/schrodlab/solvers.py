@@ -18,6 +18,11 @@ Operator = Callable[[np.ndarray], np.ndarray]
 _TWICE_IS_ENOUGH = 1.0 / np.sqrt(2.0)
 
 
+class SolverFailure(RuntimeError):
+    """A solve left its answer unresolved: an iterative solve missed its
+    tolerance, or an eigenvalue is below its rounding floor."""
+
+
 class IndefiniteOperatorError(RuntimeError):
     """CG met nonpositive curvature on a direction large enough to resolve
     it; the operator is not positive definite (with exact adjoints this
@@ -43,12 +48,16 @@ def conjugate_gradient(apply_op: Operator, rhs: np.ndarray, tol: float = 1e-10,
     Non-convergence is reported, never silent; a search direction so small
     that its curvature p*Ap underflows to zero ends the run unconverged.
     `precondition` applies an approximate inverse of apply_op (Hermitian PD).
+    It solves for rhs / 2^e, max |rhs| ~ 2^e, so no norm under- or overflows;
+    a power of two scales exactly, so an ordinary solve keeps its bits.
     """
-    b_norm = np.linalg.norm(rhs)
-    if b_norm == 0.0:
+    peak = np.abs(rhs).max(initial=0.0)
+    if peak == 0.0:
         return CGResult(np.zeros_like(rhs), 0, 0.0, True)
+    order = int(np.clip(np.frexp(peak)[1], -1023, 1023))  # 2^order and 2^-order are floats
+    r = rhs * 2.0 ** -order
+    b_norm = res = np.linalg.norm(r)
     x = np.zeros_like(rhs)
-    r = rhs.copy()
     z = precondition(r) if precondition is not None else r
     p = z.copy()
     rz_old = np.vdot(r, z).real
@@ -68,12 +77,12 @@ def conjugate_gradient(apply_op: Operator, rhs: np.ndarray, tol: float = 1e-10,
         r = r - alpha * ap
         res = float(np.linalg.norm(r))
         if res <= tol * b_norm:
-            return CGResult(x, iterations, res / b_norm, True)
+            break
         z = precondition(r) if precondition is not None else r
         rz_new = np.vdot(r, z).real
         p = z + (rz_new / rz_old) * p
         rz_old = rz_new
-    return CGResult(x, iterations, float(np.linalg.norm(r) / b_norm), False)
+    return CGResult(x * 2.0 ** order, iterations, res / b_norm, bool(res <= tol * b_norm))
 
 
 @dataclass

@@ -17,6 +17,7 @@ from schrodlab import cli, inequalities
 from schrodlab.cli import (ConfigError, EXPERIMENTS, list_experiments,
                            load_config, main)
 from schrodlab.control import VARIANTS
+from schrodlab.solvers import IndefiniteOperatorError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -426,7 +427,7 @@ class TestExitCodes:
 
     def test_cost_scaling_study_failure_is_exit_2(self, tmp_path, capsys, monkeypatch):
         def too_few(*args, **kwargs):
-            raise RuntimeError("too few admissible cost samples to fit")
+            raise ValueError("too few admissible cost samples to fit")
 
         monkeypatch.setattr(cli, "cost_scaling_study", too_few)
         cfg = write(tmp_path, "c.cfg", "grid.M = 64\n")
@@ -505,6 +506,46 @@ class TestExitCodes:
         assert main(["control-solve", "--config", cfg,
                      "--out", str(tmp_path / "c.csv")]) == 3
         assert "CG stalled at relative residual" in capsys.readouterr().err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("amplitude", ["1e-40", "1e100"])
+    def test_euler_amplitude_past_the_float_range_is_exit_2(self, tmp_path, capsys,
+                                                           amplitude):
+        # a power of a in the integral overflows (this used to end in an
+        # OverflowError traceback, exit 1)
+        cfg = write(tmp_path, "e.cfg", f"euler.amplitudes = {amplitude}\n")
+        assert main(["euler-21", "--config", cfg,
+                     "--out", str(tmp_path / "e.csv")]) == 2
+        assert (f"Euler integral at amplitude a = {float(amplitude):g} leaves the "
+                f"float range") in capsys.readouterr().err
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("experiment, dense", [
+        ("empirical-constant", "svd"), ("spectral-ineq-27", "eigh")])
+    def test_dense_solve_that_did_not_converge_is_exit_3(self, tmp_path, capsys,
+                                                         monkeypatch, experiment, dense):
+        # LinAlgError is a ValueError, but no input was refused
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{dense} did not converge")
+
+        monkeypatch.setattr(inequalities, dense, no_convergence)
+        cfg = write(tmp_path, "d.cfg", "grid.M = 64\n" + (
+            "spectral.samples = 1\n" if experiment == "spectral-ineq-27" else ""))
+        assert main([experiment, "--config", cfg, "--out", str(tmp_path / "d.csv")]) == 3
+        assert f"solver failure: {dense} did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_indefinite_operator_in_cost_scaling_is_a_traceback(self, tmp_path,
+                                                                monkeypatch):
+        # an operator/adjoint bug, not a configuration the study cannot serve
+        def indefinite(*args, **kwargs):
+            raise IndefiniteOperatorError("nonpositive curvature -1.000e+00 "
+                                          "at CG iteration 1")
+
+        monkeypatch.setattr(cli, "cost_scaling_study", indefinite)
+        cfg = write(tmp_path, "c.cfg", "grid.M = 64\n")
+        with pytest.raises(IndefiniteOperatorError):
+            main(["cost-scaling", "--config", cfg, "--out", str(tmp_path / "c.csv")])
         assert not (tmp_path / "c.csv").exists()
 
     def test_success_writes_csv_and_json(self, tmp_path, capsys):

@@ -341,7 +341,7 @@ class TestCalibration:
 
     def test_infeasible_penalty_reported(self):
         problem = variant_problem("complement_approx", L=12.0, penalty=1e-6)
-        with pytest.raises(RuntimeError, match="observation pattern"):
+        with pytest.raises(ValueError, match="observation pattern"):
             calibrate_observation_weight(problem_operators(problem))
 
 
@@ -435,7 +435,7 @@ class TestStructuredRoute:
 
         monkeypatch.setattr(control, "eigvalsh", spoiled)
         if not accepted:
-            with pytest.raises(RuntimeError, match="observation pattern"):
+            with pytest.raises(ValueError, match="observation pattern"):
                 calibrate_observation_weight(ops)
             return
         assert calibrate_observation_weight(ops) == reference

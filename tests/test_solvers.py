@@ -50,18 +50,31 @@ def test_cg_aborts_on_indefinite_operator():
         conjugate_gradient(lambda v: -v, b)
 
 
-@pytest.mark.parametrize("scale, precondition", [
-    (1e-80, None),                     # p*Ap = 1.6e-359 underflows to zero
-    (1.0, lambda r: np.zeros_like(r)),  # a zero direction
-])
-def test_cg_stalls_on_an_unresolvable_direction(scale, precondition):
+@pytest.mark.parametrize("diagonal, precondition, first", [
+    # the residual shrinks until a later direction's p*Ap underflows to zero
+    (np.array([1.0, 2.0]), None, False),
+    (np.ones(16), lambda r: np.zeros_like(r), True),  # a zero direction
+], ids=["later-direction-underflows", "zero-direction"])
+def test_cg_stalls_on_an_unresolvable_direction(diagonal, precondition, first):
     # the curvature of these directions is zero without the operator being
     # indefinite: the run ends unconverged instead of raising
-    b = np.full(16, scale, dtype=complex)
-    result = conjugate_gradient(lambda v: 1e-200 * v, b, tol=1e-300,
+    b = np.ones(diagonal.size, dtype=complex)
+    result = conjugate_gradient(lambda v: 1e-200 * diagonal * v, b, tol=1e-300,
                                 precondition=precondition)
     assert not result.converged
-    assert result.iterations == 1 and result.relative_residual == 1.0
+    if first:
+        assert result.iterations == 1 and result.relative_residual == 1.0
+    else:
+        assert result.iterations > 1 and 0.0 < result.relative_residual < 1e-50
+
+
+@pytest.mark.parametrize("entry", [1e-170, 1e270])
+def test_cg_solves_tiny_and_huge_right_hand_sides(entry):
+    # ||b|| of these underflows to 0 or overflows to inf unscaled
+    b = np.full(16, entry, dtype=complex)
+    result = conjugate_gradient(lambda v: 2.0 * v, b)
+    assert result.converged and result.iterations == 1
+    assert np.array_equal(result.solution, b / 2)
 
 
 def test_cg_aborts_on_a_singular_operator():
