@@ -32,7 +32,7 @@ converges in one or two iterations.  The margin has that form too, the
 reach ball joining Y, for two_impulse, complement_approx, ball_null,
 band_restricted and cost scaling; there each candidate C0 is decided exactly
 by the inertia of the k x k capacitance S^-1 + Y* D^-1 Y (Haynsworth), or,
-for l2 exact control, by one eigvalsh of Y*Y for every candidate.
+for two_impulse, by one top singular value of Y_1* Y_2 for every candidate.
 shifted_decay_null (a whole-space reach term), sobolev_dual_approx (W not
 diagonal in x) and any form with k > MAX_BLOCK_ORDER = 4096 keep the
 diagonal preconditioner and Lanczos on the congruence-scaled margin S H S.
@@ -60,7 +60,7 @@ from .fitting import FitResult, affine_fit
 from .solvers import CGResult, Operator, conjugate_gradient, lanczos_smallest
 from .transform import (MAX_BLOCK_ORDER, FlowObservation, fft_symbol, flow_observation,
                         lattice_block, propagate_values, propagator_symbol,
-                        spectral_multiply)
+                        spectral_multiply, top_singular)
 
 IMPULSE_JUMP = -1j
 
@@ -603,14 +603,18 @@ _MARGIN_TOL = 1e-8   # absolute Lanczos tolerance on the unscaled margin
 def _structured_certificate(form: LowRankForm) -> Callable[[float], bool]:
     """Decide each candidate C0 on the margin's D + Y S Y* form.
 
-    When D is a scalar d(C0) and S = -C0 throughout (l2 exact control, no
-    datum weight), the margin is d - C0 Y Y*, definite exactly when
-    C0 mu_max < d for mu_max the top eigenvalue of Y*Y: one eigvalsh scores
-    every candidate, with mu_max raised by its rounding floor
-    eps * k * mu_max.  Otherwise each candidate takes the inertia test."""
-    if np.all(form.signs == -1.0) and np.all(form.base == form.base[0]):
-        mu = eigvalsh(form.gram(np.ones(form.nodes.size)))
-        top = mu[-1] * (1.0 + np.finfo(float).eps * mu.size) if mu.size else 0.0
+    When Z is the whole lattice, D a scalar d(C0) and Y = [Y_1, Y_2] two
+    complement terms with S = -C0 (two_impulse and cost scaling), the margin
+    d - C0 Y Y* is definite exactly when C0 mu_max < d, for mu_max =
+    1 + sigma_max(Y_1* Y_2) the top eigenvalue of Y*Y (each Y_i an isometry):
+    one top_singular scores every candidate, with mu_max raised by its
+    rounding floor eps * k * mu_max.  Otherwise each candidate takes the
+    inertia test."""
+    if (len(form.terms) == 2 and form.nodes.size == form.grid.node_count
+            and np.all(form.signs == -1.0) and np.all(form.base == form.base[0])):
+        (left, rows), (right, cols) = form.terms
+        sigma, _, _ = top_singular(form.grid, left.conj() * right, rows, cols)
+        top = (1.0 + sigma) * (1.0 + np.finfo(float).eps * form.signs.size)
         return lambda c0: c0 * top < form.diagonal(c0)[0]
     return form.positive_definite
 

@@ -4,8 +4,8 @@ Each evaluator measures both sides of one inequality on concrete fields and
 returns an InequalityReport; nothing here asserts a theoretical constant.
 Constants are estimated empirically, either by fitting report families
 (affine log-fits) or as the inverse smallest eigenvalue of the observation
-Gramian, computed exactly from one dense lattice block (or its two
-reflection halves).
+Gramian, computed exactly from the top singular value of one dense
+lattice block.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from math import factorial, gamma, prod
 from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh, svd
 
 from .field import (
     Field,
@@ -33,7 +32,7 @@ from .field import (
 from .solvers import SolverFailure
 from .transform import (MAX_BLOCK_ORDER, check_chirp, chirp, circulant_kernel, dft,
                         fft_symbol, idft, propagate, propagator_symbol,
-                        reflection_blocks, spectral_multiply)
+                        spectral_multiply, top_singular)
 
 
 @dataclass
@@ -157,8 +156,7 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
     G = M_A + P* M_B P is a sum of two projections, so 2 - G = X X* with
     X = [E_a, P* E_b], E_a and E_b embedding the nodes off A and off B, and
     lambda_min(G) = 1 - sigma_max(C) at X (v; u), with C v = sigma_max u and
-    C = E_b* P E_a a lattice block of the flow, decomposed on its reflection
-    halves when both node sets are centred (reflection_blocks).  Converged
+    C = E_b* P E_a a lattice block of the flow (top_singular).  Converged
     means lambda_min is at least the rounding floor of X*X; below it, neither
     it nor its inverse is resolved.
     """
@@ -170,15 +168,7 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
         unit = Field(grid, np.eye(1, grid.node_count)[0])
         return EmpiricalConstant(2.0, 0.5, unit, 0.0, True)
     floor = _block_floor(cols.size + rows.size)
-    sigma, u, v = 0.0, np.eye(1, rows.size)[0], np.eye(1, cols.size)[0]
-    if rows.size and cols.size:  # else C is empty and G is I plus a projection
-        for half in reflection_blocks(grid, propagator_symbol(grid, t - s), rows, cols):
-            if not half.block.size:
-                continue
-            left, values, right = svd(half.block, full_matrices=False)
-            if values[0] > sigma:
-                sigma, u, v = (float(values[0]), half.expand_rows(left[:, 0]),
-                               half.expand_cols(right[0].conj()))
+    sigma, u, v = top_singular(grid, propagator_symbol(grid, t - s), rows, cols)
     lam = max(1.0 - sigma, 0.0)
     extremizer = np.zeros(grid.node_count, dtype=np.complex128)
     extremizer[rows] = u
@@ -323,7 +313,7 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float)
     M_ball P_band M_ball on the ball, or F M_ball F^-1 on the band, whose
     kernel fftn(mask)/N is conj(ifftn(mask)) for the real mask: the lattice
     block is its conjugate, with the same mu and conjugate eigenvectors.
-    Either block is decomposed on its reflection halves when it has them.
+    Either block is positive semidefinite, so mu is its top_singular value.
     Raises SolverFailure when 1 - mu is below the rounding floor.
     """
     check_band_radius(grid, band_radius)
@@ -333,13 +323,7 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float)
     on_ball = 0 < ball_idx.size < band_idx.size  # with no ball node, K = 0 on the band
     nodes, symbol = (ball_idx, band) if on_ball else (band_idx, ball_mask)
     floor = _block_floor(nodes.size)
-    mu, vector = -np.inf, None
-    for half in reflection_blocks(grid, symbol, nodes, nodes):
-        order = half.block.shape[0]
-        if order:
-            values, vectors = eigh(half.block, subset_by_index=[order - 1, order - 1])
-            if values[0] > mu:
-                mu, vector = float(values[0]), half.expand_rows(vectors[:, 0])
+    mu, vector, _ = top_singular(grid, symbol, nodes, nodes)
     if 1.0 - mu < floor:
         raise SolverFailure(
             f"extremal concentration not resolved at r {r:g}, N {band_radius:g}: "

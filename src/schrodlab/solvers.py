@@ -45,16 +45,15 @@ def conjugate_gradient(apply_op: Operator, rhs: np.ndarray, tol: float = 1e-10,
     ||r_k|| <= tol * ||b||, regardless of the preconditioner, and reports
     ||r_k|| / ||b||.  r_k equals b - A x_k only in exact arithmetic; the true
     residual is not recomputed, so the two can drift apart in floating point.
-    Non-convergence is reported, never silent; a search direction so small
-    that its curvature p*Ap underflows to zero ends the run unconverged.
-    `precondition` applies an approximate inverse of apply_op (Hermitian PD).
-    It solves for rhs / 2^e, max |rhs| ~ 2^e, so no norm under- or overflows;
+    Non-convergence is reported, never silent; a p*Ap or r*z that underflows
+    to zero ends the run unconverged.  `precondition` applies an approximate
+    inverse of apply_op (Hermitian PD).  It solves for rhs / 2^e and measures
+    each r_k / 2^e, max |.| ~ 2^e, so no norm under- or overflows;
     a power of two scales exactly, so an ordinary solve keeps its bits.
     """
-    peak = np.abs(rhs).max(initial=0.0)
-    if peak == 0.0:
+    if not np.any(rhs):
         return CGResult(np.zeros_like(rhs), 0, 0.0, True)
-    order = int(np.clip(np.frexp(peak)[1], -1023, 1023))  # 2^order and 2^-order are floats
+    order = _binary_order(rhs)
     r = rhs * 2.0 ** -order
     b_norm = res = np.linalg.norm(r)
     x = np.zeros_like(rhs)
@@ -75,14 +74,22 @@ def conjugate_gradient(apply_op: Operator, rhs: np.ndarray, tol: float = 1e-10,
         alpha = rz_old / curvature
         x = x + alpha * p
         r = r - alpha * ap
-        res = float(np.linalg.norm(r))
+        e = _binary_order(r)
+        res = float(np.linalg.norm(r * 2.0 ** -e)) * 2.0 ** e
         if res <= tol * b_norm:
             break
         z = precondition(r) if precondition is not None else r
         rz_new = np.vdot(r, z).real
+        if rz_new == 0.0:
+            break  # r*z underflowed: the run has stalled
         p = z + (rz_new / rz_old) * p
         rz_old = rz_new
     return CGResult(x * 2.0 ** order, iterations, res / b_norm, bool(res <= tol * b_norm))
+
+
+def _binary_order(v: np.ndarray) -> int:
+    """The exponent e of max |v| ~ 2^e, clipped so that 2^e and 2^-e are floats."""
+    return int(np.clip(np.frexp(np.abs(v).max())[1], -1023, 1023))
 
 
 @dataclass

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import eigh, svd
 
 from .field import Field, Grid, Region
 
@@ -145,18 +146,11 @@ def _reflection_orbits(grid: Grid, index: np.ndarray):
     return _Orbits(first, partner[first], int(np.count_nonzero(position < partner)))
 
 
-class BlockHalf(NamedTuple):
-    """A block in an orthonormal basis of part of its row and column spaces,
-    with the maps taking a vector in that basis to one on `rows` / `cols`."""
-    block: np.ndarray
-    expand_rows: Callable[[np.ndarray], np.ndarray]
-    expand_cols: Callable[[np.ndarray], np.ndarray]
-
-
 def reflection_blocks(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
-                      cols: np.ndarray) -> List[BlockHalf]:
+                      cols: np.ndarray) -> List[Tuple[np.ndarray, Callable, Callable]]:
     """lattice_block(grid, symbol, rows, cols) as its reflection-even and
-    reflection-odd halves, or as the one whole block.
+    reflection-odd halves, or as the one whole block, each with the maps from
+    its basis to vectors on `rows` and `cols`: (block, expand_rows, expand_cols).
 
     An even symbol (equal to its reflection, exactly) gives an even kernel,
     so the block commutes with the reflection j -> (M - j) mod M whenever
@@ -173,7 +167,7 @@ def reflection_blocks(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
             or not np.array_equal(symbol, symbol[_reflect(grid, np.arange(symbol.size))])):
         def keep(y: np.ndarray) -> np.ndarray:
             return y
-        return [BlockHalf(lattice_block(grid, symbol, rows, cols), keep, keep)]
+        return [(lattice_block(grid, symbol, rows, cols), keep, keep)]
     kernel = circulant_kernel(grid, symbol)
     near = _gather(grid, kernel, rows[row.first], cols[col.first])
     far = _gather(grid, kernel, rows[row.first], cols[col.second])
@@ -183,8 +177,31 @@ def reflection_blocks(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
     # even entries: 1 per pair, 1/sqrt2 per fixed node, i.e. 1/sqrt2 over the weight
     near *= (_HALF / row.weight())[:, None]
     near *= _HALF / col.weight()
-    return [BlockHalf(near, row.expander(False), col.expander(False)),
-            BlockHalf(odd, row.expander(True), col.expander(True))]
+    return [(near, row.expander(False), col.expander(False)),
+            (odd, row.expander(True), col.expander(True))]
+
+
+def top_singular(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
+                 cols: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
+    """sigma_max of B = lattice_block(grid, symbol, rows, cols), B v = sigma_max u
+    for unit u on `rows` and v on `cols`, from the reflection half whose top
+    value is larger: eigh's top eigenpair (u = v) when one node set meets a
+    real nonnegative symbol (B is then positive semidefinite), a dense SVD
+    otherwise.  An empty block gives 0 and the first unit vectors."""
+    semidefinite = np.array_equal(rows, cols) and np.all(symbol == np.abs(symbol))
+    sigma, u, v = 0.0, np.eye(1, rows.size)[0], np.eye(1, cols.size)[0]
+    for block, expand_rows, expand_cols in reflection_blocks(grid, symbol, rows, cols):
+        if not block.size:
+            continue
+        if semidefinite:
+            values, left = eigh(block, subset_by_index=[block.shape[0] - 1] * 2)
+            right = left.T.conj()
+        else:
+            left, values, right = svd(block, full_matrices=False)
+        if values[0] > sigma:
+            sigma, u, v = (float(values[0]), expand_rows(left[:, 0]),
+                           expand_cols(right[0].conj()))
+    return sigma, u, v
 
 
 def propagator_symbol(grid: Grid, t: float) -> np.ndarray:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import schrodlab
-from schrodlab import cli, inequalities
+from schrodlab import cli, transform
 from schrodlab.cli import (ConfigError, EXPERIMENTS, list_experiments,
                            load_config, main)
 from schrodlab.control import VARIANTS
@@ -350,7 +350,8 @@ class TestExitCodes:
     ])
     def test_block_above_the_cap_is_exit_2_before_it_is_built(
             self, tmp_path, capsys, monkeypatch, experiment, config, named):
-        monkeypatch.setattr(inequalities, "reflection_blocks", lambda *a, **k: pytest.fail(
+        # top_singular builds every block through reflection_blocks
+        monkeypatch.setattr(transform, "reflection_blocks", lambda *a, **k: pytest.fail(
             "the block order must be checked before the block is built"))
         cfg = write(tmp_path, "cap.cfg", config)
         assert main([experiment, "--config", cfg,
@@ -528,7 +529,7 @@ class TestExitCodes:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError(f"{dense} did not converge")
 
-        monkeypatch.setattr(inequalities, dense, no_convergence)
+        monkeypatch.setattr(transform, dense, no_convergence)
         cfg = write(tmp_path, "d.cfg", "grid.M = 64\n" + (
             "spectral.samples = 1\n" if experiment == "spectral-ineq-27" else ""))
         assert main([experiment, "--config", cfg, "--out", str(tmp_path / "d.csv")]) == 3

@@ -14,6 +14,7 @@ from schrodlab.control import (VARIANTS, ErrorNorm, ImpulseProblem,
                                simulate_forward, solve_control, variant_problem)
 from schrodlab.field import (Field, Region, Weight, dot, gaussian_state, l2_norm,
                              make_grid, whole_space)
+from schrodlab.inequalities import empirical_constant
 from schrodlab.solvers import lanczos_smallest
 from schrodlab.transform import propagate
 
@@ -224,7 +225,7 @@ class TestCalibration:
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_early_stop_keeps_the_calibrated_weight(self, name):
         # calibration decides each candidate by the inertia of a k x k
-        # capacitance, from one eigvalsh of Y*Y, or on the congruence-scaled
+        # capacitance, from one sigma_max of Y_1* Y_2, or on the congruence-scaled
         # margin stopped once proven negative; doubling on full unscaled
         # margins must land on the same C0
         problem = variant_problem(name)
@@ -442,23 +443,48 @@ class TestStructuredRoute:
 
     @pytest.mark.parametrize("fraction, doubled", [(0.5, True), (2.0, False)])
     def test_scalar_route_keeps_its_floor(self, fraction, doubled, monkeypatch):
-        # two_impulse accepts C0 once C0 mu_max (1 + eps k) < d(C0); put the
-        # top eigenvalue of Y*Y `fraction` floors below the accepted
-        # candidate's bound d/C0: inside the floor that candidate is refused
+        # two_impulse accepts C0 once C0 mu_max (1 + eps k) < d(C0), with
+        # mu_max = 1 + sigma_max; put mu_max `fraction` floors below the
+        # accepted candidate's bound d/C0: inside the floor that candidate is
+        # refused
         ops = problem_operators(variant_problem("two_impulse"))
         reference = calibrate_observation_weight(ops)
         form = low_rank_form(ops, margin=True)
         c0 = reference / 2.0
         bound = form.diagonal(c0)[0] / c0
+        floor = np.finfo(float).eps * form.signs.size
 
-        def spoiled(matrix):
-            values = np.linalg.eigvalsh(matrix)
-            values[-1] = bound * (1.0 - fraction * np.finfo(float).eps * values.size)
-            return values
+        def spoiled(*args):
+            _, u, v = transform.top_singular(*args)
+            return bound * (1.0 - fraction * floor) - 1.0, u, v
 
-        monkeypatch.setattr(control, "eigvalsh", spoiled)
+        monkeypatch.setattr(control, "top_singular", spoiled)
         calibrated = calibrate_observation_weight(ops)
         assert calibrated == (2.0 * reference if doubled else reference)
+
+    @pytest.mark.parametrize("T", [0.5, 1.0, 2.0])
+    def test_scalar_route_is_the_gramian_of_two_time_observability(self, T, monkeypatch):
+        # the paper's equivalence at the control layer: two_impulse's
+        # mu_max = 1 + sigma_max(Y_1* Y_2) and the observation Gramian's
+        # lambda_min = 1 - sigma_max(C) come from the same flow block
+        problem = variant_problem("two_impulse", T=T)
+        tops = []
+
+        def recorded(*args):
+            tops.append(transform.top_singular(*args))
+            return tops[-1]
+
+        monkeypatch.setattr(control, "top_singular", recorded)
+        calibrate_observation_weight(problem_operators(problem))
+        assert len(tops) == 1  # one decomposition scores every candidate
+        gramian = empirical_constant(0.0, T, *(region for _, region in problem.impulses),
+                                     problem.grid)
+        assert 1.0 + tops[0][0] == pytest.approx(2.0 - gramian.lambda_min, abs=1e-12)
+
+    @pytest.mark.parametrize("name", STRUCTURED_MARGIN[1:])
+    def test_other_structured_margins_take_the_inertia_test(self, name):
+        form = low_rank_form(problem_operators(variant_problem(name)), margin=True)
+        assert control._structured_certificate(form) == form.positive_definite
 
     @pytest.mark.parametrize("name", LANCZOS_MARGIN)
     def test_unstructured_margins_take_the_lanczos_route(self, name, monkeypatch):

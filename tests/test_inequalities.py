@@ -228,8 +228,9 @@ class TestEmpiricalConstant:
         origin = np.ravel_multi_index((grid.points_per_dim // 2,) * dim,
                                       (grid.points_per_dim,) * dim)
         assert origin in rows and 0 in cols
-        even, odd = reflection_blocks(grid, propagator_symbol(grid, gap), rows, cols)
-        tops = {"even": svdvals(even.block)[0], "odd": svdvals(odd.block)[0]}
+        (even, _, _), (odd, _, _) = reflection_blocks(grid, propagator_symbol(grid, gap),
+                                                      rows, cols)
+        tops = {"even": svdvals(even)[0], "odd": svdvals(odd)[0]}
         assert max(tops, key=tops.get) == top
         result = empirical_constant(0.0, gap, region_a, region_b, grid)
         assert result.converged

@@ -68,6 +68,17 @@ def test_cg_stalls_on_an_unresolvable_direction(diagonal, precondition, first):
         assert result.iterations > 1 and 0.0 < result.relative_residual < 1e-50
 
 
+@pytest.mark.parametrize("diagonal", [np.linspace(1.0, 2.0, 16),
+                                      np.linspace(1.0, 100.0, 16),
+                                      np.geomspace(1.0, 1e4, 16)])
+def test_cg_does_not_converge_on_an_underflowed_residual(diagonal):
+    # ||r|| near 1e-163 squares below the smallest float; taken unscaled it
+    # reads 0 and meets tol = 1e-300, although r itself is not 0
+    result = conjugate_gradient(lambda v: diagonal * v, np.ones(16), tol=1e-300)
+    assert not result.converged
+    assert 0.0 < result.relative_residual < 1e-150
+
+
 @pytest.mark.parametrize("entry", [1e-170, 1e270])
 def test_cg_solves_tiny_and_huge_right_hand_sides(entry):
     # ||b|| of these underflows to 0 or overflows to inf unscaled

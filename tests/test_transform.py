@@ -11,7 +11,7 @@ from schrodlab.transform import (AliasingError, bandlimited_interpolate,
                                  check_chirp, chirp, dft, fft_symbol, fresnel_map,
                                  gaussian_oracle, idft, lattice_block, propagate,
                                  propagator_symbol, reflection_blocks,
-                                 spectral_multiply)
+                                 spectral_multiply, top_singular)
 
 
 def random_field(grid, rng):
@@ -300,6 +300,21 @@ def basis(expand, count):
     return np.array([expand(e) for e in np.eye(count)]).T
 
 
+def odd_symbol(grid):
+    """The flow symbol times e^{i xi}: not equal to its reflection."""
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.points_per_dim, d=grid.spacing)
+    return propagator_symbol(grid, 0.5) * np.exp(1j * xi)
+
+
+def prolate_sides():
+    """The prolate's two blocks: ball nodes under the band symbol, and band
+    nodes (in FFT order) under the ball mask."""
+    grid = make_grid(1, 8.0, 64)
+    band = fft_symbol(grid, ball(0.0, 2.0).indicator(grid.dual()))
+    mask = ball(0.0, 1.5).indicator(grid)
+    return [(grid, band, np.flatnonzero(mask)), (grid, mask, np.flatnonzero(band))]
+
+
 class TestReflectionBlocks:
     @pytest.mark.parametrize("dim, half_extent, points, r_rows, r_cols", [
         (1, 10.0, 64, 3.0, 6.0),   # rows hold x = 0, cols x = -L
@@ -315,24 +330,23 @@ class TestReflectionBlocks:
         whole = lattice_block(grid, symbol, rows, cols)
         halves = reflection_blocks(grid, symbol, rows, cols)
         assert len(halves) == 2
-        merged = np.sort(np.concatenate([svdvals(h.block) for h in halves]))[::-1]
+        merged = np.sort(np.concatenate([svdvals(block) for block, _, _ in halves]))[::-1]
         assert merged == pytest.approx(svdvals(whole), rel=1e-12)
-        for half in halves:
+        for block, expand_rows, expand_cols in halves:
             # orthonormal bases in which the half is the whole block
-            left = basis(half.expand_rows, half.block.shape[0])
-            right = basis(half.expand_cols, half.block.shape[1])
+            left = basis(expand_rows, block.shape[0])
+            right = basis(expand_cols, block.shape[1])
             for q in (left, right):
                 assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() <= 1e-15
-            assert np.abs(left.conj().T @ whole @ right - half.block).max() <= 1e-14
+            assert np.abs(left.conj().T @ whole @ right - block).max() <= 1e-14
 
     def test_band_nodes_with_the_ball_mask_split(self):
         # the prolate's band branch: FFT-order nodes, grid-order symbol
-        grid = make_grid(1, 8.0, 64)
-        nodes = np.flatnonzero(fft_symbol(grid, ball(0.0, 2.0).indicator(grid.dual())))
-        mask = ball(0.0, 1.5).indicator(grid)
+        grid, mask, nodes = prolate_sides()[1]
         halves = reflection_blocks(grid, mask, nodes, nodes)
         assert len(halves) == 2
-        merged = np.sort(np.concatenate([np.linalg.eigvalsh(h.block) for h in halves]))
+        merged = np.sort(np.concatenate([np.linalg.eigvalsh(block)
+                                         for block, _, _ in halves]))
         whole = np.linalg.eigvalsh(lattice_block(grid, mask, nodes, nodes))
         assert np.abs(merged - whole).max() <= 1e-14
 
@@ -341,15 +355,57 @@ class TestReflectionBlocks:
         rows = off_nodes(ball_complement((-1.0, 0.5), 2.0), grid)
         cols = off_nodes(ball_complement((0.5, -0.75), 1.5), grid)
         symbol = propagator_symbol(grid, 0.5)
-        (whole,) = reflection_blocks(grid, symbol, rows, cols)
-        assert np.array_equal(whole.block, lattice_block(grid, symbol, rows, cols))
+        ((block, expand_rows, _),) = reflection_blocks(grid, symbol, rows, cols)
+        assert np.array_equal(block, lattice_block(grid, symbol, rows, cols))
         y = np.arange(rows.size, dtype=complex)
-        assert np.array_equal(whole.expand_rows(y), y)
+        assert np.array_equal(expand_rows(y), y)
 
     def test_odd_symbol_keeps_the_whole_block(self):
         grid = make_grid(1, 10.0, 64)
         nodes = off_nodes(ball_complement(0.0, 3.0), grid)
-        xi = 2.0 * np.pi * np.fft.fftfreq(64, d=grid.spacing)
-        symbol = propagator_symbol(grid, 0.5) * np.exp(1j * xi)
-        (whole,) = reflection_blocks(grid, symbol, nodes, nodes)
-        assert np.array_equal(whole.block, lattice_block(grid, symbol, nodes, nodes))
+        symbol = odd_symbol(grid)
+        ((block, _, _),) = reflection_blocks(grid, symbol, nodes, nodes)
+        assert np.array_equal(block, lattice_block(grid, symbol, nodes, nodes))
+
+
+class TestTopSingular:
+    @pytest.mark.parametrize("dim, centre, odd", [
+        (1, 0.0, False),          # centred: the reflection halves
+        (2, (0.0, 0.0), False),
+        (2, (-1.0, 0.5), False),  # off-centre rows: the whole block
+        (1, 0.0, True),           # an odd symbol: the whole block
+    ], ids=["centred-1d", "centred-2d", "off-centre", "odd-symbol"])
+    def test_matches_the_whole_block_svd(self, dim, centre, odd):
+        grid = make_grid(1, 10.0, 64) if dim == 1 else make_grid(2, 6.0, 16)
+        rows = off_nodes(ball_complement(centre, 2.0, dim=dim), grid)
+        cols = off_nodes(ball(0.0, 4.0, dim=dim), grid)
+        symbol = odd_symbol(grid) if odd else propagator_symbol(grid, 0.5)
+        whole = lattice_block(grid, symbol, rows, cols)
+        sigma, u, v = top_singular(grid, symbol, rows, cols)
+        assert sigma == pytest.approx(svdvals(whole)[0], rel=1e-12)
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        assert np.abs(whole @ v - sigma * u).max() <= 1e-13
+        assert np.abs(whole.conj().T @ u - sigma * v).max() <= 1e-13
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["ball-nodes", "band-nodes"])
+    def test_prolate_sides_take_the_top_eigenpair(self, side, monkeypatch):
+        grid, symbol, nodes = prolate_sides()[side]
+        monkeypatch.setattr(transform, "svd", lambda *a, **k: pytest.fail(
+            "a positive semidefinite block takes eigh"))
+        whole = lattice_block(grid, symbol, nodes, nodes)
+        mu, u, v = top_singular(grid, symbol, nodes, nodes)
+        assert mu == pytest.approx(np.linalg.eigvalsh(whole)[-1], rel=1e-12)
+        assert np.array_equal(u, v)
+        assert np.abs(whole @ u - mu * u).max() <= 1e-13
+
+    @pytest.mark.parametrize("empty", ["rows", "cols", "both"])
+    def test_empty_block_gives_zero_and_first_unit_vectors(self, empty):
+        grid = make_grid(1, 10.0, 64)
+        nodes, none = off_nodes(ball_complement(0.0, 3.0), grid), np.arange(0)
+        rows = none if empty in ("rows", "both") else nodes
+        cols = none if empty in ("cols", "both") else nodes
+        sigma, u, v = top_singular(grid, propagator_symbol(grid, 0.5), rows, cols)
+        assert sigma == 0.0
+        assert np.array_equal(u, np.eye(1, rows.size)[0])
+        assert np.array_equal(v, np.eye(1, cols.size)[0])
