@@ -3,11 +3,13 @@
 Output contract: each run writes one CSV (header row, one line per parameter
 tuple, shortest round-trip float formatting) and one JSON summary (config
 echo, seed, versions, validity flags, fitted constants).  Identical config
-and seed produce byte-identical output.  `main` alone sets the exit code, by
-exception type: 0 success, 2 a ValueError (inputs refused, the message naming
-the violated constraint), 3 a SolverFailure or LinAlgError (an unresolved
-solve: non-convergence, or an eigenvalue below its rounding floor); any other
-exception is a bug and stays a traceback.
+and seed produce byte-identical output, whatever the BLAS thread count and
+--threads: BLAS runs on one thread in `main` and in each sweep worker.
+`main` alone sets the exit code, by exception type: 0 success, 2 a
+ValueError (inputs refused, the message naming the violated constraint), 3 a
+SolverFailure or LinAlgError (an unresolved solve: non-convergence, or an
+eigenvalue below its rounding floor); any other exception is a bug and stays
+a traceback.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .inequalities import (BlockOrderError, bandlimited_sample, check_band_radiu
                            two_time_quotient, uncertainty_quotient)
 from .solvers import SolverFailure
 from .transform import (bandlimited_interpolate, check_chirp, fresnel_map,
-                        gaussian_oracle, propagate)
+                        gaussian_oracle, one_blas_thread, propagate)
 
 
 class ConfigError(ValueError):
@@ -207,8 +209,12 @@ def _check_tail(config: dict, reference: Field) -> Dict[str, object]:
 def _map_ordered(fn: Callable, items: Sequence, threads: int) -> List:
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+
+    def on_one_blas_thread(item):
+        with one_blas_thread():
+            return fn(item)
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(on_one_blas_thread, items))
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +833,8 @@ def main(argv: Sequence[str] = None) -> int:
                         "(JSON summary written alongside)")
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for parameter sweeps")
+                        help="worker threads for parameter sweeps, the only "
+                             "parallelism: BLAS runs on one thread per worker")
     args = parser.parse_args(argv)
 
     # the one exit-code map; LinAlgError is a ValueError, so its clause comes first
@@ -852,7 +859,8 @@ def main(argv: Sequence[str] = None) -> int:
         values = load_config(args.config) if args.config else {}
         config = resolve(entry.keys, values, args.experiment)
         _check_sweep(entry, config)
-        result = entry.runner(config, args.seed, args.threads)
+        with one_blas_thread():
+            result = entry.runner(config, args.seed, args.threads)
     except (SolverFailure, np.linalg.LinAlgError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

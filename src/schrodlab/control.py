@@ -53,6 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.linalg import eigvalsh
 from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.blas import zherk
 
 from .field import (Field, Grid, Region, Weight, ball, ball_complement, density_energy,
                     gaussian_state, l2_norm, make_grid, whole_space, zero_field)
@@ -300,6 +301,13 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
 # the low-rank structure: D + Y S Y* on Z
 
 
+def _hermitian_square(x: np.ndarray) -> np.ndarray:
+    """X* X: one triangle by a Hermitian rank-k update (half the flops of a
+    general product), mirrored onto the other."""
+    upper = zherk(1.0, x.T)  # A A* for A = X^T, i.e. conj(X* X), upper triangle
+    return np.triu(upper).conj() + np.triu(upper, 1).T
+
+
 @dataclass(frozen=True)
 class LowRankForm:
     """An operator on the nodes of Z as D + Y S Y*, at every C0.
@@ -350,16 +358,22 @@ class LowRankForm:
         return np.concatenate([spectral_multiply(self.grid, embedded, symbol.conj())[cols]
                                for symbol, cols in self.terms])
 
+    @cached_property
+    def unit_gram(self) -> np.ndarray:
+        """Y* Y from the dense Y, formed once."""
+        return _hermitian_square(self.basis)
+
     def gram(self, weights: np.ndarray) -> np.ndarray:
-        """Y* diag(weights) Y.  With constant weights on the whole lattice,
-        Y_i* Y_j = E_i* P(s_j - s_i) E_j is a lattice block between ball
-        nodes, so Y is never formed."""
+        """Y* diag(weights) Y for positive weights.  With constant weights on
+        the whole lattice, Y_i* Y_j = E_i* P(s_j - s_i) E_j is a lattice block
+        between ball nodes, so Y is never formed; off it they are a multiple
+        of unit_gram, as D is whenever it holds no weight density."""
         if not self.terms:  # every observation covers the whole lattice: k = 0
             return np.zeros((0, 0))
-        if self.nodes.size < self.grid.node_count or np.any(weights != weights[0]):
-            scaled = self.basis.conj()
-            scaled *= weights[:, None]
-            return scaled.T @ self.basis
+        if np.any(weights != weights[0]):
+            return _hermitian_square(np.sqrt(weights)[:, None] * self.basis)
+        if self.nodes.size < self.grid.node_count:
+            return weights[0] * self.unit_gram
         return weights[0] * np.block([[lattice_block(self.grid, left.conj() * right,
                                                      rows, cols)
                                        for right, cols in self.terms]

@@ -12,8 +12,13 @@ chirp/rescale map evaluates the flow at time T on the scaled dual lattice
 
 from __future__ import annotations
 
+import ctypes
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import eigh, svd
@@ -202,6 +207,59 @@ def top_singular(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
             sigma, u, v = (float(values[0]), expand_rows(left[:, 0]),
                            expand_cols(right[0].conj()))
     return sigma, u, v
+
+
+@lru_cache(maxsize=None)
+def _openblas_thread_setters() -> Tuple[Callable[[int], int], ...]:
+    """openblas_set_num_threads_local of each OpenBLAS loaded in the process
+    (numpy and scipy each bundle one), looked up once; () where there is none."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = dict.fromkeys(fields[5] for fields in map(str.split, maps)
+                                  if len(fields) == 6 and "openblas" in os.path.basename(fields[5]))
+    except OSError:
+        return ()
+    setters = []
+    for path in paths:
+        try:
+            setter = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        setters.append(setter)
+    return tuple(setters)
+
+
+_BLAS_SCOPE_LOCK = threading.Lock()
+_blas_scopes, _blas_saved = 0, ()
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[None]:
+    """Run the BLAS/LAPACK calls of the calling thread on one thread inside
+    the block, so that dense results do not depend on the environment's
+    OpenBLAS thread count (its summation order does).
+
+    openblas_set_num_threads_local is per thread in some builds and
+    process-wide in others (the pip wheels of numpy and scipy), so each entry
+    sets 1, the first scope to open saves the counts it replaced and the last
+    to close restores them, whichever threads those are.  Without OpenBLAS
+    it does nothing."""
+    global _blas_scopes, _blas_saved
+    setters = _openblas_thread_setters()
+    with _BLAS_SCOPE_LOCK:
+        replaced = tuple(setter(1) for setter in setters)
+        if _blas_scopes == 0:
+            _blas_saved = replaced
+        _blas_scopes += 1
+    try:
+        yield
+    finally:
+        with _BLAS_SCOPE_LOCK:
+            _blas_scopes -= 1
+            if _blas_scopes == 0:
+                for setter, count in zip(setters, _blas_saved):
+                    setter(count)
 
 
 def propagator_symbol(grid: Grid, t: float) -> np.ndarray:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -698,6 +699,50 @@ class TestDeterminism:
                          "--threads", str(threads)]) == 0
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_sweep_does_not_depend_on_blas_or_worker_threads(self, tmp_path):
+        # a 2D-256 Gramian sweep whose CSV moves with the BLAS thread count
+        # whenever its workers leave BLAS on the environment's threads
+        cfg = write(tmp_path, "g.cfg", "grid.dim = 2\ngrid.M = 256\n")
+        src = str(Path(schrodlab.__file__).resolve().parents[1])
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.csv"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-m", "schrodlab.cli",
+                                   "empirical-constant", "--config", cfg, "--out", str(out),
+                                   "--threads", threads],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_each_sweep_worker_runs_blas_on_one_thread(self, monkeypatch):
+        # a build whose BLAS thread count is kept per thread, starting at 2
+        counts = threading.local()
+
+        def setter(count):
+            previous, counts.value = getattr(counts, "value", 2), count
+            return previous
+        monkeypatch.setattr(transform, "_openblas_thread_setters", lambda: (setter,))
+        seen = cli._map_ordered(lambda item: getattr(counts, "value", 2), range(8), 4)
+        assert seen == [1] * 8
+
+    def test_runs_unchanged_without_openblas(self, tmp_path, capsys, monkeypatch):
+        cfg = write(tmp_path, "u.cfg", FAST_UNCERTAINTY)
+        outputs = []
+        for name in ("found", "none"):
+            if name == "none":
+                monkeypatch.setattr(transform, "_openblas_thread_setters", lambda: ())
+            out = tmp_path / name / "u.csv"
+            out.parent.mkdir()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["uncertainty", "--config", cfg, "--out", str(out),
+                             "--threads", "2"]) == 0
+            outputs.append((out.read_bytes(), out.with_suffix(".json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert capsys.readouterr().err == ""
 
     def test_extremal_outputs_do_not_depend_on_the_seed(self, tmp_path):
         cfg = write(tmp_path, "s.cfg", "spectral.samples = 1\n")

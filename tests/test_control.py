@@ -366,6 +366,15 @@ class TestStructuredRoute:
         reference = np.linalg.inv(dense)
         assert np.abs(woodbury - reference).max() <= 1e-12 * np.abs(reference).max()
 
+    @pytest.mark.parametrize("name", STRUCTURED)
+    def test_gram_is_the_weighted_product_of_the_basis(self, name):
+        form = low_rank_form(problem_operators(variant_problem(name, M=self.M)))
+        basis = form.basis
+        for weights in (np.full(form.nodes.size, 0.25), np.linspace(0.5, 2.0, form.nodes.size)):
+            reference = basis.conj().T @ (weights[:, None] * basis)
+            gram = form.gram(weights)
+            assert np.abs(gram - reference).max() <= 1e-13 * np.abs(reference).max()
+
     @pytest.mark.parametrize("margin", [False, True])
     @pytest.mark.parametrize("name", list(VARIANTS))
     def test_form_reads_its_geometry_off_the_operators(self, name, margin, monkeypatch):

@@ -15,6 +15,8 @@ file is written) and says so in CHANGES.md.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -23,6 +25,7 @@ import pytest
 from schrodlab.cli import EXPERIMENTS, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 SEED = 7
 
 # name -> (experiment, config text)
@@ -39,14 +42,19 @@ RUNS = {
 }
 
 
-def run(name: str, directory: Path) -> Path:
+def arguments(name: str, directory: Path) -> list:
+    """The CLI arguments of run `name`, its config written to `directory`
+    and its output named `<name>.csv` there."""
     experiment, text = RUNS[name]
     cfg = directory / f"{name}.cfg"
     cfg.write_text(text)
-    out = directory / f"{name}.csv"
-    assert main([experiment, "--config", str(cfg), "--out", str(out),
-                 "--seed", str(SEED)]) == 0
-    return out
+    return [experiment, "--config", str(cfg), "--out", str(directory / f"{name}.csv"),
+            "--seed", str(SEED)]
+
+
+def run(name: str, directory: Path) -> Path:
+    assert main(arguments(name, directory)) == 0
+    return directory / f"{name}.csv"
 
 
 def _summary_without_versions(path: Path) -> dict:
@@ -62,6 +70,24 @@ def test_output_matches_golden(name, tmp_path):
     assert out.read_bytes() == golden.read_bytes()
     assert (_summary_without_versions(out.with_suffix(".json"))
             == _summary_without_versions(golden.with_suffix(".json")))
+
+
+@pytest.mark.parametrize("name", ["control-two_impulse", "defaults-cost-scaling"])
+def test_output_does_not_depend_on_the_blas_thread_count(name, tmp_path):
+    # each in a fresh process, since OpenBLAS reads the variable when it loads
+    outputs = []
+    for count in ("1", "2"):
+        directory = tmp_path / count
+        directory.mkdir()
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": count, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-m", "schrodlab.cli",
+                               *arguments(name, directory)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        out = directory / f"{name}.csv"
+        outputs.append((out.read_bytes(), _summary_without_versions(out.with_suffix(".json"))))
+    assert outputs[0] == outputs[1]
 
 
 if __name__ == "__main__":

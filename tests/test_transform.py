@@ -1,5 +1,8 @@
 """Transform, propagator, chirp/rescale identity and oracle checks."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
@@ -409,3 +412,62 @@ class TestTopSingular:
         assert sigma == 0.0
         assert np.array_equal(u, np.eye(1, rows.size)[0])
         assert np.array_equal(v, np.eye(1, cols.size)[0])
+
+
+class TestOneBlasThread:
+    def test_sets_one_thread_inside_and_restores_after(self):
+        setters = transform._openblas_thread_setters()
+        if not setters:
+            pytest.skip("no OpenBLAS is loaded")
+        before = [setter(2) for setter in setters]
+        try:
+            with transform.one_blas_thread():
+                inside = [setter(1) for setter in setters]
+            after = [setter(2) for setter in setters]
+        finally:
+            for setter, count in zip(setters, before):
+                setter(count)
+        assert inside == [1] * len(setters)
+        assert after == [2] * len(setters)
+
+    def test_overlapping_scopes_restore_on_the_last_exit(self, monkeypatch):
+        # a process-wide count, as numpy's and scipy's OpenBLAS keep it
+        state = {"count": 4}
+
+        def setter(count):
+            previous, state["count"] = state["count"], count
+            return previous
+        monkeypatch.setattr(transform, "_openblas_thread_setters", lambda: (setter,))
+        first, second = transform.one_blas_thread(), transform.one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        assert state["count"] == 1
+        second.__exit__(None, None, None)
+        assert state["count"] == 4
+
+    def test_scopes_opened_by_many_threads_keep_one_thread_until_all_close(
+            self, monkeypatch):
+        state = {"count": 4}
+
+        def setter(count):
+            previous, state["count"] = state["count"], count
+            return previous
+        monkeypatch.setattr(transform, "_openblas_thread_setters", lambda: (setter,))
+
+        def worker(_):
+            seen = set()
+            for _ in range(200):
+                with transform.one_blas_thread():
+                    seen.add(state["count"])
+            return seen
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(worker, index) for index in range(8)]
+                seen = set().union(*(future.result(timeout=60) for future in futures))
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == {1}
+        assert state["count"] == 4
