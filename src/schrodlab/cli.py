@@ -31,8 +31,8 @@ from .field import (Field, ball, ball_complement, box_tail_fraction,
 from .fitting import affine_fit
 from .control import (VARIANTS, calibrate_observation_weight, cost_scaling_study,
                       problem_operators, solve_control, variant_problem)
-from .counterexamples import SequenceSpec, decay_study
-from .inequalities import (BlockOrderError, bandlimited_sample, check_band_radius,
+from .counterexamples import SequenceSpec, base_profile, decay_study
+from .inequalities import (bandlimited_sample, check_band_radius,
                            empirical_constant, equivalence_bridge_check,
                            euler_bound, euler_integral,
                            extremal_bandlimited_concentration,
@@ -41,8 +41,8 @@ from .inequalities import (BlockOrderError, bandlimited_sample, check_band_radiu
                            spectral_inequality_report, two_ball_report_13,
                            two_time_quotient, uncertainty_quotient)
 from .solvers import SolverFailure
-from .transform import (bandlimited_interpolate, check_chirp, fresnel_map,
-                        gaussian_oracle, one_blas_thread, propagate)
+from .transform import (BlockOrderError, bandlimited_interpolate, check_chirp,
+                        fresnel_map, gaussian_oracle, one_blas_thread, propagate)
 
 
 class ConfigError(ValueError):
@@ -350,18 +350,10 @@ def _run_interpolation_12(config: dict, seed: int, threads: int) -> ExperimentRe
             f"(L = {grid.half_extent:g}) outside B_r, so every observation is zero; "
             f"take r below the farthest node, |x| = {np.sqrt(grid.radius_sq().max()):.6g}")
 
-    def member(scale: float) -> Field:
-        rsq = grid.radius_sq()
-        values = np.zeros(grid.node_count)
-        inside = rsq < scale ** 2
-        values[inside] = np.exp(-1.0 / (1.0 - rsq[inside] / scale ** 2))
-        f = Field(grid, values.astype(complex))
-        return Field(grid, f.values / l2_norm(f))
-
-    validity = _check_tail(config, member(max(scales)))
+    validity = _check_tail(config, base_profile(grid, "bump", max(scales)))
 
     def one(scale: float) -> Dict[str, object]:
-        report = interpolation_report_12(member(scale), r, a, t)
+        report = interpolation_report_12(base_profile(grid, "bump", scale), r, a, t)
         return {"scale": scale, "lhs": report.lhs,
                 "observation": report.terms["observation"],
                 "prior": report.terms["prior"]}

@@ -621,14 +621,14 @@ def _structured_certificate(form: LowRankForm) -> Callable[[float], bool]:
     complement terms with S = -C0 (two_impulse and cost scaling), the margin
     d - C0 Y Y* is definite exactly when C0 mu_max < d, for mu_max =
     1 + sigma_max(Y_1* Y_2) the top eigenvalue of Y*Y (each Y_i an isometry):
-    one top_singular scores every candidate, with mu_max raised by its
-    rounding floor eps * k * mu_max.  Otherwise each candidate takes the
-    inertia test."""
+    one top_singular scores every candidate, with mu_max raised by the
+    floor it returns (eps * k, k = rows + cols the order of Y*Y) times
+    mu_max.  Otherwise each candidate takes the inertia test."""
     if (len(form.terms) == 2 and form.nodes.size == form.grid.node_count
             and np.all(form.signs == -1.0) and np.all(form.base == form.base[0])):
         (left, rows), (right, cols) = form.terms
-        sigma, _, _ = top_singular(form.grid, left.conj() * right, rows, cols)
-        top = (1.0 + sigma) * (1.0 + np.finfo(float).eps * form.signs.size)
+        sigma, _, _, floor = top_singular(form.grid, left.conj() * right, rows, cols)
+        top = (1.0 + sigma) * (1.0 + floor)
         return lambda c0: c0 * top < form.diagonal(c0)[0]
     return form.positive_definite
 

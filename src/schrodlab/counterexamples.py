@@ -72,9 +72,9 @@ def _profile_values(profile: str, scaled_rsq: np.ndarray) -> np.ndarray:
     return out
 
 
-def base_profile(grid: Grid, profile: str = "gaussian") -> Field:
-    """The unit-norm profile g on the grid, centred at the origin."""
-    values = _profile_values(profile, grid.radius_sq())
+def base_profile(grid: Grid, profile: str = "gaussian", width: float = 1.0) -> Field:
+    """The unit-norm profile g(x / width) on the grid, centred at the origin."""
+    values = _profile_values(profile, grid.radius_sq() / width ** 2)
     f = Field(grid, values.astype(np.complex128))
     return Field(grid, f.values / l2_norm(f))
 

@@ -30,9 +30,8 @@ from .field import (
     weighted_energy,
 )
 from .solvers import SolverFailure
-from .transform import (MAX_BLOCK_ORDER, check_chirp, chirp, circulant_kernel, dft,
-                        fft_symbol, idft, propagate, propagator_symbol,
-                        spectral_multiply, top_singular)
+from .transform import (check_chirp, chirp, circulant_kernel, dft, fft_symbol, idft,
+                        propagate, propagator_symbol, spectral_multiply, top_singular)
 
 
 @dataclass
@@ -137,18 +136,6 @@ class EmpiricalConstant:
     converged: bool
 
 
-class BlockOrderError(ValueError):
-    """A dense block whose order is outside 1..MAX_BLOCK_ORDER."""
-
-
-def _block_floor(order: int) -> float:
-    """Rounding floor eps * order of a dense block of that order; an order
-    outside 1..MAX_BLOCK_ORDER is refused before the block is built."""
-    if not 0 < order <= MAX_BLOCK_ORDER:
-        raise BlockOrderError(f"dense block of order {order} is outside 1..{MAX_BLOCK_ORDER}")
-    return float(np.finfo(float).eps * order)
-
-
 def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
                        grid: Grid) -> EmpiricalConstant:
     """Best discrete two-time observability constant 1/lambda_min(G).
@@ -157,8 +144,10 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
     X = [E_a, P* E_b], E_a and E_b embedding the nodes off A and off B, and
     lambda_min(G) = 1 - sigma_max(C) at X (v; u), with C v = sigma_max u and
     C = E_b* P E_a a lattice block of the flow (top_singular).  Converged
-    means lambda_min is at least the rounding floor of X*X; below it, neither
-    it nor its inverse is resolved.
+    means lambda_min is at least the floor top_singular returns, the
+    rounding floor eps * (k_a + k_b) of X*X; below it, neither lambda_min
+    nor its inverse is resolved.  top_singular raises BlockOrderError when
+    k_a + k_b passes MAX_BLOCK_ORDER.
     """
     if not t > s:
         raise ValueError("need T > S for the observability Gramian")
@@ -167,8 +156,7 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
     if cols.size + rows.size == 0:  # A and B hold every node: G = 2I
         unit = Field(grid, np.eye(1, grid.node_count)[0])
         return EmpiricalConstant(2.0, 0.5, unit, 0.0, True)
-    floor = _block_floor(cols.size + rows.size)
-    sigma, u, v = top_singular(grid, propagator_symbol(grid, t - s), rows, cols)
+    sigma, u, v, floor = top_singular(grid, propagator_symbol(grid, t - s), rows, cols)
     lam = max(1.0 - sigma, 0.0)
     extremizer = np.zeros(grid.node_count, dtype=np.complex128)
     extremizer[rows] = u
@@ -314,7 +302,9 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float)
     kernel fftn(mask)/N is conj(ifftn(mask)) for the real mask: the lattice
     block is its conjugate, with the same mu and conjugate eigenvectors.
     Either block is positive semidefinite, so mu is its top_singular value.
-    Raises SolverFailure when 1 - mu is below the rounding floor.
+    Raises SolverFailure when 1 - mu is below the floor top_singular
+    returns, eps * order, and BlockOrderError when the order passes
+    MAX_BLOCK_ORDER.
     """
     check_band_radius(grid, band_radius)
     band = _band_symbol(grid, band_radius)
@@ -322,8 +312,7 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float)
     ball_idx, band_idx = np.flatnonzero(ball_mask), np.flatnonzero(band)
     on_ball = 0 < ball_idx.size < band_idx.size  # with no ball node, K = 0 on the band
     nodes, symbol = (ball_idx, band) if on_ball else (band_idx, ball_mask)
-    floor = _block_floor(nodes.size)
-    mu, vector, _ = top_singular(grid, symbol, nodes, nodes)
+    mu, vector, _, floor = top_singular(grid, symbol, nodes, nodes)
     if 1.0 - mu < floor:
         raise SolverFailure(
             f"extremal concentration not resolved at r {r:g}, N {band_radius:g}: "

@@ -82,6 +82,10 @@ def spectral_multiply(grid: Grid, values: np.ndarray, symbol: np.ndarray) -> np.
 MAX_BLOCK_ORDER = 4096  # cap on a lattice_block order: 256 MiB of complex entries
 
 
+class BlockOrderError(ValueError):
+    """A dense block whose order is outside 1..MAX_BLOCK_ORDER."""
+
+
 def lattice_block(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
                   cols: np.ndarray) -> np.ndarray:
     """Rows `rows`, columns `cols` (flat node indices) of the circulant
@@ -187,13 +191,23 @@ def reflection_blocks(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
 
 
 def top_singular(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
-                 cols: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray]:
-    """sigma_max of B = lattice_block(grid, symbol, rows, cols), B v = sigma_max u
-    for unit u on `rows` and v on `cols`, from the reflection half whose top
-    value is larger: eigh's top eigenpair (u = v) when one node set meets a
-    real nonnegative symbol (B is then positive semidefinite), a dense SVD
-    otherwise.  An empty block gives 0 and the first unit vectors."""
+                 cols: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray, float]:
+    """(sigma_max, u, v, floor) of B = lattice_block(grid, symbol, rows, cols):
+    B v = sigma_max u for unit u on `rows` and v on `cols`, from the
+    reflection half whose top value is larger: eigh's top eigenpair (u = v)
+    when one node set meets a real nonnegative symbol (B is then positive
+    semidefinite), a dense SVD otherwise.  A block with no rows or no
+    columns gives 0 and the first unit vectors.
+
+    sigma_max is the top eigenvalue of a Hermitian problem: B itself on the
+    eigh route (order n), the Jordan-Wielandt [[0, B], [B*, 0]] on the SVD
+    route (order rows.size + cols.size).  Its rounding floor is eps * order;
+    an order outside 1..MAX_BLOCK_ORDER raises BlockOrderError before any
+    block is built."""
     semidefinite = np.array_equal(rows, cols) and np.all(symbol == np.abs(symbol))
+    order = rows.size if semidefinite else rows.size + cols.size
+    if not 0 < order <= MAX_BLOCK_ORDER:
+        raise BlockOrderError(f"dense block of order {order} is outside 1..{MAX_BLOCK_ORDER}")
     sigma, u, v = 0.0, np.eye(1, rows.size)[0], np.eye(1, cols.size)[0]
     for block, expand_rows, expand_cols in reflection_blocks(grid, symbol, rows, cols):
         if not block.size:
@@ -206,7 +220,7 @@ def top_singular(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
         if values[0] > sigma:
             sigma, u, v = (float(values[0]), expand_rows(left[:, 0]),
                            expand_cols(right[0].conj()))
-    return sigma, u, v
+    return sigma, u, v, float(np.finfo(float).eps * order)
 
 
 @lru_cache(maxsize=None)

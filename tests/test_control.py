@@ -464,8 +464,9 @@ class TestStructuredRoute:
         floor = np.finfo(float).eps * form.signs.size
 
         def spoiled(*args):
-            _, u, v = transform.top_singular(*args)
-            return bound * (1.0 - fraction * floor) - 1.0, u, v
+            _, u, v, returned = transform.top_singular(*args)
+            assert returned == floor  # the order of Y*Y is k = rows + cols
+            return bound * (1.0 - fraction * floor) - 1.0, u, v, returned
 
         monkeypatch.setattr(control, "top_singular", spoiled)
         calibrated = calibrate_observation_weight(ops)

@@ -24,7 +24,7 @@ from schrodlab.inequalities import (bandlimited_sample, empirical_constant,
                                     uncertainty_quotient)
 from schrodlab.transform import (AliasingError, dft, lattice_block,
                                  propagator_symbol, reflection_blocks,
-                                 spectral_multiply)
+                                 spectral_multiply, top_singular)
 
 from reference import dense_gramian, reference_gramian
 
@@ -263,6 +263,15 @@ class TestEmpiricalConstant:
         result = empirical_constant(0.0, gap, region, region, grid)
         assert (result.lambda_min >= result.floor) is resolved
         assert result.converged is resolved
+
+    def test_floor_is_the_one_top_singular_returns(self):
+        # the flow symbol is complex, so C takes the SVD route: eps (k_a + k_b)
+        grid = make_grid(1, 20.0, 512)
+        region = ball_complement(0.0, 2.0)
+        nodes = np.flatnonzero(region.indicator(grid) == 0.0)
+        *_, floor = top_singular(grid, propagator_symbol(grid, 0.25), nodes, nodes)
+        result = empirical_constant(0.0, 0.25, region, region, grid)
+        assert result.floor == floor == np.finfo(float).eps * 2 * nodes.size
 
     def test_extremizer_achieves_eigenvalue(self):
         grid = make_grid(1, 20.0, 256)

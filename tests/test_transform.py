@@ -10,7 +10,8 @@ from scipy.linalg import svdvals
 from schrodlab import transform
 from schrodlab.field import (Field, ball, ball_complement, field_from_function,
                              l2_norm, make_grid, masked_energy)
-from schrodlab.transform import (AliasingError, bandlimited_interpolate,
+from schrodlab.transform import (MAX_BLOCK_ORDER, AliasingError, BlockOrderError,
+                                 bandlimited_interpolate,
                                  check_chirp, chirp, dft, fft_symbol, fresnel_map,
                                  gaussian_oracle, idft, lattice_block, propagate,
                                  propagator_symbol, reflection_blocks,
@@ -384,7 +385,8 @@ class TestTopSingular:
         cols = off_nodes(ball(0.0, 4.0, dim=dim), grid)
         symbol = odd_symbol(grid) if odd else propagator_symbol(grid, 0.5)
         whole = lattice_block(grid, symbol, rows, cols)
-        sigma, u, v = top_singular(grid, symbol, rows, cols)
+        sigma, u, v, floor = top_singular(grid, symbol, rows, cols)
+        assert floor == np.finfo(float).eps * (rows.size + cols.size)
         assert sigma == pytest.approx(svdvals(whole)[0], rel=1e-12)
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
@@ -397,7 +399,8 @@ class TestTopSingular:
         monkeypatch.setattr(transform, "svd", lambda *a, **k: pytest.fail(
             "a positive semidefinite block takes eigh"))
         whole = lattice_block(grid, symbol, nodes, nodes)
-        mu, u, v = top_singular(grid, symbol, nodes, nodes)
+        mu, u, v, floor = top_singular(grid, symbol, nodes, nodes)
+        assert floor == np.finfo(float).eps * nodes.size
         assert mu == pytest.approx(np.linalg.eigvalsh(whole)[-1], rel=1e-12)
         assert np.array_equal(u, v)
         assert np.abs(whole @ u - mu * u).max() <= 1e-13
@@ -408,10 +411,34 @@ class TestTopSingular:
         nodes, none = off_nodes(ball_complement(0.0, 3.0), grid), np.arange(0)
         rows = none if empty in ("rows", "both") else nodes
         cols = none if empty in ("cols", "both") else nodes
-        sigma, u, v = top_singular(grid, propagator_symbol(grid, 0.5), rows, cols)
+        if empty == "both":  # order 0: no Hermitian problem to take the top of
+            with pytest.raises(BlockOrderError, match="order 0 is outside"):
+                top_singular(grid, propagator_symbol(grid, 0.5), rows, cols)
+            return
+        sigma, u, v, floor = top_singular(grid, propagator_symbol(grid, 0.5), rows, cols)
         assert sigma == 0.0
+        assert floor == np.finfo(float).eps * nodes.size
         assert np.array_equal(u, np.eye(1, rows.size)[0])
         assert np.array_equal(v, np.eye(1, cols.size)[0])
+
+    @pytest.mark.parametrize("route, order", [
+        ("eigh", 0), ("eigh", MAX_BLOCK_ORDER + 1),
+        ("svd", 0), ("svd", MAX_BLOCK_ORDER + 1)])
+    def test_order_outside_the_cap_is_refused_before_any_block(
+            self, route, order, monkeypatch):
+        # eigh: n nodes under a real nonnegative symbol; svd: m + n nodes
+        # under the flow, split as evenly as the order allows
+        monkeypatch.setattr(transform, "reflection_blocks", lambda *a, **k: pytest.fail(
+            "the block order must be checked before the block is built"))
+        grid = make_grid(2, 20.0, 128)
+        if route == "eigh":
+            rows = cols = np.arange(order)
+            symbol = np.ones(grid.node_count)
+        else:
+            rows, cols = np.arange(order // 2), np.arange(order - order // 2)
+            symbol = propagator_symbol(grid, 0.5)
+        with pytest.raises(BlockOrderError, match=f"order {order} is outside 1..4096"):
+            top_singular(grid, symbol, rows, cols)
 
 
 class TestOneBlasThread:
