@@ -26,8 +26,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .field import (Field, ball, ball_complement, box_tail_fraction,
-                    gaussian_state, l2_norm, make_grid, GridError)
+from .field import (Field, Grid, ball, ball_complement, box_tail_fraction,
+                    gaussian_state, l2_norm, make_grid, normalized, GridError)
 from .fitting import affine_fit
 from .control import (VARIANTS, calibrate_observation_weight, cost_scaling_study,
                       problem_operators, solve_control, variant_problem)
@@ -206,6 +206,14 @@ def _check_tail(config: dict, reference: Field) -> Dict[str, object]:
     return {"tail_fraction": fraction, "tail_tolerance": tol, "tail_ok": True}
 
 
+def _gaussian_start(config: dict, sigma: float) -> Tuple[Grid, Field, Dict[str, object]]:
+    """The config's grid, the Gaussian datum of width sigma on it, and the
+    datum's tail check."""
+    grid = _grid_from(config)
+    u0 = gaussian_state(grid, sigma)
+    return grid, u0, _check_tail(config, u0)
+
+
 def _map_ordered(fn: Callable, items: Sequence, threads: int) -> List:
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -228,10 +236,8 @@ class ExperimentResult:
 
 
 def _run_propagate(config: dict, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config)
     sigma, times = config["propagate.sigma"], config["propagate.times"]
-    u0 = gaussian_state(grid, sigma)
-    validity = _check_tail(config, u0)
+    grid, u0, validity = _gaussian_start(config, sigma)
 
     def one(t: float) -> Dict[str, object]:
         u_t = propagate(u0, t)
@@ -281,16 +287,12 @@ def _run_verify_identity(config: dict, seed: int, threads: int) -> ExperimentRes
 
 
 def _run_uncertainty(config: dict, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config)
-    f = gaussian_state(grid, config["uncertainty.sigma"])
-    validity = _check_tail(config, f)
+    grid, f, validity = _gaussian_start(config, config["uncertainty.sigma"])
 
     def one(rho: float) -> Dict[str, object]:
         report = uncertainty_quotient(f, ball(0.0, rho, dim=grid.dim),
                                       ball(0.0, rho, dim=grid.dim))
-        return {"radius": rho, "lhs": report.lhs,
-                "outside_space": report.terms["outside_space"],
-                "outside_frequency": report.terms["outside_frequency"],
+        return {"radius": rho, "lhs": report.lhs, **report.terms,
                 "quotient": report.quotient}
 
     rows = _map_ordered(one, config["uncertainty.radii"], threads)
@@ -298,18 +300,14 @@ def _run_uncertainty(config: dict, seed: int, threads: int) -> ExperimentResult:
 
 
 def _run_two_time(config: dict, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config)
     s, gaps = config["observability.S"], config["observability.gaps"]
-    u0 = gaussian_state(grid, config["observability.sigma"])
-    validity = _check_tail(config, u0)
+    grid, u0, validity = _gaussian_start(config, config["observability.sigma"])
     region = ball_complement(0.0, config["observability.radius"], dim=grid.dim)
 
     def one(gap: float) -> Dict[str, object]:
         report = two_time_quotient(u0, s, s + gap, region, region)
         return {"S": s, "T": s + gap, "gap": gap, "lhs": report.lhs,
-                "observation_S": report.terms["observation_S"],
-                "observation_T": report.terms["observation_T"],
-                "quotient": report.quotient}
+                **report.terms, "quotient": report.quotient}
 
     rows = _map_ordered(one, gaps, threads)
     return ExperimentResult(rows, {"validity": validity})
@@ -360,8 +358,8 @@ def _run_interpolation_12(config: dict, seed: int, threads: int) -> ExperimentRe
 
     rows = _map_ordered(one, scales, threads)
     fit = fit_interpolation_12(
-        [(row["lhs"], row["observation"], row["prior"], r, a, t) for row in rows],
-        grid.dim)
+        [(row["lhs"], row["observation"], row["prior"]) for row in rows],
+        r, a, t, grid.dim)
     summary = {"validity": validity,
                "fitted_constant": fit.constant, "fitted_theta": fit.theta,
                "residual_spread": fit.spread}
@@ -369,11 +367,9 @@ def _run_interpolation_12(config: dict, seed: int, threads: int) -> ExperimentRe
 
 
 def _run_two_ball_13(config: dict, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config)
     sigma, r1, r2, a, t, separations = (config[f"two_ball.{k}"] for k in (
         "sigma", "r1", "r2", "a", "T", "separations"))
-    u0 = gaussian_state(grid, sigma)
-    validity = _check_tail(config, u0)
+    grid, u0, validity = _gaussian_start(config, sigma)
 
     def one(sep: float) -> Dict[str, object]:
         report = two_ball_report_13(u0, -sep / 2.0, sep / 2.0, r1, r2, a, t)
@@ -427,17 +423,13 @@ def _run_spectral_ineq(config: dict, seed: int, threads: int) -> ExperimentResul
 
 
 def _run_moment_34(config: dict, seed: int, threads: int) -> ExperimentResult:
-    grid = _grid_from(config)
     sigma, times = config["moment.sigma"], config["moment.times"]
-    u0 = gaussian_state(grid, sigma)
-    validity = _check_tail(config, u0)
+    _, u0, validity = _gaussian_start(config, sigma)
 
     def one(pair) -> Dict[str, object]:
         k, t = pair
         check = moment_check_34(u0, t, k)
-        return {"k": k, "T": t, "lhs": check.lhs, "energy": check.energy,
-                "sobolev": check.sobolev, "moment": check.moment,
-                "growth": check.growth, "ratio": check.ratio}
+        return {"k": k, "T": t, **asdict(check), "ratio": check.ratio}
 
     rows = _map_ordered(one, [(k, t) for k in (1, 2) for t in times], threads)
     summary: Dict[str, object] = {"validity": validity}
@@ -578,10 +570,8 @@ def _run_bridge(config: dict, seed: int, threads: int) -> ExperimentResult:
         rng_j = np.random.default_rng(seed + 31 * j)
         coeffs = rng_j.standard_normal(6) + 1j * rng_j.standard_normal(6)
         x = grid.coords()[0]
-        values = sum(c * (x / 5.0) ** p
-                     for p, c in enumerate(coeffs)) * np.exp(-x ** 2 / 2.0)
-        f = Field(grid, values)
-        return Field(grid, f.values / l2_norm(f))
+        return normalized(grid, sum(c * (x / 5.0) ** p for p, c in enumerate(coeffs))
+                          * np.exp(-x ** 2 / 2.0))
 
     def one(j: int) -> Dict[str, object]:
         check = equivalence_bridge_check(smooth_sample(j), ball_complement(0.0, 1.0),

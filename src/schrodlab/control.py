@@ -360,24 +360,22 @@ class LowRankForm:
 
     @cached_property
     def unit_gram(self) -> np.ndarray:
-        """Y* Y from the dense Y, formed once."""
-        return _hermitian_square(self.basis)
+        """Y* Y, formed once: on the whole lattice Y_i* Y_j = E_i* P(s_j - s_i) E_j
+        is a lattice block between ball nodes, and Y is never formed."""
+        if self.nodes.size < self.grid.node_count:
+            return _hermitian_square(self.basis)
+        return np.block([[lattice_block(self.grid, left.conj() * right, rows, cols)
+                          for right, cols in self.terms]
+                         for left, rows in self.terms])
 
     def gram(self, weights: np.ndarray) -> np.ndarray:
-        """Y* diag(weights) Y for positive weights.  With constant weights on
-        the whole lattice, Y_i* Y_j = E_i* P(s_j - s_i) E_j is a lattice block
-        between ball nodes, so Y is never formed; off it they are a multiple
-        of unit_gram, as D is whenever it holds no weight density."""
+        """Y* diag(weights) Y for positive weights, a multiple of unit_gram
+        when they are constant (whenever D holds no weight density)."""
         if not self.terms:  # every observation covers the whole lattice: k = 0
             return np.zeros((0, 0))
         if np.any(weights != weights[0]):
             return _hermitian_square(np.sqrt(weights)[:, None] * self.basis)
-        if self.nodes.size < self.grid.node_count:
-            return weights[0] * self.unit_gram
-        return weights[0] * np.block([[lattice_block(self.grid, left.conj() * right,
-                                                     rows, cols)
-                                       for right, cols in self.terms]
-                                      for left, rows in self.terms])
+        return weights[0] * self.unit_gram
 
     def capacitance(self, c0: float) -> np.ndarray:
         """S^{-1} + Y* D^{-1} Y, Hermitian and k x k; indefinite when S is."""

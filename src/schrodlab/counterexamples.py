@@ -24,8 +24,8 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .field import Field, Grid, Region, Weight, ball, ball_complement, l2_norm, \
-    masked_energy, weighted_energy
+from .field import Field, Grid, Region, Weight, ball, ball_complement, \
+    masked_energy, normalized, weighted_energy
 from .fitting import FitResult, loglog_fit
 from .transform import chirp, dft, fresnel_map, propagate
 
@@ -74,9 +74,7 @@ def _profile_values(profile: str, scaled_rsq: np.ndarray) -> np.ndarray:
 
 def base_profile(grid: Grid, profile: str = "gaussian", width: float = 1.0) -> Field:
     """The unit-norm profile g(x / width) on the grid, centred at the origin."""
-    values = _profile_values(profile, grid.radius_sq() / width ** 2)
-    f = Field(grid, values.astype(np.complex128))
-    return Field(grid, f.values / l2_norm(f))
+    return normalized(grid, _profile_values(profile, grid.radius_sq() / width ** 2))
 
 
 def concentrated_profile(grid: Grid, spec: SequenceSpec, k: int) -> Field:
@@ -93,9 +91,8 @@ def concentrated_profile(grid: Grid, spec: SequenceSpec, k: int) -> Field:
             f"this grid resolves k <= {int(np.floor(1.0 / (4.0 * h)))}"
         )
     rsq = grid.radius_sq(spec.x_prime)
-    values = float(k) ** (grid.dim / 2.0) * _profile_values(spec.profile, k * k * rsq)
-    f = Field(grid, values.astype(np.complex128))
-    return Field(grid, f.values / l2_norm(f))
+    return normalized(grid, float(k) ** (grid.dim / 2.0)
+                      * _profile_values(spec.profile, k * k * rsq))
 
 
 def _spread_radii(f: Field):

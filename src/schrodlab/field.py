@@ -149,7 +149,7 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
+        values = np.array(self.values, dtype=np.complex128)
         if values.shape != (self.grid.node_count,):
             raise ValueError(
                 f"values must be flat with length {self.grid.node_count}, "
@@ -157,7 +157,6 @@ class Field:
             )
         if not np.all(np.isfinite(values.view(np.float64))):
             raise ValueError("field values must be finite")
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -259,8 +258,17 @@ class Weight:
 
 def l2_norm(f: Field) -> float:
     """Discrete L2 norm h^{dim/2} * ||values||_2."""
-    h = f.grid.spacing
-    return float(np.linalg.norm(f.values) * h ** (f.grid.dim / 2.0))
+    return _l2_norm(f.grid, f.values)
+
+
+def _l2_norm(grid: Grid, values: np.ndarray) -> float:
+    return float(np.linalg.norm(values) * grid.spacing ** (grid.dim / 2.0))
+
+
+def normalized(grid: Grid, values) -> Field:
+    """The unit-norm Field values / l2_norm, built in one Field construction."""
+    values = np.asarray(values, dtype=np.complex128)
+    return Field(grid, values / _l2_norm(grid, values))
 
 
 def dot(f: Field, g: Field) -> complex:

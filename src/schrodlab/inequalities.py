@@ -26,6 +26,7 @@ from .field import (
     density_energy,
     l2_norm,
     masked_energy,
+    normalized,
     radial_moment,
     weighted_energy,
 )
@@ -206,11 +207,12 @@ class InterpolationFit:
     spread: float  # std-dev of the log residuals at the fitted theta
 
 
-def fit_interpolation_12(samples: Sequence[Tuple[float, float, float, float, float, float]],
-                         dim: int) -> InterpolationFit:
-    """Fit (C, theta) for the interpolation inequality over a report family.
+def fit_interpolation_12(samples: Sequence[Tuple[float, float, float]], r: float,
+                         a: float, t: float, dim: int) -> InterpolationFit:
+    """Fit (C, theta) for the interpolation inequality over a report family
+    sharing one (r, a, T).
 
-    samples: tuples (lhs, observation, prior, r, a, T).  theta is chosen to
+    samples: tuples (lhs, observation, prior).  theta is chosen to
     minimize the variance of the log residuals, then C is the smallest
     constant making the inequality hold for every member.
     """
@@ -219,9 +221,9 @@ def fit_interpolation_12(samples: Sequence[Tuple[float, float, float, float, flo
         raise ValueError("need at least two nondegenerate family members")
 
     def residuals(theta: float) -> np.ndarray:
+        p, prefactor = _interpolation_shape(theta, r, a, t, dim)
         out = []
-        for lhs, obs, prior, r, a, t in data:
-            p, prefactor = _interpolation_shape(theta, r, a, t, dim)
+        for lhs, obs, prior in data:
             bound = p * np.log(obs) + (1.0 - p) * np.log(prior) + np.log(prefactor)
             out.append(np.log(lhs) - bound)
         return np.asarray(out)
@@ -279,12 +281,9 @@ def bandlimited_sample(grid: Grid, band_radius: float, seed: int) -> Field:
               + 1j * rng.standard_normal(grid.node_count)) / np.sqrt(2.0)
     dual = grid.dual()
     mask = ball(0.0, band_radius, dim=grid.dim).indicator(dual)
-    spectrum = Field(dual, coeffs * mask)
-    sample = idft(spectrum)
-    norm = l2_norm(sample)
-    if norm == 0.0:
+    if not mask.any():
         raise ValueError("band contains no frequency nodes")
-    return Field(grid, sample.values / norm)
+    return normalized(grid, idft(Field(dual, coeffs * mask)).values)
 
 
 def _band_symbol(grid: Grid, band_radius: float) -> np.ndarray:
@@ -321,7 +320,7 @@ def extremal_bandlimited_concentration(grid: Grid, r: float, band_radius: float)
     embedded[nodes] = vector
     values = spectral_multiply(grid, embedded, band) if on_ball else \
         circulant_kernel(grid, embedded.conj()).ravel()
-    return Field(grid, values / l2_norm(Field(grid, values)))
+    return normalized(grid, values)
 
 
 def spectral_inequality_report(f: Field, radii: Sequence[float],

@@ -11,8 +11,8 @@ from schrodlab.field import (CappedWeightError, EnergyOverflowError, Field,
                              GridError, Weight, ball, ball_complement,
                              box_tail_fraction, density_energy, dot,
                              field_from_function, l2_norm, make_grid,
-                             masked_energy, radial_moment, weighted_energy,
-                             whole_space, zero_field)
+                             masked_energy, normalized, radial_moment,
+                             weighted_energy, whole_space, zero_field)
 
 # independent quadrature oracles (tests/oracles.py documents the recipes)
 INT_EXP_MINUS_X2_BALL1 = 1.4936482656248540   # quad(e^{-x^2}, -1, 1)
@@ -72,6 +72,14 @@ class TestField:
         f = zero_field(grid)
         with pytest.raises(ValueError):
             f.values[0] = 1.0
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_values_do_not_alias_the_source(self, dtype):
+        grid = make_grid(1, 5.0, 8)
+        source = np.arange(8, dtype=dtype)
+        f = Field(grid, source)
+        source[:] = -1.0
+        assert np.array_equal(f.values, np.arange(8))
 
 
 class TestRegions:
@@ -214,6 +222,24 @@ class TestNormsAndDot:
         g = zero_field(make_grid(1, 5.0, 32))
         with pytest.raises(ValueError):
             dot(f, g)
+
+
+@pytest.mark.parametrize("dim, m", [(1, 256), (2, 32)])
+class TestNormalized:
+    def test_unit_norm(self, dim, m):
+        grid = make_grid(dim, 10.0, m)
+        f = normalized(grid, random_field(grid, np.random.default_rng(3)).values)
+        assert l2_norm(f) == pytest.approx(1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_equals_the_two_step_normalization(self, dim, m, real):
+        # bit for bit the throwaway Field divided by its l2_norm
+        grid = make_grid(dim, 10.0, m)
+        values = random_field(grid, np.random.default_rng(5)).values
+        values = values.real if real else values
+        f = Field(grid, values)
+        assert np.array_equal(normalized(grid, values).values,
+                              Field(grid, f.values / l2_norm(f)).values)
 
 
 @pytest.mark.parametrize("dim, m", [(1, 256), (2, 32)])

@@ -330,8 +330,8 @@ class TestInterpolation12:
             report = interpolation_report_12(member, 1.0, 1.0, 1.0)
             members.append(member)
             samples.append((report.lhs, report.terms["observation"],
-                            report.terms["prior"], 1.0, 1.0, 1.0))
-        return members, fit_interpolation_12(samples, dim=1)
+                            report.terms["prior"]))
+        return members, fit_interpolation_12(samples, 1.0, 1.0, 1.0, dim=1)
 
     def test_bump_family_fit(self):
         _, fit = self.bump_family_fit()
