@@ -620,8 +620,10 @@ def _structured_certificate(form: LowRankForm) -> Callable[[float], bool]:
     d - C0 Y Y* is definite exactly when C0 mu_max < d, for mu_max =
     1 + sigma_max(Y_1* Y_2) the top eigenvalue of Y*Y (each Y_i an isometry):
     one top_singular scores every candidate, with mu_max raised by the
-    floor it returns (eps * k, k = rows + cols the order of Y*Y) times
-    mu_max.  Otherwise each candidate takes the inertia test."""
+    floor it returns (eps * k, k = rows + cols the order of Y*Y; sigma_max
+    comes from a Gram matrix of Y_1* Y_2, whose rounding moves it by about
+    eps * k * sigma_max / 2) times mu_max.  Otherwise each candidate takes
+    the inertia test."""
     if (len(form.terms) == 2 and form.nodes.size == form.grid.node_count
             and np.all(form.signs == -1.0) and np.all(form.base == form.base[0])):
         (left, rows), (right, cols) = form.terms

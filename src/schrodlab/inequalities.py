@@ -145,10 +145,12 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
     X = [E_a, P* E_b], E_a and E_b embedding the nodes off A and off B, and
     lambda_min(G) = 1 - sigma_max(C) at X (v; u), with C v = sigma_max u and
     C = E_b* P E_a a lattice block of the flow (top_singular).  Converged
-    means lambda_min is at least the floor top_singular returns, the
-    rounding floor eps * (k_a + k_b) of X*X; below it, neither lambda_min
-    nor its inverse is resolved.  top_singular raises BlockOrderError when
-    k_a + k_b passes MAX_BLOCK_ORDER.
+    means lambda_min is at least the floor top_singular returns,
+    eps * (k_a + k_b): sigma_max comes from the smaller Gram matrix of each
+    reflection half of C, whose rounding moves sigma_max by about
+    eps * (k_a + k_b) * sigma_max / 2, within the floor; below it, neither
+    lambda_min nor its inverse is resolved.  top_singular raises
+    BlockOrderError when k_a + k_b passes MAX_BLOCK_ORDER.
     """
     if not t > s:
         raise ValueError("need T > S for the observability Gramian")

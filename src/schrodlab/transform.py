@@ -21,7 +21,8 @@ from functools import lru_cache
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh, svd
+from scipy.linalg import eigh
+from scipy.linalg.blas import zherk
 
 from .field import Field, Grid, Region
 
@@ -190,20 +191,39 @@ def reflection_blocks(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
             (odd, row.expander(True), col.expander(True))]
 
 
+def _top_eigenpair(hermitian: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Top eigenvalue and unit eigenvector of a Hermitian matrix, read from
+    its lower triangle.  LAPACK's subset solver can return no eigenvalue at
+    all when the top one sits in a tight cluster (a block near the
+    identity); the whole spectrum is then taken."""
+    last = hermitian.shape[0] - 1
+    values, vectors = eigh(hermitian, subset_by_index=[last, last])
+    if not values.size:
+        values, vectors = eigh(hermitian)
+    return float(values[-1]), vectors[:, -1]
+
+
 def top_singular(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
                  cols: np.ndarray) -> Tuple[float, np.ndarray, np.ndarray, float]:
     """(sigma_max, u, v, floor) of B = lattice_block(grid, symbol, rows, cols):
     B v = sigma_max u for unit u on `rows` and v on `cols`, from the
-    reflection half whose top value is larger: eigh's top eigenpair (u = v)
-    when one node set meets a real nonnegative symbol (B is then positive
-    semidefinite), a dense SVD otherwise.  A block with no rows or no
-    columns gives 0 and the first unit vectors.
+    reflection half whose top value is larger.  When one node set meets a
+    real nonnegative symbol, B is positive semidefinite and sigma_max is its
+    top eigenpair (u = v), of order n.  Otherwise sigma_max^2 is the top
+    eigenvalue of each half's smaller Gram matrix (B*B for a tall half, BB*
+    for a wide one), and the other vector is B v / |B v| (or B* u / |B* u|).
+    A block with no rows or no columns gives 0 and the first unit vectors.
 
-    sigma_max is the top eigenvalue of a Hermitian problem: B itself on the
-    eigh route (order n), the Jordan-Wielandt [[0, B], [B*, 0]] on the SVD
-    route (order rows.size + cols.size).  Its rounding floor is eps * order;
-    an order outside 1..MAX_BLOCK_ORDER raises BlockOrderError before any
-    block is built."""
+    The floor is eps * order, with order n on the eigh route and
+    rows.size + cols.size otherwise.  On the eigh route it is the rounding
+    of a top eigenvalue of a block of norm at most 1.  On the Gram route,
+    forming B*B of an m x n half and taking its top eigenvalue move
+    sigma^2 by about eps (m + n) |B|^2, and |B| is the half's own sigma, so
+    sigma moves by about eps (m + n) sigma / 2: within the floor for any
+    sigma <= 2 (every caller's block is a product of projections and a
+    unitary, sigma <= 1), and relative, so a small sigma needs no larger
+    floor.  An order outside 1..MAX_BLOCK_ORDER raises BlockOrderError
+    before any block is built."""
     semidefinite = np.array_equal(rows, cols) and np.all(symbol == np.abs(symbol))
     order = rows.size if semidefinite else rows.size + cols.size
     if not 0 < order <= MAX_BLOCK_ORDER:
@@ -213,13 +233,19 @@ def top_singular(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
         if not block.size:
             continue
         if semidefinite:
-            values, left = eigh(block, subset_by_index=[block.shape[0] - 1] * 2)
-            right = left.T.conj()
-        else:
-            left, values, right = svd(block, full_matrices=False)
-        if values[0] > sigma:
-            sigma, u, v = (float(values[0]), expand_rows(left[:, 0]),
-                           expand_cols(right[0].conj()))
+            value, left = _top_eigenpair(block)
+            if value > sigma:
+                sigma, u, v = value, expand_rows(left), expand_cols(left)
+            continue
+        tall = block.shape[0] >= block.shape[1]
+        # zherk fills the lower triangle of B*B (trans 2) or of BB* (trans 0)
+        value, vector = _top_eigenpair(zherk(1.0, block, trans=2 if tall else 0, lower=1))
+        value = float(np.sqrt(max(value, 0.0)))
+        if value > sigma:
+            other = block @ vector if tall else block.conj().T @ vector
+            other /= np.linalg.norm(other)
+            left, right = (other, vector) if tall else (vector, other)
+            sigma, u, v = value, expand_rows(left), expand_cols(right)
     return sigma, u, v, float(np.finfo(float).eps * order)
 
 

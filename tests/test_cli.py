@@ -341,6 +341,17 @@ class TestExitCodes:
         assert "gap 0.25: lambda_min 0.000e+00, floor" in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
 
+    def test_prolate_at_one_is_exit_3(self, tmp_path, capsys):
+        # at r = 8, N = 16 on the default box the prolate's block is near the
+        # identity, and LAPACK's subset solver can return no top eigenvalue;
+        # this used to end in an IndexError traceback (exit 1)
+        cfg = write(tmp_path, "p.cfg", "spectral.radii = 8.0, 0.5\n"
+                                       "spectral.bands = 16.0\nspectral.samples = 1\n")
+        assert main(["spectral-ineq-27", "--config", cfg,
+                     "--out", str(tmp_path / "p.csv")]) == 3
+        assert "extremal concentration not resolved at r 8, N 16" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize("experiment, config, named", [
         ("empirical-constant", "grid.M = 4096\nobservability.radius = 30.0\n",
          "observability.radius = 30: dense block of order 8192 is outside 1..4096"),
@@ -522,19 +533,19 @@ class TestExitCodes:
                 f"float range") in capsys.readouterr().err
         assert not (tmp_path / "e.csv").exists()
 
-    @pytest.mark.parametrize("experiment, dense", [
-        ("empirical-constant", "svd"), ("spectral-ineq-27", "eigh")])
+    @pytest.mark.parametrize("experiment", ["empirical-constant", "spectral-ineq-27"])
     def test_dense_solve_that_did_not_converge_is_exit_3(self, tmp_path, capsys,
-                                                         monkeypatch, experiment, dense):
-        # LinAlgError is a ValueError, but no input was refused
+                                                         monkeypatch, experiment):
+        # LinAlgError is a ValueError, but no input was refused; both the
+        # Gram route (the flow block) and the prolate's block end in eigh
         def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError(f"{dense} did not converge")
+            raise np.linalg.LinAlgError("eigh did not converge")
 
-        monkeypatch.setattr(transform, dense, no_convergence)
+        monkeypatch.setattr(transform, "eigh", no_convergence)
         cfg = write(tmp_path, "d.cfg", "grid.M = 64\n" + (
             "spectral.samples = 1\n" if experiment == "spectral-ineq-27" else ""))
         assert main([experiment, "--config", cfg, "--out", str(tmp_path / "d.csv")]) == 3
-        assert f"solver failure: {dense} did not converge" in capsys.readouterr().err
+        assert "solver failure: eigh did not converge" in capsys.readouterr().err
         assert not (tmp_path / "d.csv").exists()
 
     def test_indefinite_operator_in_cost_scaling_is_a_traceback(self, tmp_path,

@@ -265,7 +265,7 @@ class TestEmpiricalConstant:
         assert result.converged is resolved
 
     def test_floor_is_the_one_top_singular_returns(self):
-        # the flow symbol is complex, so C takes the SVD route: eps (k_a + k_b)
+        # the flow symbol is complex, so C takes the Gram route: eps (k_a + k_b)
         grid = make_grid(1, 20.0, 512)
         region = ball_complement(0.0, 2.0)
         nodes = np.flatnonzero(region.indicator(grid) == 0.0)

@@ -372,38 +372,115 @@ class TestReflectionBlocks:
         assert np.array_equal(block, lattice_block(grid, symbol, nodes, nodes))
 
 
+def recording_eigh(monkeypatch):
+    """Patch transform.eigh to keep a copy of every matrix it is handed."""
+    seen, eigh = [], transform.eigh
+
+    def record(matrix, *args, **kwargs):
+        seen.append(np.array(matrix))
+        return eigh(matrix, *args, **kwargs)
+    monkeypatch.setattr(transform, "eigh", record)
+    return seen
+
+
+def gram_floor_cells():
+    """The gramian benchmark's cells: nodes of B_2(0) on [-20, 20]^dim under
+    the flow over each gap."""
+    for dim, points in [(1, 4096), (2, 128)]:
+        grid = make_grid(dim, 20.0, points)
+        nodes = off_nodes(ball_complement(0.0, 2.0, dim=dim), grid)
+        for gap in [0.1, 0.25, 0.5, 1.0, 2.0]:
+            yield pytest.param(grid, nodes, gap, id=f"{dim}d-{points}-gap{gap:g}")
+
+
 class TestTopSingular:
-    @pytest.mark.parametrize("dim, centre, odd", [
-        (1, 0.0, False),          # centred: the reflection halves
-        (2, (0.0, 0.0), False),
-        (2, (-1.0, 0.5), False),  # off-centre rows: the whole block
-        (1, 0.0, True),           # an odd symbol: the whole block
-    ], ids=["centred-1d", "centred-2d", "off-centre", "odd-symbol"])
-    def test_matches_the_whole_block_svd(self, dim, centre, odd):
+    @pytest.mark.parametrize("dim, centre, odd, tall", [
+        (1, 0.0, False, False),          # centred: the reflection halves
+        (1, 0.0, False, True),
+        (2, (0.0, 0.0), False, False),
+        (2, (-1.0, 0.5), False, False),  # off-centre ball nodes: the whole block
+        (1, 0.0, True, False),           # an odd symbol: the whole block
+    ], ids=["centred-1d", "centred-1d-tall", "centred-2d", "off-centre", "odd-symbol"])
+    def test_matches_the_whole_block_svd(self, dim, centre, odd, tall, monkeypatch):
         grid = make_grid(1, 10.0, 64) if dim == 1 else make_grid(2, 6.0, 16)
         rows = off_nodes(ball_complement(centre, 2.0, dim=dim), grid)
         cols = off_nodes(ball(0.0, 4.0, dim=dim), grid)
+        if tall:  # more rows than columns: the Gram is B*B, not BB*
+            rows, cols = cols, rows
         symbol = odd_symbol(grid) if odd else propagator_symbol(grid, 0.5)
         whole = lattice_block(grid, symbol, rows, cols)
+        seen = recording_eigh(monkeypatch)
         sigma, u, v, floor = top_singular(grid, symbol, rows, cols)
         assert floor == np.finfo(float).eps * (rows.size + cols.size)
+        # every half goes through its smaller Gram matrix
+        halves = [block for block, _, _ in reflection_blocks(grid, symbol, rows, cols)]
+        assert [g.shape[0] for g in seen] == [min(block.shape) for block in halves]
         assert sigma == pytest.approx(svdvals(whole)[0], rel=1e-12)
+        assert abs(sigma - svdvals(whole)[0]) <= floor
         assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-14)
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
         assert np.abs(whole @ v - sigma * u).max() <= 1e-13
         assert np.abs(whole.conj().T @ u - sigma * v).max() <= 1e-13
 
+    @pytest.mark.parametrize("grid, nodes, gap", gram_floor_cells())
+    def test_gram_route_resolves_the_gramian_cells_within_the_floor(self, grid, nodes, gap):
+        # 1 - sigma is the Gramian's lambda_min, down to 6e-11 at 2D gap 0.1
+        symbol = propagator_symbol(grid, gap)
+        sigma, _, _, floor = top_singular(grid, symbol, nodes, nodes)
+        reference = svdvals(lattice_block(grid, symbol, nodes, nodes))[0]
+        assert floor == np.finfo(float).eps * 2 * nodes.size
+        assert abs((1.0 - sigma) - (1.0 - reference)) <= floor
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-8])
+    def test_small_top_values_keep_a_relative_floor(self, scale):
+        # rounding scales with the block: sigma and the floor scale together
+        grid = make_grid(1, 10.0, 64)
+        rows = off_nodes(ball_complement(0.0, 2.0), grid)
+        cols = off_nodes(ball(0.0, 4.0), grid)
+        symbol = scale * propagator_symbol(grid, 0.5)
+        sigma, u, v, floor = top_singular(grid, symbol, rows, cols)
+        whole = lattice_block(grid, symbol, rows, cols)
+        assert abs(sigma - svdvals(whole)[0]) <= floor * sigma
+        assert np.abs(whole @ v - sigma * u).max() <= 1e-13 * sigma
+
     @pytest.mark.parametrize("side", [0, 1], ids=["ball-nodes", "band-nodes"])
     def test_prolate_sides_take_the_top_eigenpair(self, side, monkeypatch):
         grid, symbol, nodes = prolate_sides()[side]
-        monkeypatch.setattr(transform, "svd", lambda *a, **k: pytest.fail(
-            "a positive semidefinite block takes eigh"))
         whole = lattice_block(grid, symbol, nodes, nodes)
+        seen = recording_eigh(monkeypatch)
         mu, u, v, floor = top_singular(grid, symbol, nodes, nodes)
+        # a positive semidefinite block is its own Hermitian problem: each
+        # half goes to eigh as it is, not through a Gram matrix
+        halves = [block for block, _, _ in reflection_blocks(grid, symbol, nodes, nodes)]
+        assert len(seen) == len(halves)
+        assert all(np.array_equal(g, block) for g, block in zip(seen, halves))
         assert floor == np.finfo(float).eps * nodes.size
         assert mu == pytest.approx(np.linalg.eigvalsh(whole)[-1], rel=1e-12)
         assert np.array_equal(u, v)
         assert np.abs(whole @ u - mu * u).max() <= 1e-13
+
+    @pytest.mark.parametrize("semidefinite", [True, False], ids=["prolate", "flow"])
+    def test_an_empty_subset_from_lapack_takes_the_whole_spectrum(
+            self, semidefinite, monkeypatch):
+        # LAPACK's subset solver can return no eigenvalue when the top one
+        # sits in a tight cluster; this used to end in an IndexError
+        eigh = transform.eigh
+
+        def no_subset(matrix, *args, **kwargs):
+            values, vectors = eigh(matrix, *args, **kwargs)
+            if "subset_by_index" in kwargs:
+                return values[:0], vectors[:, :0]
+            return values, vectors
+        grid, symbol, nodes = prolate_sides()[0]
+        if not semidefinite:
+            symbol = propagator_symbol(grid, 0.5)
+        expected = top_singular(grid, symbol, nodes, nodes)
+        monkeypatch.setattr(transform, "eigh", no_subset)
+        got = top_singular(grid, symbol, nodes, nodes)
+        assert got[0] == pytest.approx(expected[0], rel=1e-14)
+        assert got[3] == expected[3]
+        whole = lattice_block(grid, symbol, nodes, nodes)
+        assert np.abs(whole @ got[2] - got[0] * got[1]).max() <= 1e-13
 
     @pytest.mark.parametrize("empty", ["rows", "cols", "both"])
     def test_empty_block_gives_zero_and_first_unit_vectors(self, empty):
@@ -423,10 +500,10 @@ class TestTopSingular:
 
     @pytest.mark.parametrize("route, order", [
         ("eigh", 0), ("eigh", MAX_BLOCK_ORDER + 1),
-        ("svd", 0), ("svd", MAX_BLOCK_ORDER + 1)])
+        ("gram", 0), ("gram", MAX_BLOCK_ORDER + 1)])
     def test_order_outside_the_cap_is_refused_before_any_block(
             self, route, order, monkeypatch):
-        # eigh: n nodes under a real nonnegative symbol; svd: m + n nodes
+        # eigh: n nodes under a real nonnegative symbol; gram: m + n nodes
         # under the flow, split as evenly as the order allows
         monkeypatch.setattr(transform, "reflection_blocks", lambda *a, **k: pytest.fail(
             "the block order must be checked before the block is built"))
