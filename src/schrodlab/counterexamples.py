@@ -186,48 +186,30 @@ def decay_study(spec: SequenceSpec, grid: Grid, k_values: Sequence[int],
     modulated: inside-ball terminal energy and the e^{a|x|} weighted energy
         (constant in k).
     """
-    rows: List[Dict[str, float]] = []
-    dim = grid.dim
-    if spec.family == "concentrating":
-        outside = ball_complement(spec.x_prime, spec.r1, dim=dim)
-        inside = ball(spec.x_dprime, spec.r2, dim=dim)
-        for k in k_values:
-            u_k = generate(spec, grid, k)
-            terminal = fresnel_map(u_k, spec.horizon)
-            rows.append({
-                "k": float(k),
-                "outside_initial": masked_energy(u_k, outside),
-                "terminal_inside": masked_energy(terminal, inside),
-            })
-        fits = {"terminal_inside": loglog_fit(
-            [r["k"] for r in rows], [r["terminal_inside"] for r in rows])}
-    elif spec.family == "modulated":
-        inside = ball(spec.x_dprime, spec.r2, dim=dim)
-        weight = Weight(spec.weight_amplitude)
-        for k in k_values:
-            u_k = generate(spec, grid, k)
-            terminal = fresnel_map(u_k, spec.horizon)
-            weighted = weighted_energy(u_k, weight)
-            rows.append({
-                "k": float(k),
-                "terminal_inside": masked_energy(terminal, inside),
-                "weighted": weighted,
-            })
-        fits = {}
-    else:  # time_reversed
+    if spec.family == "time_reversed":
         if time_slices < 32:
             raise ValueError("the time integral needs at least 32 slices")
-        outside = ball_complement(spec.x_prime, spec.r1, dim=dim)
-        inside = ball(spec.x_dprime, spec.r2, dim=dim)
         times = np.linspace(0.0, spec.s2, time_slices + 1)
-        for k in k_values:
+    outside = ball_complement(spec.x_prime, spec.r1, dim=grid.dim)
+    inside = ball(spec.x_dprime, spec.r2, dim=grid.dim)
+    rows: List[Dict[str, float]] = []
+    for k in k_values:
+        row = {"k": float(k)}
+        if spec.family == "time_reversed":
             g_k = concentrated_profile(grid, spec, k)
+            row["outside_at_s1"] = masked_energy(g_k, outside)
             energies = _ball_energies(g_k, times - spec.s1, inside)
-            integral = float(np.trapezoid(energies, times))
-            rows.append({
-                "k": float(k),
-                "outside_at_s1": masked_energy(g_k, outside),
-                "time_integral_inside": integral,
-            })
-        fits = {}
+            row["time_integral_inside"] = float(np.trapezoid(energies, times))
+        else:
+            u_k = generate(spec, grid, k)
+            if spec.family == "concentrating":
+                row["outside_initial"] = masked_energy(u_k, outside)
+            row["terminal_inside"] = masked_energy(fresnel_map(u_k, spec.horizon), inside)
+            if spec.family == "modulated":
+                row["weighted"] = weighted_energy(u_k, Weight(spec.weight_amplitude))
+        rows.append(row)
+    fits = {}
+    if spec.family == "concentrating":
+        fits["terminal_inside"] = loglog_fit([r["k"] for r in rows],
+                                             [r["terminal_inside"] for r in rows])
     return DecayStudy(spec.family, rows, fits)

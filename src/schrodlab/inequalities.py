@@ -159,11 +159,12 @@ def empirical_constant(s: float, t: float, region_a: Region, region_b: Region,
     if cols.size + rows.size == 0:  # A and B hold every node: G = 2I
         unit = Field(grid, np.eye(1, grid.node_count)[0])
         return EmpiricalConstant(2.0, 0.5, unit, 0.0, True)
-    sigma, u, v, floor = top_singular(grid, propagator_symbol(grid, t - s), rows, cols)
+    symbol = propagator_symbol(grid, t - s)
+    sigma, u, v, floor = top_singular(grid, symbol, rows, cols)
     lam = max(1.0 - sigma, 0.0)
     extremizer = np.zeros(grid.node_count, dtype=np.complex128)
     extremizer[rows] = u
-    extremizer = spectral_multiply(grid, extremizer, propagator_symbol(grid, s - t))
+    extremizer = spectral_multiply(grid, extremizer, symbol.conj())
     extremizer[cols] += v
     constant = float("inf") if lam == 0.0 else 1.0 / lam
     extremizer = Field(grid, extremizer / np.linalg.norm(extremizer))

@@ -348,11 +348,11 @@ class FlowObservation:
 
 
 def flow_observation(grid: Grid, terms: Sequence[Tuple[float, Region]]) -> FlowObservation:
-    """The FlowObservation of the terms (t_i, region_i); each propagator
-    symbol is built once, here."""
+    """The FlowObservation of the terms (t_i, region_i); each forward
+    propagator symbol is built once, here, and its conjugate is the backward one."""
     masks = tuple(region.indicator(grid) for _, region in terms)
     forward = tuple(None if t == 0.0 else propagator_symbol(grid, t) for t, _ in terms)
-    backward = tuple(None if t == 0.0 else propagator_symbol(grid, -t) for t, _ in terms)
+    backward = tuple(None if symbol is None else symbol.conj() for symbol in forward)
     return FlowObservation(grid, masks, forward, backward)
 
 

@@ -138,6 +138,13 @@ class TestDecayStudy:
         with pytest.raises(ValueError):
             decay_study(spec, GRID, [1], time_slices=16)
 
+    def test_concentrating_ignores_time_slices(self):
+        # only time_reversed integrates over time, so only it reads the count
+        spec = SequenceSpec("concentrating")
+        reference = decay_study(spec, GRID, [1, 2, 4])
+        for slices in (0, -5):
+            assert decay_study(spec, GRID, [1, 2, 4], time_slices=slices) == reference
+
     def test_repeated_k_leaves_no_slope_to_fit(self):
         # k = 1, 1 used to reach the fit and fail there as "SVD did not converge"
         with pytest.raises(ValueError, match="two distinct abscissae"):

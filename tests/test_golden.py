@@ -39,6 +39,8 @@ RUNS = {
        for variant in ("sobolev_dual_approx", "complement_approx", "ball_null",
                        "band_restricted", "shifted_decay_null")},
     **{f"defaults-{experiment}": (experiment, "") for experiment in EXPERIMENTS},
+    **{f"counterexample-{family}": ("counterexample", f"counterexample.family = {family}\n")
+       for family in ("time_reversed", "modulated")},
 }
 
 

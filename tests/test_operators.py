@@ -113,12 +113,13 @@ def test_symbols_built_once_per_operator(monkeypatch):
         if ops.precondition(1.0) is not None:
             operators.append(ops.precondition(1.0))
     built = len(calls)
-    # flow_observation builds 2 per term at a nonzero time, so each Gram
-    # operator here costs 2 (the gramian's M_A term is at time 0, two_impulse's
-    # second impulse at the horizon), and O, O* share them; the null-control
-    # reach maps of shifted_decay_null and ball_null add 2 each, the exact
-    # control reach maps (at time 0) none
-    assert built == 5 * 2 + 2 * 2
+    # flow_observation builds 1 per term at a nonzero time (the backward
+    # symbol is its conjugate), so each Gram operator here costs 1 (the
+    # gramian's M_A term is at time 0, two_impulse's second impulse at the
+    # horizon), and O, O* share it; the null-control reach maps of
+    # shifted_decay_null and ball_null add 1 each, the exact control reach
+    # maps (at time 0) none
+    assert built == 5 + 2
     v = random_values(grid)
     for _ in range(10):
         for apply in operators:

@@ -109,6 +109,19 @@ class TestPropagate:
         back = propagate(propagate(f, 0.8), -0.8)
         assert np.abs(back.values - f.values).max() <= 1e-11 * scale
 
+    @pytest.mark.parametrize("dim, m", [(1, 256), (1, 512), (1, 1024), (1, 4096),
+                                        (2, 128), (2, 256)])
+    @pytest.mark.parametrize("half_extent", [12.0, 20.0, 40.0])
+    def test_backward_symbol_is_the_conjugate_bit_for_bit(self, dim, m, half_extent):
+        # flow_observation and empirical_constant take P(-t) as conj(P(t)):
+        # the same bits as building P(-t) outright, but for the sign of the
+        # zero imaginary part at xi = 0 (+0 built, -0 conjugated), which adding
+        # +0 clears
+        grid = make_grid(dim, half_extent, m)
+        for t in (0.25, 0.5, 1.0, 2.0, -0.25, -0.5, -1.0, -2.0):
+            built, conjugated = propagator_symbol(grid, -t), propagator_symbol(grid, t).conj()
+            assert (built + 0.0).tobytes() == (conjugated + 0.0).tobytes()
+
     def test_2d_oracle(self):
         grid = make_grid(2, 12.0, 64)
         u_t = propagate(gaussian(grid), 0.3)
