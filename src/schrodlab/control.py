@@ -52,8 +52,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.linalg import eigvalsh
-from scipy.linalg import lu_factor, lu_solve
-from scipy.linalg.blas import zherk
 
 from .field import (Field, Grid, Region, Weight, ball, ball_complement, density_energy,
                     gaussian_state, l2_norm, make_grid, whole_space, zero_field)
@@ -61,7 +59,7 @@ from .fitting import FitResult, affine_fit
 from .solvers import CGResult, Operator, conjugate_gradient, lanczos_smallest
 from .transform import (MAX_BLOCK_ORDER, FlowObservation, fft_symbol, flow_observation,
                         lattice_block, propagate_values, propagator_symbol,
-                        spectral_multiply, top_singular)
+                        scipy_linalg, spectral_multiply, top_singular)
 
 IMPULSE_JUMP = -1j
 
@@ -304,7 +302,8 @@ def problem_operators(problem: ImpulseProblem) -> ProblemOperators:
 def _hermitian_square(x: np.ndarray) -> np.ndarray:
     """X* X: one triangle by a Hermitian rank-k update (half the flops of a
     general product), mirrored onto the other."""
-    upper = zherk(1.0, x.T)  # A A* for A = X^T, i.e. conj(X* X), upper triangle
+    # A A* for A = X^T, i.e. conj(X* X), upper triangle
+    upper = scipy_linalg().blas.zherk(1.0, x.T)
     return np.triu(upper).conj() + np.triu(upper, 1).T
 
 
@@ -385,12 +384,13 @@ class LowRankForm:
         """The Woodbury inverse D^-1 - D^-1 Y C^-1 Y* D^-1 (C the capacitance,
         LU-factored since it may be indefinite), applied on Z and zero off it."""
         d_inv = 1.0 / self.diagonal(c0)
-        factor = lu_factor(self.capacitance(c0)) if self.terms else None
+        linalg = scipy_linalg()
+        factor = linalg.lu_factor(self.capacitance(c0)) if self.terms else None
 
         def apply(v: np.ndarray) -> np.ndarray:
             on_z = d_inv * v[self.nodes]
             if factor is not None:
-                on_z -= d_inv * self.apply(lu_solve(factor, self.apply_star(on_z)))
+                on_z -= d_inv * self.apply(linalg.lu_solve(factor, self.apply_star(on_z)))
             out = np.zeros_like(v)
             out[self.nodes] = on_z
             return out

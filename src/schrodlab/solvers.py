@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+
+from .transform import scipy_linalg
 
 Operator = Callable[[np.ndarray], np.ndarray]
 
@@ -180,9 +181,9 @@ def _smallest_ritz(alphas: np.ndarray, betas: np.ndarray):
     if len(alphas) == 1:
         return float(alphas[0]), np.ones(1)
     try:
-        vals, vecs = eigh_tridiagonal(alphas, betas, select="i",
-                                      select_range=(0, 0),
-                                      lapack_driver="stebz")
+        vals, vecs = scipy_linalg().eigh_tridiagonal(alphas, betas, select="i",
+                                                     select_range=(0, 0),
+                                                     lapack_driver="stebz")
         return float(vals[0]), vecs[:, 0]
     except np.linalg.LinAlgError:
         # bisection driver can fail on hard tridiagonals; fall back to dense

@@ -18,11 +18,10 @@ import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from types import ModuleType
 from typing import Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.linalg.blas import zherk
 
 from .field import Field, Grid, Region
 
@@ -196,7 +195,7 @@ def _top_eigenpair(hermitian: np.ndarray) -> Tuple[float, np.ndarray]:
     its lower triangle.  LAPACK's subset solver can return no eigenvalue at
     all when the top one sits in a tight cluster (a block near the
     identity); the whole spectrum is then taken."""
-    last = hermitian.shape[0] - 1
+    eigh, last = scipy_linalg().eigh, hermitian.shape[0] - 1
     values, vectors = eigh(hermitian, subset_by_index=[last, last])
     if not values.size:
         values, vectors = eigh(hermitian)
@@ -239,7 +238,8 @@ def top_singular(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
             continue
         tall = block.shape[0] >= block.shape[1]
         # zherk fills the lower triangle of B*B (trans 2) or of BB* (trans 0)
-        value, vector = _top_eigenpair(zherk(1.0, block, trans=2 if tall else 0, lower=1))
+        value, vector = _top_eigenpair(scipy_linalg().blas.zherk(
+            1.0, block, trans=2 if tall else 0, lower=1))
         value = float(np.sqrt(max(value, 0.0)))
         if value > sigma:
             other = block @ vector if tall else block.conj().T @ vector
@@ -250,28 +250,66 @@ def top_singular(grid: Grid, symbol: np.ndarray, rows: np.ndarray,
 
 
 @lru_cache(maxsize=None)
-def _openblas_thread_setters() -> Tuple[Callable[[int], int], ...]:
-    """openblas_set_num_threads_local of each OpenBLAS loaded in the process
-    (numpy and scipy each bundle one), looked up once; () where there is none."""
+def _openblas_setter(path: str) -> Optional[Callable[[int], int]]:
+    """openblas_set_num_threads_local of the loaded library at path, the same
+    object on every call; None where it has no such function."""
     try:
-        with open("/proc/self/maps") as maps:
-            paths = dict.fromkeys(fields[5] for fields in map(str.split, maps)
-                                  if len(fields) == 6 and "openblas" in os.path.basename(fields[5]))
-    except OSError:
-        return ()
-    setters = []
-    for path in paths:
+        setter = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
+    except (OSError, AttributeError):
+        return None
+    setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+    return setter
+
+
+def _openblas_thread_setters() -> Tuple[Callable[[int], int], ...]:
+    """The _openblas_setter of each OpenBLAS loaded in the process (numpy and
+    scipy each bundle one), looked up on the first call and again once
+    scipy_linalg has loaded scipy's; () where there is none."""
+    global _blas_setters
+    if _blas_setters is None:
         try:
-            setter = ctypes.CDLL(path, mode=os.RTLD_NOLOAD).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
-        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        setters.append(setter)
-    return tuple(setters)
+            with open("/proc/self/maps") as maps:
+                paths = dict.fromkeys(fields[5] for fields in map(str.split, maps)
+                                      if len(fields) == 6
+                                      and "openblas" in os.path.basename(fields[5]))
+        except OSError:
+            paths = {}
+        _blas_setters = tuple(setter for setter in map(_openblas_setter, paths)
+                              if setter is not None)
+    return _blas_setters
 
 
 _BLAS_SCOPE_LOCK = threading.Lock()
-_blas_scopes, _blas_saved = 0, ()
+_blas_setters: Optional[Tuple[Callable[[int], int], ...]] = None
+_blas_scopes = 0
+_blas_saved: List[Tuple[Callable[[int], int], int]] = []  # (setter, count to restore)
+_linalg = None
+
+
+def scipy_linalg() -> ModuleType:
+    """The scipy.linalg module, imported on the first dense call rather than
+    with the package, so that a run without one never loads it.  The
+    OpenBLAS the import brings in joins any open one_blas_thread scope."""
+    global _linalg, _blas_setters
+    if _linalg is None:
+        with _BLAS_SCOPE_LOCK:
+            if _linalg is None:  # not loaded by a thread this one waited for
+                import scipy.linalg
+                _blas_setters = None
+                if _blas_scopes:
+                    _join_blas_scopes(_openblas_thread_setters())
+                _linalg = scipy.linalg
+    return _linalg
+
+
+def _join_blas_scopes(setters: Sequence[Callable[[int], int]]) -> None:
+    """Set each setter to one thread, saving the count it replaced the first
+    time it is set in the open scopes.  The caller holds _BLAS_SCOPE_LOCK."""
+    saved = [setter for setter, _ in _blas_saved]  # ctypes functions do not hash
+    for setter in setters:
+        count = setter(1)
+        if setter not in saved:
+            _blas_saved.append((setter, count))
 
 
 @contextmanager
@@ -282,24 +320,24 @@ def one_blas_thread() -> Iterator[None]:
 
     openblas_set_num_threads_local is per thread in some builds and
     process-wide in others (the pip wheels of numpy and scipy), so each entry
-    sets 1, the first scope to open saves the counts it replaced and the last
-    to close restores them, whichever threads those are.  Without OpenBLAS
-    it does nothing."""
-    global _blas_scopes, _blas_saved
-    setters = _openblas_thread_setters()
+    sets 1, the first scope to set a library saves the count it replaced and
+    the last to close restores each library to its own saved count,
+    whichever threads those are.  A library loaded inside a scope (scipy's,
+    by the first scipy_linalg call) joins it at once: it is set to 1 and
+    restored with the others.  Without OpenBLAS it does nothing."""
+    global _blas_scopes
     with _BLAS_SCOPE_LOCK:
-        replaced = tuple(setter(1) for setter in setters)
-        if _blas_scopes == 0:
-            _blas_saved = replaced
         _blas_scopes += 1
+        _join_blas_scopes(_openblas_thread_setters())
     try:
         yield
     finally:
         with _BLAS_SCOPE_LOCK:
             _blas_scopes -= 1
             if _blas_scopes == 0:
-                for setter, count in zip(setters, _blas_saved):
+                for setter, count in _blas_saved:
                     setter(count)
+                _blas_saved.clear()
 
 
 def propagator_symbol(grid: Grid, t: float) -> np.ndarray:

@@ -541,7 +541,7 @@ class TestExitCodes:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("eigh did not converge")
 
-        monkeypatch.setattr(transform, "eigh", no_convergence)
+        monkeypatch.setattr(transform.scipy_linalg(), "eigh", no_convergence)
         cfg = write(tmp_path, "d.cfg", "grid.M = 64\n" + (
             "spectral.samples = 1\n" if experiment == "spectral-ineq-27" else ""))
         assert main([experiment, "--config", cfg, "--out", str(tmp_path / "d.csv")]) == 3
@@ -851,15 +851,38 @@ class TestCatalog:
         assert "only 'list' takes an experiment name" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_heavy_scipy_modules_unloaded():
-    # start-up cost: scipy.special and scipy.integrate load only where a run
-    # needs them, so a fresh `import schrodlab.cli` must not pull them in
-    code = ("import sys, schrodlab.cli; "
-            "print(' '.join(m for m in ('scipy.special', 'scipy.integrate') "
-            "if m in sys.modules))")
+def run_fresh(code: str, *args: str) -> str:
+    """Standard output of `python -c code args` in a fresh process on this source."""
     src = str(Path(schrodlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stdout
+
+
+def test_cli_import_leaves_heavy_scipy_modules_unloaded():
+    # start-up cost: scipy.special, scipy.integrate and scipy.linalg load only
+    # where a run needs them, so a fresh `import schrodlab.cli` must not pull
+    # them in
+    code = ("import sys, schrodlab.cli; "
+            "print(' '.join(m for m in ('scipy.special', 'scipy.integrate', 'scipy.linalg') "
+            "if m in sys.modules))")
+    assert run_fresh(code).split() == []
+
+
+def test_only_a_dense_solve_loads_scipy_linalg(tmp_path):
+    # runs without a dense block never import scipy.linalg; the first dense
+    # call does (empirical-constant's), so the check is not vacuous
+    code = ("import contextlib, io, json, sys\n"
+            "from schrodlab.cli import main\n"
+            "seen = []\n"
+            "for experiment in sys.argv[2:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main([experiment, '--out', f'{sys.argv[1]}/{experiment}.csv'])\n"
+            "    seen.append([experiment, code, 'scipy.linalg' in sys.modules])\n"
+            "print(json.dumps(seen))\n")
+    experiments = ["propagate", "uncertainty", "counterexample", "empirical-constant"]
+    assert json.loads(run_fresh(code, str(tmp_path), *experiments)) == [
+        ["propagate", 0, False], ["uncertainty", 0, False],
+        ["counterexample", 0, False], ["empirical-constant", 0, True]]

@@ -7,7 +7,8 @@ caps the order and returns the rounding floor.  This parses every module
 under `src/` and fails on any use of `svd` or `eigh` from `scipy.linalg` or
 `numpy.linalg` outside `transform.py`: an import such as
 `from scipy.linalg import svd`, or an attribute access such as
-`np.linalg.eigh(...)` or `scipy.linalg.svd(...)`.
+`np.linalg.eigh(...)`, `scipy.linalg.svd(...)` or, through the loader that
+imports scipy.linalg on first use, `scipy_linalg().eigh(...)`.
 
 One use is allowed, by module and function: `solvers._smallest_ritz` falls
 back to `np.linalg.eigh` on the Lanczos tridiagonal when LAPACK's
@@ -32,7 +33,8 @@ ALLOWED = {("solvers.py", "_smallest_ritz")}  # (module, function)
 def dense_uses(source: str):
     """(line, enclosing function or None) of each import of a dense svd or
     eigh in `source`, and of each attribute access `linalg.svd` or
-    `linalg.eigh` (`np.linalg.eigh`, `scipy.linalg.svd`, ...)."""
+    `linalg.eigh` (`np.linalg.eigh`, `scipy.linalg.svd`, ...) or
+    `scipy_linalg().svd` or `scipy_linalg().eigh`."""
     uses = set()
 
     def visit(node, function):
@@ -44,8 +46,11 @@ def dense_uses(source: str):
                 uses.add((node.lineno, function))
         elif isinstance(node, ast.Attribute) and node.attr in DENSE_SOLVERS:
             base = node.value
+            loader = base.func if isinstance(base, ast.Call) else None
             if (isinstance(base, ast.Attribute) and base.attr == "linalg"
-                    or isinstance(base, ast.Name) and base.id == "linalg"):
+                    or isinstance(base, ast.Name) and base.id == "linalg"
+                    or isinstance(loader, ast.Name) and loader.id == "scipy_linalg"
+                    or isinstance(loader, ast.Attribute) and loader.attr == "scipy_linalg"):
                 uses.add((node.lineno, function))
         for child in ast.iter_child_nodes(node):
             visit(child, function)
@@ -63,9 +68,12 @@ def test_detects_dense_imports():
               "    return np.linalg.eigh(block), scipy.linalg.svd(block)\n"
               "x = linalg.svd(a) + np.linalg.eigvalsh(a) + np.linalg.norm(a)\n"
               "y = model.svd(a) + numpy.linalg.svd(a)\n"
-              "class Block:\n    def top(self):\n        return np.linalg.eigh(self.a)\n")
+              "class Block:\n    def top(self):\n        return np.linalg.eigh(self.a)\n"
+              # through the loader, bare or by module
+              "z = scipy_linalg().eigh(a), transform.scipy_linalg().svd(a)\n"
+              "w = scipy_linalg().eigh_tridiagonal(d, e), scipy_linalg().blas.zherk(1.0, a)\n")
     assert dense_uses(source) == [(1, None), (2, None), (5, None), (7, "top"),
-                                  (8, None), (9, None), (12, "top")]
+                                  (8, None), (9, None), (12, "top"), (13, None)]
 
 
 @pytest.mark.parametrize("path", sorted(p for p in PACKAGE.rglob("*.py") if p != DENSE_HOME),

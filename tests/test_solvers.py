@@ -242,7 +242,7 @@ def test_lanczos_dense_fallback_matches_bisection(monkeypatch):
     def failing(*args, **kwargs):
         raise np.linalg.LinAlgError("bisection failed")
 
-    monkeypatch.setattr(solvers, "eigh_tridiagonal", failing)
+    monkeypatch.setattr(solvers.scipy_linalg(), "eigh_tridiagonal", failing)
     fallback = lanczos_smallest(lambda v: diag * v, diag.size, tol=1e-10)
     assert fallback.iterations == reference.iterations
     assert fallback.converged and reference.converged

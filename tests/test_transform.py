@@ -1,12 +1,21 @@
 """Transform, propagator, chirp/rescale identity and oracle checks."""
 
+import json
+import os
+import subprocess
 import sys
+import textwrap
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import svdvals
 
+import schrodlab
 from schrodlab import transform
 from schrodlab.field import (Field, ball, ball_complement, field_from_function,
                              l2_norm, make_grid, masked_energy)
@@ -386,13 +395,15 @@ class TestReflectionBlocks:
 
 
 def recording_eigh(monkeypatch):
-    """Patch transform.eigh to keep a copy of every matrix it is handed."""
-    seen, eigh = [], transform.eigh
+    """Patch the eigh of transform's scipy.linalg to keep a copy of every
+    matrix it is handed."""
+    linalg = transform.scipy_linalg()
+    seen, eigh = [], linalg.eigh
 
     def record(matrix, *args, **kwargs):
         seen.append(np.array(matrix))
         return eigh(matrix, *args, **kwargs)
-    monkeypatch.setattr(transform, "eigh", record)
+    monkeypatch.setattr(linalg, "eigh", record)
     return seen
 
 
@@ -477,7 +488,8 @@ class TestTopSingular:
             self, semidefinite, monkeypatch):
         # LAPACK's subset solver can return no eigenvalue when the top one
         # sits in a tight cluster; this used to end in an IndexError
-        eigh = transform.eigh
+        linalg = transform.scipy_linalg()
+        eigh = linalg.eigh
 
         def no_subset(matrix, *args, **kwargs):
             values, vectors = eigh(matrix, *args, **kwargs)
@@ -488,7 +500,7 @@ class TestTopSingular:
         if not semidefinite:
             symbol = propagator_symbol(grid, 0.5)
         expected = top_singular(grid, symbol, nodes, nodes)
-        monkeypatch.setattr(transform, "eigh", no_subset)
+        monkeypatch.setattr(linalg, "eigh", no_subset)
         got = top_singular(grid, symbol, nodes, nodes)
         assert got[0] == pytest.approx(expected[0], rel=1e-14)
         assert got[3] == expected[3]
@@ -549,11 +561,7 @@ class TestOneBlasThread:
 
     def test_overlapping_scopes_restore_on_the_last_exit(self, monkeypatch):
         # a process-wide count, as numpy's and scipy's OpenBLAS keep it
-        state = {"count": 4}
-
-        def setter(count):
-            previous, state["count"] = state["count"], count
-            return previous
+        setter, state = process_wide_setter(4)
         monkeypatch.setattr(transform, "_openblas_thread_setters", lambda: (setter,))
         first, second = transform.one_blas_thread(), transform.one_blas_thread()
         first.__enter__()
@@ -565,11 +573,7 @@ class TestOneBlasThread:
 
     def test_scopes_opened_by_many_threads_keep_one_thread_until_all_close(
             self, monkeypatch):
-        state = {"count": 4}
-
-        def setter(count):
-            previous, state["count"] = state["count"], count
-            return previous
+        setter, state = process_wide_setter(4)
         monkeypatch.setattr(transform, "_openblas_thread_setters", lambda: (setter,))
 
         def worker(_):
@@ -588,3 +592,107 @@ class TestOneBlasThread:
             sys.setswitchinterval(interval)
         assert seen == {1}
         assert state["count"] == 4
+
+    @pytest.mark.parametrize("joins", ["first", "last"])
+    def test_a_library_loaded_inside_open_scopes_joins_them(self, joins, monkeypatch):
+        # scipy's OpenBLAS loads at the first dense call, inside the scopes
+        # opened before it, and /proc/self/maps may list it before numpy's
+        numpy_setter, numpy_state = process_wide_setter(4)
+        scipy_setter, scipy_state = process_wide_setter(3)
+        loaded = [numpy_setter]
+        monkeypatch.setattr(transform, "_openblas_thread_setters", lambda: tuple(loaded))
+        monkeypatch.setattr(transform, "_linalg", None)
+        first, second = transform.one_blas_thread(), transform.one_blas_thread()
+        first.__enter__()
+        second.__enter__()
+        loaded.insert(0 if joins == "first" else 1, scipy_setter)
+        assert transform.scipy_linalg() is scipy.linalg
+        assert (numpy_state["count"], scipy_state["count"]) == (1, 1)
+        first.__exit__(None, None, None)
+        assert (numpy_state["count"], scipy_state["count"]) == (1, 1)
+        second.__exit__(None, None, None)
+        assert (numpy_state["count"], scipy_state["count"]) == (4, 3)
+
+    def test_sweep_workers_loading_at_once_join_once(self, monkeypatch):
+        numpy_setter, numpy_state = process_wide_setter(4)
+        scipy_setter, scipy_state = process_wide_setter(3)
+        loaded = [numpy_setter]
+        monkeypatch.setattr(transform, "_openblas_thread_setters", lambda: tuple(loaded))
+        monkeypatch.setattr(transform, "_linalg", None)
+        joins = []
+        join = transform._join_blas_scopes
+        monkeypatch.setattr(transform, "_join_blas_scopes",
+                            lambda setters: joins.append(len(setters)) or join(setters))
+        workers = 8
+        opened, inside = threading.Barrier(workers + 1), threading.Barrier(workers)
+
+        def worker(_):
+            with transform.one_blas_thread():
+                opened.wait(timeout=60)
+                opened.wait(timeout=60)  # the scope lock is now held below
+                module = transform.scipy_linalg()
+                inside.wait(timeout=60)
+                counts = (numpy_state["count"], scipy_state["count"])
+                inside.wait(timeout=60)
+            return module, counts
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(worker, index) for index in range(workers)]
+            opened.wait(timeout=60)
+            loaded.append(scipy_setter)
+            # the workers pass the unlocked check and wait here for the lock
+            with transform._BLAS_SCOPE_LOCK:
+                opened.wait(timeout=60)
+                time.sleep(0.2)
+            results = [future.result(timeout=60) for future in futures]
+        assert results == [(scipy.linalg, (1, 1))] * workers
+        assert joins == [1] * workers + [2]  # one per scope entry, one load
+        assert (numpy_state["count"], scipy_state["count"]) == (4, 3)
+
+    def test_scipys_openblas_joins_the_scope_of_its_first_dense_call(self):
+        # a fresh process whose OpenBLAS libraries start at 2 threads:
+        # numpy's is loaded at import, scipy's only by the first dense call
+        code = textwrap.dedent("""
+            import json, sys
+            import numpy as np
+            from schrodlab import transform
+            from schrodlab.field import make_grid
+
+            def counts():
+                previous = [setter(1) for setter in transform._openblas_thread_setters()]
+                for setter, count in zip(transform._openblas_thread_setters(), previous):
+                    setter(count)
+                return previous
+
+            grid = make_grid(1, 10.0, 64)
+            nodes = np.arange(8)
+            with transform.one_blas_thread():
+                before = counts()
+                loaded_before = "scipy.linalg" in sys.modules
+                transform.top_singular(grid, transform.propagator_symbol(grid, 0.5),
+                                       nodes, nodes)
+                inside = counts()
+            print(json.dumps([loaded_before, before, inside, counts()]))
+        """)
+        src = str(Path(schrodlab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        loaded_before, before, inside, after = json.loads(done.stdout)
+        if not inside:
+            pytest.skip("no OpenBLAS is loaded")
+        assert not loaded_before
+        assert len(inside) == len(before) + 1  # scipy's library joined
+        assert inside == [1] * len(inside)
+        assert after == [2] * len(inside)
+
+
+def process_wide_setter(count):
+    """A fake openblas_set_num_threads_local with one process-wide count,
+    and the dict that holds it."""
+    state = {"count": count}
+
+    def setter(new):
+        previous, state["count"] = state["count"], new
+        return previous
+    return setter, state
