@@ -5,9 +5,10 @@ Three families, indexed by k:
   concentrating   u_k = e^{-i|x|^2/4T} k^{n/2} g(k(x - x')): initial mass
                   collapses onto x', terminal mass spreads so the inside-ball
                   terminal energy decays like k^{-n};
-  time_reversed   the state equal to g_k at time S1 (built with the backward
-                  flow), whose outside-ball energy at S1 and time-integrated
-                  inside-ball energy both vanish along k;
+  time_reversed   the state equal to g_k at time S1 (decay_study reads it from
+                  the flow of g_k; it is never built at time 0), whose
+                  outside-ball energy at S1 and time-integrated inside-ball
+                  energy both vanish along k;
   modulated       u_k = e^{-i|x|^2/4T} e^{-i k x_1} g(x): the terminal bump
                   translates along the first axis out of any fixed ball while
                   every e^{a|x|} weighted energy stays constant in k.
@@ -112,7 +113,7 @@ def _spread_radii(f: Field):
 
 
 def generate(spec: SequenceSpec, grid: Grid, k: int) -> Field:
-    """The k-th member u_k of the family, unit L2 norm on the lattice."""
+    """The k-th member u_k of a chirped family, unit L2 norm on the lattice."""
     if spec.family == "concentrating":
         g_k = concentrated_profile(grid, spec, k)
         return Field(grid, chirp(grid, -spec.horizon) * g_k.values)
@@ -127,16 +128,8 @@ def generate(spec: SequenceSpec, grid: Grid, k: int) -> Field:
         g = base_profile(grid, spec.profile)
         phase = np.exp(-1j * float(k) * grid.coords()[0])
         return Field(grid, chirp(grid, -spec.horizon) * phase * g.values)
-    # time_reversed: the state whose value at time S1 is g_k
-    g_k = concentrated_profile(grid, spec, k)
-    spatial, spectral = _spread_radii(g_k)
-    spread = spatial + 2.0 * spec.s1 * spectral
-    if spread > 0.9 * grid.half_extent:
-        raise ResolvabilityError(
-            f"backward solve of g_k to time 0 spreads to ~{spread:.3g}, beyond "
-            f"0.9L = {0.9 * grid.half_extent:.3g}; refine the box or lower k"
-        )
-    return propagate(g_k, -spec.s1)
+    raise ValueError("generate builds the chirped families only; the "
+                     "time-reversed family is evaluated by decay_study")
 
 
 def _ball_energies(g: Field, taus: np.ndarray, region: Region) -> List[float]:

@@ -9,9 +9,9 @@ and keep the discrete Parseval identity exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +43,8 @@ class Grid:
     dim: int
     half_extent: float
     points_per_dim: int
+    # set by dual(): pi*M/(2*(pi*M/(2L))) need not round back to L
+    _primal: Optional["Grid"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -92,8 +94,11 @@ class Grid:
         return out
 
     def dual(self) -> "Grid":
-        """The frequency lattice as a Grid (half-extent pi*M/(2L), same M)."""
-        return Grid(self.dim, self.nyquist, self.points_per_dim)
+        """The frequency lattice as a Grid (half-extent pi*M/(2L), same M);
+        the dual of a dual is the primal itself."""
+        if self._primal is not None:
+            return self._primal
+        return Grid(self.dim, self.nyquist, self.points_per_dim, self)
 
 
 @lru_cache(maxsize=None)

@@ -244,17 +244,17 @@ def two_ball_report_13(u0: Field, x_prime, x_dprime, r1: float, r2: float,
     """One-time ball-to-ball estimate: energy of u(.,T) on B_{r2}(x'') against
     its energy on B_{r1}(x') and the e^{a|x|} prior, with the exponent budget
     p = 1 + (|x'-x''| + r1 + r2)/min(aT, r1) and the separation |x'-x''|
-    recorded among the terms."""
+    recorded among the terms.  A scalar centre is (c, ..., c) as in `ball`,
+    and the separation is taken between the balls' centres."""
     if min(r1, r2, a, t) <= 0:
         raise ValueError("r1, r2, a, T must all be positive")
     grid = u0.grid
     u_t = propagate(u0, t)
-    lhs = masked_energy(u_t, ball(x_dprime, r2, dim=grid.dim))
-    obs = masked_energy(u_t, ball(x_prime, r1, dim=grid.dim))
+    target, observed = ball(x_dprime, r2, dim=grid.dim), ball(x_prime, r1, dim=grid.dim)
+    lhs = masked_energy(u_t, target)
+    obs = masked_energy(u_t, observed)
     prior = weighted_energy(u0, Weight(a))
-    separation = float(np.linalg.norm(
-        np.atleast_1d(np.asarray(x_prime, dtype=float))
-        - np.atleast_1d(np.asarray(x_dprime, dtype=float))))
+    separation = float(np.linalg.norm(np.subtract(observed.center, target.center)))
     p = 1.0 + (separation + r1 + r2) / min(a * t, r1)
     return InequalityReport(
         lhs, {"observation": obs, "prior": prior, "p": p, "separation": separation},

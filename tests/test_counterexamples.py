@@ -8,8 +8,8 @@ from schrodlab.counterexamples import (DecayStudy, ResolvabilityError,
                                        SequenceSpec, base_profile,
                                        concentrated_profile, decay_study,
                                        generate)
-from schrodlab.field import l2_norm, make_grid
-from schrodlab.transform import propagate
+from schrodlab.field import ball, l2_norm, make_grid, masked_energy
+from schrodlab.transform import fresnel_map, propagate
 
 GRID = make_grid(1, 15.0, 4096)
 
@@ -39,12 +39,8 @@ def test_concentrating_modulus_matches_scaled_profile():
 
 
 def test_unit_norm_all_families():
-    # the backward family wraps for large k at s1=0.5, hence the shorter s1
-    cases = [("concentrating", SequenceSpec("concentrating"), (1, 2, 8)),
-             ("modulated", SequenceSpec("modulated"), (1, 2, 8)),
-             ("time_reversed", SequenceSpec("time_reversed", s1=0.25), (1, 2, 4))]
-    for _, spec, ks in cases:
-        for k in ks:
+    for spec in (SequenceSpec("concentrating"), SequenceSpec("modulated")):
+        for k in (1, 2, 8):
             u_k = generate(spec, GRID, k)
             assert abs(l2_norm(u_k) - 1.0) <= 1e-8
 
@@ -56,13 +52,9 @@ def test_modulated_k0_is_chirped_profile():
     assert np.abs(np.abs(u0.values) - np.abs(g.values)).max() <= 1e-12
 
 
-def test_time_reversed_flows_to_concentrated_profile():
-    spec = SequenceSpec("time_reversed", s1=0.25)
-    k = 4
-    u_k = generate(spec, GRID, k)
-    at_s1 = propagate(u_k, spec.s1)
-    g_k = concentrated_profile(GRID, spec, k)
-    assert np.abs(at_s1.values - g_k.values).max() <= 1e-10
+def test_generate_refuses_the_time_reversed_family():
+    with pytest.raises(ValueError, match="decay_study"):
+        generate(SequenceSpec("time_reversed"), GRID, 1)
 
 
 def test_resolvability_rejections():
@@ -72,8 +64,34 @@ def test_resolvability_rejections():
     coarse = make_grid(1, 15.0, 64)
     with pytest.raises(ResolvabilityError, match="Nyquist"):
         generate(SequenceSpec("modulated"), coarse, 100)
-    with pytest.raises(ResolvabilityError, match="spreads"):
-        generate(SequenceSpec("time_reversed", s1=4.0), GRID, 32)
+    with pytest.raises(ResolvabilityError, match="no valid route"):
+        decay_study(SequenceSpec("time_reversed"), make_grid(1, 3.0, 64), [1])
+
+
+class TestBallEnergies:
+    """The time-reversed family's one definition: the flow of g_k, read on
+    whichever route resolves each time."""
+
+    G_4 = concentrated_profile(GRID, SequenceSpec("time_reversed"), 4)
+    INSIDE = ball(0.0, 2.0)
+
+    @staticmethod
+    def refuse(*args):
+        raise AssertionError("wrong route")
+
+    def test_negative_time_on_the_direct_route_is_the_backward_flow(self, monkeypatch):
+        monkeypatch.setattr(counterexamples, "fresnel_map", self.refuse)
+        [energy] = counterexamples._ball_energies(self.G_4, np.array([-0.25]),
+                                                  self.INSIDE)
+        assert energy == pytest.approx(
+            masked_energy(propagate(self.G_4, -0.25), self.INSIDE), rel=1e-12)
+
+    def test_negative_time_on_the_fresnel_route_is_the_map_at_its_modulus(
+            self, monkeypatch):
+        monkeypatch.setattr(counterexamples, "propagate", self.refuse)
+        [energy] = counterexamples._ball_energies(self.G_4, np.array([-0.5]),
+                                                  self.INSIDE)
+        assert energy == masked_energy(fresnel_map(self.G_4, 0.5), self.INSIDE)
 
 
 class TestDecayStudy:

@@ -10,9 +10,11 @@ import pytest
 from schrodlab.field import (CappedWeightError, EnergyOverflowError, Field,
                              GridError, Weight, ball, ball_complement,
                              box_tail_fraction, density_energy, dot,
-                             field_from_function, l2_norm, make_grid,
-                             masked_energy, normalized, radial_moment,
-                             weighted_energy, whole_space, zero_field)
+                             field_from_function, gaussian_state, l2_norm,
+                             make_grid, masked_energy, normalized,
+                             radial_moment, weighted_energy, whole_space,
+                             zero_field)
+from schrodlab.transform import dft, idft
 
 # independent quadrature oracles (tests/oracles.py documents the recipes)
 INT_EXP_MINUS_X2_BALL1 = 1.4936482656248540   # quad(e^{-x^2}, -1, 1)
@@ -53,10 +55,17 @@ class TestGrid:
         with pytest.raises(GridError):
             make_grid(*args)
 
-    def test_dual_grid_round_trip(self):
-        grid = make_grid(1, 20.0, 64)
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("half_extent", [1.0, 3.0, 15.0, 20.0, 25.0, 40.0,
+                                             50.0, 100.0, 200.0])
+    def test_dual_grid_round_trip(self, dim, half_extent):
+        # pi*M/(2*(pi*M/(2L))) rounds to 99.99999999999999 at L = 100
+        grid = make_grid(dim, half_extent, 64)
         assert grid.dual().dual() == grid
-        assert grid.dual().spacing == pytest.approx(np.pi / 20.0)
+        assert grid.dual().dual().half_extent == half_extent
+        assert grid.dual().spacing == pytest.approx(np.pi / half_extent)
+        f = gaussian_state(grid)
+        assert dot(f, idft(dft(f))) == pytest.approx(dot(f, f), rel=1e-12)
 
 
 class TestField:

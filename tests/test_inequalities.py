@@ -22,7 +22,7 @@ from schrodlab.inequalities import (bandlimited_sample, empirical_constant,
                                     sobolev_norm_sq, spectral_inequality_report,
                                     two_ball_report_13, two_time_quotient,
                                     uncertainty_quotient)
-from schrodlab.transform import (AliasingError, dft, lattice_block,
+from schrodlab.transform import (AliasingError, dft, lattice_block, propagate,
                                  propagator_symbol, reflection_blocks,
                                  spectral_multiply, top_singular)
 
@@ -373,6 +373,17 @@ class TestTwoBall13:
         assert report.terms["observation"] == pytest.approx(
             masked_energy(u_t, ball(-3.0, 1.0)), rel=1e-8)
         assert report.terms["separation"] == 6.0
+
+    def test_2d_separation_is_between_the_ball_centres(self):
+        # a scalar centre c is the point (c, c) in 2D: x' = -2, x'' = 2 puts
+        # the balls 4*sqrt(2) apart, not 4; the balls themselves stay put
+        grid = make_grid(2, 20.0, 64)
+        report = two_ball_report_13(gaussian(grid), -2.0, 2.0, 1.0, 1.0, 1.0, 1.0)
+        assert report.terms["separation"] == pytest.approx(4.0 * np.sqrt(2.0), rel=1e-14)
+        assert report.terms["p"] == pytest.approx(3.0 + 4.0 * np.sqrt(2.0), rel=1e-14)
+        assert report.lhs == pytest.approx(
+            masked_energy(propagate(gaussian(grid), 1.0), ball((2.0, 2.0), 1.0)),
+            rel=1e-14)
 
 
 class TestSpectralInequality:
