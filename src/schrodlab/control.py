@@ -719,12 +719,12 @@ def cost_scaling_study(grid: Grid, u0: Field, gaps: Sequence[float], radius: flo
         raise ValueError("too few admissible cost samples to fit")
     fit = affine_fit([row["stress"] for row in rows],
                      [np.log(row["normalized_cost"]) for row in rows])
-    doubling_rows: List[Dict[str, float]] = []
-    for factor in (1.0, np.sqrt(2.0)):
-        row = _solve_scaled(grid, u0, fixed_gap, radius * factor, radius * factor,
-                            eps0, error_target, tol)
-        if row is not None:
-            doubling_rows.append(row)
+    # the doubling block's first row is the sweep's own row when fixed_gap was swept
+    first = next((row for row in rows if row["gap"] == fixed_gap), None) \
+        or _solve_scaled(grid, u0, fixed_gap, radius, radius, eps0, error_target, tol)
+    wide = radius * np.sqrt(2.0)
+    second = _solve_scaled(grid, u0, fixed_gap, wide, wide, eps0, error_target, tol)
+    doubling_rows = [row for row in (first, second) if row is not None]
     return CostScalingStudy(rows, fit, doubling_rows, excluded)
 
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .field import Field, Grid, Region, Weight, ball, ball_complement, \
-    masked_energy, normalized, weighted_energy
+    masked_energy, mass_radius, normalized, weighted_energy
 from .fitting import FitResult, loglog_fit
 from .transform import chirp, dft, fresnel_map, propagate
 
@@ -98,18 +98,7 @@ def concentrated_profile(grid: Grid, spec: SequenceSpec, k: int) -> Field:
 
 def _spread_radii(f: Field):
     """Spatial and spectral radii holding all but 1e-12 of the energy."""
-    def radius(values: np.ndarray, rsq: np.ndarray) -> float:
-        energy = np.abs(values) ** 2
-        order = np.argsort(rsq)
-        cum = np.cumsum(energy[order])
-        total = cum[-1]
-        keep = np.searchsorted(cum, (1.0 - 1e-12) * total)
-        return float(np.sqrt(rsq[order][min(keep, len(order) - 1)]))
-
-    spatial = radius(f.values, f.grid.radius_sq())
-    spec = dft(f)
-    spectral = radius(spec.values, spec.grid.radius_sq())
-    return spatial, spectral
+    return mass_radius(f, 1e-12), mass_radius(dft(f), 1e-12)
 
 
 def generate(spec: SequenceSpec, grid: Grid, k: int) -> Field:

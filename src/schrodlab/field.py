@@ -313,18 +313,26 @@ def radial_moment(f: Field, order: int) -> float:
 
 
 def box_tail_fraction(f: Field) -> float:
-    """Mass fraction outside [-L/2, L/2]^dim; the truncation-control check.
+    """Mass outside [-L/2, L/2]^dim over the total mass; the truncation check.
 
-    Experiment configs must keep this below their declared tail tolerance so
-    that the box [-L, L]^dim is an honest stand-in for R^n.
+    The outside mass is summed directly, so tails far below the 1e-16
+    rounding level of 1 - inside/total are resolved.  Experiment configs must
+    keep it below their declared tail tolerance so that the box [-L, L]^dim
+    is an honest stand-in for R^n.
     """
     total = l2_norm(f) ** 2
     if total == 0.0:
         return 0.0
     half = f.grid.half_extent / 2.0
-    inside = np.ones(f.grid.node_count, dtype=bool)
-    for axis in f.grid.coords():
-        inside &= np.abs(axis) <= half
-    h = f.grid.spacing
-    inner = float(np.sum(np.abs(f.values[inside]) ** 2) * h ** f.grid.dim)
-    return max(0.0, 1.0 - inner / total)
+    outside = np.any([np.abs(axis) > half for axis in f.grid.coords()], axis=0)
+    return density_energy(f, outside) / total
+
+
+def mass_radius(f: Field, fraction: float) -> float:
+    """The smallest node radius |x| whose closed ball holds all but
+    `fraction` of |f|^2 (0 for a zero field)."""
+    mass = np.abs(f.values) ** 2
+    if not mass.any():
+        return 0.0
+    return float(np.sqrt(np.quantile(f.grid.radius_sq(), 1.0 - fraction,
+                                     method="inverted_cdf", weights=mass)))

@@ -500,6 +500,24 @@ class TestExitCodes:
                      "--out", str(tmp_path / "t.csv")]) == 2
         assert "tail tolerance" in capsys.readouterr().err
 
+    def test_tail_tolerance_below_rounding_level_means_what_it_says(self, tmp_path,
+                                                                     capsys):
+        # the outside mass is read itself, not as 1 - inside/total: the
+        # uncertainty default (L = 40) leaves 2.2e-176 of the Gaussian outside
+        # [-L/2, L/2] and passes 1e-17; ball_null's default box (L = 12) leaves
+        # 1.15e-17 and fails it
+        cfg = write(tmp_path, "u.cfg", "tail_tolerance = 1e-17\n")
+        assert main(["uncertainty", "--config", cfg,
+                     "--out", str(tmp_path / "u.csv")]) == 0
+        capsys.readouterr()
+        cfg = write(tmp_path, "c.cfg",
+                    "control.variant = ball_null\ntail_tolerance = 1e-17\n")
+        assert main(["control-solve", "--config", cfg,
+                     "--out", str(tmp_path / "c.csv")]) == 2
+        assert re.search(r"reference mass fraction 1\.151e-17 outside .* tail tolerance",
+                         capsys.readouterr().err)
+        assert not (tmp_path / "c.csv").exists()
+
     def test_solver_nonconvergence_is_exit_3(self, tmp_path, capsys):
         # the Woodbury-preconditioned variants converge in one iteration; the
         # Sobolev variant keeps its diagonal-in-xi preconditioner and stalls

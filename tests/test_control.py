@@ -279,7 +279,7 @@ class TestCalibration:
         ("control-solve", "band_restricted", 1, 2, 0, 0),
         ("control-solve", "shifted_decay_null", 1, 2, 2, 0),
         ("control-solve", "sobolev_dual_approx", 1, 2, 1, 1),
-        ("cost-scaling", None, 6, 18, 0, 0),
+        ("cost-scaling", None, 5, 15, 0, 0),
     ])
     def test_one_operator_build_per_control_run(self, experiment, variant, builds,
                                                 indicators, weights, symbols,
@@ -289,7 +289,8 @@ class TestCalibration:
         # weights (the error norm's and a datum weight) and the Sobolev symbol
         # are evaluated once, when the operators are built (two regions per
         # problem and one more for two_impulse's second impulse; cost-scaling
-        # solves six problems)
+        # solves five problems: its four gaps and the doubling block's wider
+        # radius, the block's first row being the sweep's row at fixed_gap)
         made = []
 
         def counted(problem):
@@ -573,3 +574,28 @@ def test_cost_scaling_study_shape():
     assert costs[0] > costs[1] > costs[2]  # shrinking gap raises the cost
     assert study.doubling_rows[1]["normalized_cost"] \
         > study.doubling_rows[0]["normalized_cost"]
+
+
+def test_cost_scaling_reads_the_doubling_row_off_the_sweep(monkeypatch):
+    # the doubling block's first row is (fixed_gap, radius), which the sweep
+    # has already solved when fixed_gap is one of its gaps; an unswept
+    # fixed_gap is still solved, to the row the sweep would have given
+    grid = make_grid(1, 20.0, 256)
+    u0 = gaussian_state(grid, sigma=0.8)
+    solved = []
+    real = control._solve_scaled
+
+    def counted(*args):
+        solved.append(args[2:5])
+        return real(*args)
+
+    monkeypatch.setattr(control, "_solve_scaled", counted)
+    study = cost_scaling_study(grid, u0, [0.5, 1.0, 2.0], 2.0, eps0=1e-6,
+                               error_target=1e-3, fixed_gap=0.5, tol=1e-8)
+    assert study.doubling_rows[0] == study.rows[0]
+    assert [gap for gap, _, _ in solved] == [0.5, 1.0, 2.0, 0.5]
+    solved.clear()
+    unswept = cost_scaling_study(grid, u0, [1.0, 2.0], 2.0, eps0=1e-6,
+                                 error_target=1e-3, fixed_gap=0.5, tol=1e-8)
+    assert [gap for gap, _, _ in solved] == [1.0, 2.0, 0.5, 0.5]
+    assert unswept.doubling_rows == study.doubling_rows

@@ -8,8 +8,8 @@ from schrodlab.counterexamples import (DecayStudy, ResolvabilityError,
                                        SequenceSpec, base_profile,
                                        concentrated_profile, decay_study,
                                        generate)
-from schrodlab.field import ball, l2_norm, make_grid, masked_energy
-from schrodlab.transform import fresnel_map, propagate
+from schrodlab.field import ball, l2_norm, make_grid, masked_energy, mass_radius
+from schrodlab.transform import dft, fresnel_map, propagate
 
 GRID = make_grid(1, 15.0, 4096)
 
@@ -66,6 +66,24 @@ def test_resolvability_rejections():
         generate(SequenceSpec("modulated"), coarse, 100)
     with pytest.raises(ResolvabilityError, match="no valid route"):
         decay_study(SequenceSpec("time_reversed"), make_grid(1, 3.0, 64), [1])
+
+
+def sorted_cumsum_radius(values, rsq):
+    """The spread radius as `_spread_radii` computed it by hand before
+    numpy's weighted quantile: the first node, in order of |x|, at which the
+    running energy reaches all but 1e-12 of the total."""
+    energy = np.abs(values) ** 2
+    order = np.argsort(rsq)
+    cum = np.cumsum(energy[order])
+    keep = np.searchsorted(cum, (1.0 - 1e-12) * cum[-1])
+    return float(np.sqrt(rsq[order][min(keep, len(order) - 1)]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 32])
+def test_mass_radius_matches_the_sorted_cumsum(k):
+    g_k = concentrated_profile(GRID, SequenceSpec("time_reversed"), k)
+    for f in (g_k, dft(g_k)):
+        assert mass_radius(f, 1e-12) == sorted_cumsum_radius(f.values, f.grid.radius_sq())
 
 
 class TestBallEnergies:

@@ -1,10 +1,12 @@
-"""The numpy floor declared in `pyproject.toml` covers every numpy function
-`src/` calls.
+"""The floors declared in `pyproject.toml` cover every numpy function
+`src/` calls, and agree with each other.
 
 A function numpy added after the declared floor fails with an
 AttributeError on an install the floor allows (np.trapezoid arrived in
 numpy 2.0), so this reads the floor and fails on each `np.<name>` in `src/`
-first released above it.
+first released above it.  A scipy built against an older numpy major does
+not import under the declared one (scipy 1.13 is the first release built
+against numpy 2), so the scipy floor must be at least that release.
 """
 
 import ast
@@ -16,10 +18,18 @@ ROOT = Path(__file__).resolve().parent.parent
 # numpy functions added after 1.x, with the release that added them
 INTRODUCED = {"trapezoid": (2, 0)}
 
+# numpy major -> the first scipy release built against it
+SCIPY_FOR_NUMPY = {2: (1, 13)}
 
-def declared_floor(pyproject: str):
-    major, minor = re.search(r'"numpy>=(\d+)\.(\d+)', pyproject).groups()
+
+def declared_floor(pyproject: str, package: str = "numpy"):
+    major, minor = re.search(rf'"{package}>=(\d+)\.(\d+)', pyproject).groups()
     return int(major), int(minor)
+
+
+def scipy_floor_too_old(numpy_floor, scipy_floor) -> bool:
+    """Whether the scipy floor predates the first scipy for numpy's major."""
+    return scipy_floor < SCIPY_FOR_NUMPY.get(numpy_floor[0], (0, 0))
 
 
 def too_new(sources, floor):
@@ -42,3 +52,18 @@ def test_declared_numpy_floor_covers_src():
     sources = {str(path.relative_to(ROOT)): path.read_text()
                for path in sorted((ROOT / "src").rglob("*.py"))}
     assert too_new(sources, floor) == []
+
+
+def test_detects_a_scipy_floor_older_than_the_numpy_major():
+    pyproject = 'dependencies = [\n    "numpy>=2.0",\n    "scipy>=1.10",\n]'
+    assert declared_floor(pyproject, "scipy") == (1, 10)
+    assert scipy_floor_too_old((2, 0), (1, 10))
+    assert scipy_floor_too_old((2, 1), (1, 12))
+    assert not scipy_floor_too_old((2, 0), (1, 13))
+    assert not scipy_floor_too_old((1, 24), (1, 10))
+
+
+def test_declared_scipy_floor_supports_the_numpy_floor():
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    assert not scipy_floor_too_old(declared_floor(pyproject),
+                                   declared_floor(pyproject, "scipy"))

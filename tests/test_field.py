@@ -11,9 +11,9 @@ from schrodlab.field import (CappedWeightError, EnergyOverflowError, Field,
                              GridError, Weight, ball, ball_complement,
                              box_tail_fraction, density_energy, dot,
                              field_from_function, gaussian_state, l2_norm,
-                             make_grid, masked_energy, normalized,
-                             radial_moment, weighted_energy, whole_space,
-                             zero_field)
+                             make_grid, mass_radius, masked_energy,
+                             normalized, radial_moment, weighted_energy,
+                             whole_space, zero_field)
 from schrodlab.transform import dft, idft
 
 # independent quadrature oracles (tests/oracles.py documents the recipes)
@@ -284,3 +284,41 @@ def test_box_tail_fraction():
     assert box_tail_fraction(gaussian(grid)) < 1e-10
     wide = gaussian(grid, sigma=8.0)
     assert box_tail_fraction(wide) > 1e-3
+
+
+@pytest.mark.parametrize("dim, half_extent, points", [(1, 20.0, 512), (2, 16.0, 128)])
+def test_box_tail_fraction_is_the_outside_mass(dim, half_extent, points):
+    # e^{-L^2/4} outside [-L/2, L/2]: 3.7e-44 and 1.6e-28 of the mass, far
+    # below the rounding level of 1 - inside/total
+    grid = make_grid(dim, half_extent, points)
+    f = gaussian(grid)
+    axes = np.meshgrid(*[grid.axis_nodes()] * dim, indexing="ij")
+    outside = np.zeros(axes[0].shape, dtype=bool)
+    for axis in axes:
+        outside |= np.abs(axis) > half_extent / 2.0
+    mass = np.abs(f.values.reshape(axes[0].shape)) ** 2
+    expected = mass[outside].sum() / mass.sum()
+    assert 0.0 < expected < 1e-20
+    assert box_tail_fraction(f) == pytest.approx(expected, rel=1e-12)
+
+
+def test_box_tail_fraction_of_a_compact_bump_is_zero():
+    grid = make_grid(1, 4.0, 256)
+    x = grid.axis_nodes()
+    inside = np.abs(x) < 1.0
+    bump = np.zeros_like(x)
+    bump[inside] = np.exp(-1.0 / (1.0 - x[inside] ** 2))
+    assert box_tail_fraction(Field(grid, bump)) == 0.0
+    assert box_tail_fraction(zero_field(grid)) == 0.0
+
+
+def test_mass_radius():
+    grid = make_grid(1, 10.0, 20)  # nodes -10, -9, ..., 9
+    values = np.zeros(grid.node_count)
+    values[[10, 13, 16]] = [1.0, 2.0, 1.0]  # mass 1, 4, 1 at x = 0, 3, 6
+    f = Field(grid, values)
+    assert mass_radius(f, 0.0) == 6.0
+    assert mass_radius(f, 1.0 / 6.0) == 3.0  # the ball of radius 3 holds 5/6
+    assert mass_radius(f, 0.5) == 3.0
+    assert mass_radius(f, 0.9) == 0.0
+    assert mass_radius(zero_field(grid), 1e-12) == 0.0

@@ -1,7 +1,7 @@
 """Every imported name is read by the module that imports it.
 
-No linter ships with the project, so this parses each module under `src/`
-and `tests/` and fails on an import nothing in the module uses.  Future
+No linter ships with the project, so this parses each module under `src/`,
+`tests/` and `tools/` and fails on an import nothing in the module uses.  Future
 imports and the package `__init__` (whose imports are re-exports) are
 exempt.
 """
@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(path for folder in ("src", "tests") for path in (ROOT / folder).rglob("*.py")
+MODULES = sorted(path for folder in ("src", "tests", "tools")
+                 for path in (ROOT / folder).rglob("*.py")
                  if path != ROOT / "src" / "schrodlab" / "__init__.py")
 
 
