@@ -1,13 +1,14 @@
 """Show that two source trees write the same outputs on every benchmark
 operation.
 
-    python tools/same_outputs.py PARENT CHANGE [--seeds 1 5]
+    python tools/same_outputs.py PARENT CHANGE
 
 PARENT and CHANGE are checkouts of this repository.  The operations are
 those of CHANGE's `perfbench/workloads.py`, loaded as a module (nothing is
-written under `perfbench/`).  For each operation and seed, each tree runs it
-as `python -m schrodlab.cli EXPERIMENT --config ... --seed S --threads 1` in
-a fresh process with that tree's `src` alone on PYTHONPATH.  The CSVs are
+written under `perfbench/`).  For each operation and each seed in SEEDS (the
+benchmark's seed and one held out), each tree runs it as
+`python -m schrodlab.cli EXPERIMENT --config ... --seed S --threads 1` in a
+fresh process with that tree's `src` alone on PYTHONPATH.  The CSVs are
 compared byte for byte, and the JSON summaries key by key with their
 `versions` entry set aside.  Every file and key that differs is printed,
 with the two values, and the exit status is 1 if any does (0 otherwise).
@@ -24,6 +25,9 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Iterator, List, Sequence, Tuple
+
+# the benchmark's seed and a held-out one
+SEEDS = (1, 5)
 
 
 def load_operations(tree: Path) -> List[Tuple[str, str, dict]]:
@@ -67,12 +71,12 @@ def summary(path: Path) -> dict:
     return data
 
 
-def compare(parent: Path, change: Path, seeds: Sequence[int], work: Path) -> int:
+def compare(parent: Path, change: Path, work: Path) -> int:
     """Number of differences (exit statuses, CSVs, JSON keys); prints each."""
     differing = 0
     operations = load_operations(change)
     for label, experiment, config in operations:
-        for seed in seeds:
+        for seed in SEEDS:
             stem = f"{label.replace('/', '_')}-seed{seed}"
             config_path = work / f"{stem}.config.json"
             config_path.write_text(json.dumps(config, indent=1, sort_keys=True))
@@ -98,7 +102,7 @@ def compare(parent: Path, change: Path, seeds: Sequence[int], work: Path) -> int
             for line in found:
                 print(line, flush=True)
             differing += len(found)
-    print(f"{len(operations)} operations x {len(seeds)} seeds: "
+    print(f"{len(operations)} operations x {len(SEEDS)} seeds: "
           f"{differing} differences", flush=True)
     return differing
 
@@ -107,15 +111,13 @@ def main(argv: Sequence[str] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout of the reference tree")
     parser.add_argument("change", type=Path, help="checkout of the changed tree")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 5],
-                        help="CLI --seed values to run each operation at (default 1 5)")
     args = parser.parse_args(argv)
     trees = [tree.resolve() for tree in (args.parent, args.change)]
     for tree in trees:
         if not (tree / "src" / "schrodlab").is_dir():
             parser.error(f"{tree} has no src/schrodlab")
     with tempfile.TemporaryDirectory(prefix="same_outputs-") as work:
-        return 1 if compare(*trees, args.seeds, Path(work)) else 0
+        return 1 if compare(*trees, Path(work)) else 0
 
 
 if __name__ == "__main__":
